@@ -315,6 +315,10 @@ pub fn counters_study() {
             Algorithm::HeftBudg,
             Algorithm::HeftBudgPlus,
             Algorithm::HeftBudgPlusInv,
+            Algorithm::MaxMin,
+            Algorithm::MaxMinBudg,
+            Algorithm::Sufferage,
+            Algorithm::SufferageBudg,
         ] {
             let mut rec = RecordingSink::new();
             let sched = alg.run_observed(&wf, &platform, budget, &mut rec);

@@ -1,86 +1,18 @@
-//! Deterministic counters and log-bucket histograms.
+//! Deterministic counters.
 //!
 //! Counters are named monotone `u64`s in a `BTreeMap`, so iteration (and
-//! the rendered table) is deterministic. Histograms bucket durations by
-//! `ceil(log2(nanos))` — 64 fixed buckets, no configuration, identical
-//! layout on every platform.
+//! the rendered table) is deterministic.
 
 use crate::event::Event;
 use crate::sink::EventSink;
 use std::collections::BTreeMap;
 
-/// A 64-bucket base-2 log histogram of nanosecond durations.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self { buckets: [0; 64], count: 0, sum: 0 }
-    }
-}
-
-impl Histogram {
-    /// Bucket index of a value: 0 holds {0, 1}, bucket `i` holds
-    /// `(2^(i-1), 2^i]`.
-    pub fn bucket_of(value: u64) -> usize {
-        if value <= 1 {
-            0
-        } else {
-            64 - usize::try_from((value - 1).leading_zeros()).unwrap_or(0)
-        }
-    }
-
-    /// Record one value.
-    pub fn add(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value).min(63)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Mean of recorded values, 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)] // display statistic only
-            {
-                self.sum as f64 / self.count as f64
-            }
-        }
-    }
-
-    /// Non-empty buckets as `(upper_bound, count)` pairs; the upper bound
-    /// of bucket `i` is `2^i` nanoseconds (`u64::MAX` for bucket 63).
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| {
-            let bound = if i >= 63 { u64::MAX } else { 1u64 << i };
-            (bound, c)
-        })
-    }
-}
-
-/// Counter/histogram sink. Consumes explicit [`Event::Counter`] and
-/// [`Event::PhaseNanos`] events and additionally derives a few structural
-/// counters (candidate evaluations, placements, simulator activity) from
-/// the rest of the stream.
+/// Counter sink. Consumes explicit [`Event::Counter`] events and
+/// additionally derives a few structural counters (candidate evaluations,
+/// placements, simulator activity) from the rest of the stream.
 #[derive(Debug, Clone, Default)]
 pub struct Counters {
     counts: BTreeMap<&'static str, u64>,
-    histos: BTreeMap<&'static str, Histogram>,
 }
 
 impl Counters {
@@ -113,31 +45,13 @@ impl Counters {
         self.counts.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// The histogram for a phase, if any durations were recorded.
-    pub fn histogram(&self, phase: &str) -> Option<&Histogram> {
-        self.histos.get(phase)
-    }
-
-    /// Render a deterministic text table of counters, followed by phase
-    /// timing summaries.
+    /// Render a deterministic text table of counters.
     pub fn table(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
         let width = self.counts.keys().map(|k| k.len()).max().unwrap_or(8).max(8);
         for (name, v) in &self.counts {
             let _ = writeln!(s, "{name:width$}  {v:>12}");
-        }
-        for (phase, h) in &self.histos {
-            let _ = writeln!(
-                s,
-                "{phase:width$}  n={} mean={:.0}ns total={}ns",
-                h.count(),
-                h.mean(),
-                h.sum()
-            );
-            for (bound, c) in h.nonzero_buckets() {
-                let _ = writeln!(s, "{:width$}    <= {bound:>12} ns: {c}", "");
-            }
         }
         s
     }
@@ -147,9 +61,6 @@ impl EventSink for Counters {
     fn record(&mut self, event: &Event) {
         match *event {
             Event::Counter { name, delta } => self.bump(name, delta),
-            Event::PhaseNanos { phase, nanos } => {
-                self.histos.entry(phase).or_default().add(nanos);
-            }
             Event::CandidateEvaluated { .. } => self.bump("candidate_evals", 1),
             Event::TaskPlaced { new_vm, .. } => {
                 self.bump("tasks_placed", 1);
@@ -172,29 +83,15 @@ impl EventSink for Counters {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::float_cmp)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_bounds_are_log2() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 0);
-        assert_eq!(Histogram::bucket_of(2), 1);
-        assert_eq!(Histogram::bucket_of(3), 2);
-        assert_eq!(Histogram::bucket_of(4), 2);
-        assert_eq!(Histogram::bucket_of(5), 3);
-        assert_eq!(Histogram::bucket_of(1024), 10);
-        assert_eq!(Histogram::bucket_of(u64::MAX), 64); // clamped by add()
-    }
 
     #[test]
     fn counters_accumulate_and_render() {
         let events = [
             Event::Counter { name: "cache_hits", delta: 3 },
             Event::Counter { name: "cache_hits", delta: 2 },
-            Event::PhaseNanos { phase: "plan", nanos: 1500 },
-            Event::PhaseNanos { phase: "plan", nanos: 700 },
             Event::CandidateEvaluated {
                 task: 0,
                 used: false,
@@ -208,12 +105,7 @@ mod tests {
         assert_eq!(c.get("cache_hits"), 5);
         assert_eq!(c.get("candidate_evals"), 1);
         assert_eq!(c.get("absent"), 0);
-        let h = c.histogram("plan").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 2200);
-        assert_eq!(h.mean(), 1100.0);
         let t = c.table();
         assert!(t.contains("cache_hits"));
-        assert!(t.contains("n=2"));
     }
 }

@@ -122,20 +122,13 @@ pub enum Event {
         makespan: f64,
     },
 
-    // ---- cross-cutting: counters and timings -------------------------
+    // ---- cross-cutting: counters --------------------------------------
     /// A named monotone counter moved by `delta`.
     Counter {
         /// Counter name (static so the event stays `Copy`).
         name: &'static str,
         /// Increment.
         delta: u64,
-    },
-    /// A named phase took `nanos` wall-clock nanoseconds.
-    PhaseNanos {
-        /// Phase name.
-        phase: &'static str,
-        /// Duration in nanoseconds.
-        nanos: u64,
     },
 
     // ---- simulator: execution ----------------------------------------
@@ -284,7 +277,6 @@ impl Event {
             Event::EpochStarted { .. } => "epoch_started",
             Event::RecoveryEpoch { .. } => "recovery_epoch",
             Event::Counter { .. } => "counter",
-            Event::PhaseNanos { .. } => "phase_nanos",
             Event::VmBooked { .. } => "vm_booked",
             Event::VmReady { .. } => "vm_ready",
             Event::BootAbandoned { .. } => "boot_abandoned",

@@ -15,8 +15,7 @@
 //!   Perfetto;
 //! - [`BudgetLedger`] — every share/spend/pot movement, reconciled
 //!   *bit-exactly* against the simulator's bill;
-//! - [`Counters`] — deterministic named counters plus base-2 log-bucket
-//!   histograms of phase timings.
+//! - [`Counters`] — deterministic named counters.
 //!
 //! [`RecordingSink`] captures the raw stream once and replays it into any
 //! of the above. [`NoopSink`] is the zero-cost default: its
@@ -31,7 +30,7 @@ pub mod ledger;
 pub mod sink;
 
 pub use chrome::ChromeTrace;
-pub use counters::{Counters, Histogram};
+pub use counters::Counters;
 pub use event::Event;
 pub use ledger::BudgetLedger;
 pub use sink::{EventSink, NoopSink, RecordingSink};

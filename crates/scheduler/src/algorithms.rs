@@ -2,10 +2,11 @@
 //! used by the experiment harness, benches and examples.
 
 use crate::bdt::bdt;
+use crate::budget::Pot;
 use crate::cg::{cg, cg_plus};
-use crate::heft::{heft, heft_budg, heft_budg_observed, heft_observed};
-use crate::minmin::{min_min, min_min_budg, min_min_budg_observed, min_min_observed};
-use crate::refine::{heft_budg_plus, heft_budg_plus_observed, RefineOrder};
+use crate::heft::heft_inner;
+use crate::minmin::{ready_set, Rule};
+use crate::refine::{refine_schedule_observed, RefineOrder};
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_platform::Platform;
 use wfs_simulator::Schedule;
@@ -121,11 +122,13 @@ impl Algorithm {
         self.run_observed(wf, platform, budget, &mut NoopSink)
     }
 
-    /// [`Self::run`] with an event sink. The core algorithms (MIN-MIN,
-    /// HEFT, MIN-MINBUDG, HEFTBUDG, HEFTBUDG+, HEFTBUDG+INV) emit their
-    /// full decision stream; the remaining competitors fall back to
-    /// untraced scheduling after the `PlanStarted` header. Either way the
-    /// schedule is identical to [`Self::run`]'s.
+    /// [`Self::run`] with an event sink. This is the single dispatch over
+    /// the 13 algorithms. The list schedulers (MIN-MIN, MAX-MIN, SUFFERAGE,
+    /// HEFT and their BUDG variants) and the HEFTBUDG+ refinements emit
+    /// their full decision stream through the shared placement step; BDT,
+    /// CG and CG+ emit only the `PlanStarted` header (their budget
+    /// accounting has no pot to replay). Either way the schedule is
+    /// identical to [`Self::run`]'s.
     pub fn run_observed<S: EventSink>(
         self,
         wf: &Workflow,
@@ -140,18 +143,32 @@ impl Algorithm {
                 budget,
             });
         }
+        let b_ini = self.is_budget_aware().then_some(budget);
         let schedule = match self {
-            Algorithm::MinMin => min_min_observed(wf, platform, sink),
-            Algorithm::Heft => heft_observed(wf, platform, sink),
-            Algorithm::MinMinBudg => min_min_budg_observed(wf, platform, budget, sink),
-            Algorithm::HeftBudg => heft_budg_observed(wf, platform, budget, sink).0,
-            Algorithm::HeftBudgPlus => {
-                heft_budg_plus_observed(wf, platform, budget, RefineOrder::Forward, sink)
+            Algorithm::MinMin | Algorithm::MinMinBudg => {
+                ready_set(wf, platform, b_ini, Rule::MinMin, sink)
             }
-            Algorithm::HeftBudgPlusInv => {
-                heft_budg_plus_observed(wf, platform, budget, RefineOrder::Reverse, sink)
+            Algorithm::MaxMin | Algorithm::MaxMinBudg => {
+                ready_set(wf, platform, b_ini, Rule::MaxMin, sink)
             }
-            other => other.run_unchecked(wf, platform, budget),
+            Algorithm::Sufferage | Algorithm::SufferageBudg => {
+                ready_set(wf, platform, b_ini, Rule::Sufferage, sink)
+            }
+            Algorithm::Heft | Algorithm::HeftBudg => {
+                heft_inner(wf, platform, b_ini, Pot::new(), sink).0
+            }
+            Algorithm::HeftBudgPlus | Algorithm::HeftBudgPlusInv => {
+                let order = if self == Algorithm::HeftBudgPlus {
+                    RefineOrder::Forward
+                } else {
+                    RefineOrder::Reverse
+                };
+                let (sched, list, _) = heft_inner(wf, platform, b_ini, Pot::new(), sink);
+                refine_schedule_observed(wf, platform, budget, sched, &list, order, sink)
+            }
+            Algorithm::Bdt => bdt(wf, platform, budget),
+            Algorithm::Cg => cg(wf, platform, budget),
+            Algorithm::CgPlus => cg_plus(wf, platform, budget),
         };
         #[cfg(debug_assertions)]
         {
@@ -169,28 +186,6 @@ impl Algorithm {
             }
         }
         schedule
-    }
-
-    fn run_unchecked(self, wf: &Workflow, platform: &Platform, budget: f64) -> Schedule {
-        match self {
-            Algorithm::MinMin => min_min(wf, platform),
-            Algorithm::Heft => heft(wf, platform),
-            Algorithm::MinMinBudg => min_min_budg(wf, platform, budget),
-            Algorithm::HeftBudg => heft_budg(wf, platform, budget).0,
-            Algorithm::HeftBudgPlus => {
-                heft_budg_plus(wf, platform, budget, RefineOrder::Forward)
-            }
-            Algorithm::HeftBudgPlusInv => {
-                heft_budg_plus(wf, platform, budget, RefineOrder::Reverse)
-            }
-            Algorithm::Bdt => bdt(wf, platform, budget),
-            Algorithm::Cg => cg(wf, platform, budget),
-            Algorithm::CgPlus => cg_plus(wf, platform, budget),
-            Algorithm::MaxMin => crate::max_min(wf, platform),
-            Algorithm::MaxMinBudg => crate::max_min_budg(wf, platform, budget),
-            Algorithm::Sufferage => crate::sufferage(wf, platform),
-            Algorithm::SufferageBudg => crate::sufferage_budg(wf, platform, budget),
-        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! the full selection for every ready task on every round.
 
 use crate::plan::{Candidate, HostEval, PlanState};
-use wfs_observe::{Event as Obs, EventSink};
+use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_simulator::VmId;
 use wfs_workflow::{OrdF64, TaskId};
 
@@ -122,14 +122,14 @@ pub(crate) fn select_best(evals: &[HostEval], limit: f64) -> HostEval {
 ///
 /// `limit = ∞` recovers the baseline MIN-MIN/HEFT behaviour.
 pub fn get_best_host(plan: &PlanState<'_>, t: TaskId, limit: f64) -> HostEval {
-    plan.with_candidate_evals(t, |evals| select_best(evals, limit))
+    get_best_host_observed(plan, t, limit, &mut NoopSink)
 }
 
 /// [`get_best_host`] with an event sink: every candidate considered is
 /// reported as an [`Obs::CandidateEvaluated`] (with its EFT, cost and
 /// whether it fit the limit) before the selection is returned. With
 /// `NoopSink` this is exactly [`get_best_host`].
-pub fn get_best_host_observed<S: EventSink>(
+pub(crate) fn get_best_host_observed<S: EventSink>(
     plan: &PlanState<'_>,
     t: TaskId,
     limit: f64,

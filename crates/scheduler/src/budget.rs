@@ -9,9 +9,14 @@
 //!    estimated duration (Eq. 5–6).
 //!
 //! The *pot* collects whatever each assignment left unspent of its share and
-//! makes it available to subsequent tasks (§IV-A).
+//! makes it available to subsequent tasks (§IV-A). [`Placement`] packages
+//! split, limit, commit and pot settlement as the one placement step every
+//! list scheduler (HEFT and the ready-set family) runs.
 
+use crate::plan::{Candidate, HostEval, PlanState};
+use wfs_observe::{Event as Obs, EventSink};
 use wfs_platform::Platform;
+use wfs_simulator::VmId;
 use wfs_workflow::{TaskId, Workflow};
 
 /// Result of the budget reservation step.
@@ -126,6 +131,100 @@ impl Pot {
 impl Default for Pot {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The budget step every list scheduler shares (paper §IV: Alg. 1–2 plug
+/// into any priority rule): the Eq. 5–6 split, each task's limit
+/// `share + pot`, and the commit that settles the pot, with the decision
+/// events reported to the sink. Without a budget (the baselines) limits are
+/// infinite, the pot stays empty and no budget events are emitted.
+pub(crate) struct Placement {
+    split: Option<BudgetSplit>,
+    pot: Pot,
+    placed: u32,
+}
+
+impl Placement {
+    /// Divide `b_ini` (if any) and report the reservation.
+    pub(crate) fn new<S: EventSink>(
+        wf: &Workflow,
+        platform: &Platform,
+        b_ini: Option<f64>,
+        pot: Pot,
+        sink: &mut S,
+    ) -> Self {
+        let split = b_ini.map(|b| divide_budget(wf, platform, b));
+        if S::ENABLED {
+            if let Some(s) = &split {
+                sink.record(&Obs::BudgetReserved {
+                    initial: s.initial,
+                    reserved_datacenter: s.reserved_datacenter,
+                    reserved_init: s.reserved_init,
+                    b_calc: s.b_calc,
+                });
+            }
+        }
+        Self { split, pot, placed: 0 }
+    }
+
+    /// The most `t` may cost now: its share plus the pot (∞ without a
+    /// budget).
+    pub(crate) fn limit(&self, t: TaskId) -> f64 {
+        match &self.split {
+            Some(s) => s.share(t) + self.pot.available(),
+            None => f64::INFINITY,
+        }
+    }
+
+    /// Place `t` as the next task: report its rank and share, let `choose`
+    /// pick a host under the current limit, commit it and settle the pot.
+    /// Returns the VM `t` landed on.
+    pub(crate) fn place<S: EventSink>(
+        &mut self,
+        plan: &mut PlanState<'_>,
+        t: TaskId,
+        sink: &mut S,
+        choose: impl FnOnce(&PlanState<'_>, f64, &mut S) -> HostEval,
+    ) -> VmId {
+        let limit = self.limit(t);
+        if S::ENABLED {
+            sink.record(&Obs::TaskRanked { pos: self.placed, task: t.0 });
+            if let Some(s) = &self.split {
+                sink.record(&Obs::TaskShare { task: t.0, share: s.share(t) });
+            }
+        }
+        let eval = choose(plan, limit, sink);
+        let pot_before = self.pot.available();
+        let vm = plan.commit(t, eval.candidate);
+        if let Some(s) = &self.split {
+            self.pot.settle(s.share(t), eval.cost);
+        }
+        if S::ENABLED {
+            sink.record(&Obs::TaskPlaced {
+                task: t.0,
+                vm: vm.0,
+                new_vm: matches!(eval.candidate, Candidate::New(_)),
+                eft: eval.eft,
+                cost: eval.cost,
+                limit,
+                pot_before,
+                pot_after: self.pot.available(),
+            });
+        }
+        self.placed = self.placed.saturating_add(1);
+        vm
+    }
+
+    /// Report the planner's sweep counters and hand back the final pot.
+    pub(crate) fn finish<S: EventSink>(self, plan: &PlanState<'_>, sink: &mut S) -> Pot {
+        if S::ENABLED {
+            let (sweeps, cand_evals) = plan.sweep_stats();
+            sink.record(&Obs::Counter { name: "plan_sweeps", delta: sweeps });
+            sink.record(&Obs::Counter { name: "plan_candidate_evals", delta: cand_evals });
+        }
+        debug_assert!(plan.is_complete(), "all tasks scheduled (DAG is acyclic)");
+        self.pot
     }
 }
 

@@ -18,6 +18,7 @@
 
 use crate::heft::priority_list;
 use crate::plan::{Candidate, PlanState};
+use crate::refine::{for_each_move, rank_positions};
 use wfs_platform::{CategoryId, Platform};
 use wfs_simulator::{simulate, Schedule, SimConfig, SimulationReport};
 use wfs_workflow::{TaskId, Workflow};
@@ -112,11 +113,7 @@ pub fn cg_plus(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
     let mut sched = cg(wf, platform, b_ini);
     let cfg = SimConfig::planning();
     // Rank positions keep per-VM orders executable after moves.
-    let list = priority_list(wf, platform);
-    let mut pos = vec![0usize; wf.task_count()];
-    for (i, &t) in list.iter().enumerate() {
-        pos[t.index()] = i;
-    }
+    let pos = rank_positions(wf, &priority_list(wf, platform));
 
     #[allow(clippy::expect_used)] // CG emits a complete, validated schedule
     let mut report = simulate(wf, platform, &sched, &cfg).expect("CG emits a valid schedule");
@@ -126,24 +123,8 @@ pub fn cg_plus(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
         let path = critical_path_tasks(wf, &report);
         let mut best: Option<(Schedule, SimulationReport, f64)> = None;
         for &t in &path {
-            #[allow(clippy::expect_used)] // CG assigns every task
-            let cur = sched.assignment(t).expect("complete schedule");
-            let mut trials: Vec<Schedule> = Vec::new();
-            for vm in sched.vm_ids().filter(|&v| v != cur) {
-                let mut s = sched.clone();
-                s.reassign(t, vm);
-                s.sort_orders_by(|x| pos[x.index()]);
-                trials.push(s);
-            }
-            for cat in platform.category_ids() {
-                let mut s = sched.clone();
-                let vm = s.add_vm(cat);
-                s.reassign(t, vm);
-                s.sort_orders_by(|x| pos[x.index()]);
-                trials.push(s);
-            }
-            for s in trials {
-                let Ok(r) = simulate(wf, platform, &s, &cfg) else { continue };
+            for_each_move(&sched, platform, t, &pos, |s| {
+                let Ok(r) = simulate(wf, platform, &s, &cfg) else { return };
                 let dt = report.makespan - r.makespan;
                 let dc = r.total_cost - report.total_cost;
                 // Faithful to [25]: only time-decreasing, cost-increasing
@@ -154,7 +135,7 @@ pub fn cg_plus(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
                         best = Some((s, r, ratio));
                     }
                 }
-            }
+            });
         }
         match best {
             Some((s, r, _)) => {

@@ -6,9 +6,9 @@
 //! its budget share plus the pot (Algorithm 2).
 
 use crate::best_host::get_best_host_observed;
-use crate::budget::{divide_budget, Pot};
-use crate::plan::{Candidate, PlanState};
-use wfs_observe::{Event as Obs, EventSink, NoopSink};
+use crate::budget::{Placement, Pot};
+use crate::plan::PlanState;
+use wfs_observe::{EventSink, NoopSink};
 use wfs_platform::Platform;
 use wfs_simulator::Schedule;
 use wfs_workflow::analysis::{heft_order, WeightMode};
@@ -24,12 +24,6 @@ pub fn priority_list(wf: &Workflow, platform: &Platform) -> Vec<TaskId> {
 /// Run HEFT (unbounded budget) — the baseline of §V-B.
 pub fn heft(wf: &Workflow, platform: &Platform) -> Schedule {
     heft_inner(wf, platform, None, Pot::new(), &mut NoopSink).0
-}
-
-/// [`heft`] with an event sink (no budget events: the baseline has no
-/// shares, so limits are infinite and the pot stays empty).
-pub fn heft_observed<S: EventSink>(wf: &Workflow, platform: &Platform, sink: &mut S) -> Schedule {
-    heft_inner(wf, platform, None, Pot::new(), sink).0
 }
 
 /// Run HEFTBUDG with initial budget `b_ini` (Algorithm 4). Returns the
@@ -62,16 +56,11 @@ pub fn heft_budg_with_pot(
     (s, list)
 }
 
-/// HEFTBUDG that also returns the final [`Pot`], so a caller can carry the
-/// unspent leftovers into a later planning round (the recovery layer
-/// re-plans the residual DAG per epoch and threads the pot through).
-pub fn heft_budg_carry(wf: &Workflow, platform: &Platform, b_ini: f64, pot: Pot) -> (Schedule, Pot) {
-    heft_budg_carry_observed(wf, platform, b_ini, pot, &mut NoopSink)
-}
-
-/// [`heft_budg_carry`] with an event sink (the recovery layer's per-epoch
-/// re-planning uses this so epoch plans are observable too).
-pub fn heft_budg_carry_observed<S: EventSink>(
+/// HEFTBUDG that starts from `pot` and also returns the final [`Pot`], so
+/// a caller can carry the unspent leftovers into a later planning round
+/// (the recovery layer re-plans the residual DAG per epoch, threads the
+/// pot through and reports each epoch's plan to `sink`).
+pub fn heft_budg_carry<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
     b_ini: f64,
@@ -82,62 +71,24 @@ pub fn heft_budg_carry_observed<S: EventSink>(
     (s, pot)
 }
 
-fn heft_inner<S: EventSink>(
+/// HEFT(BUDG): place the tasks in priority-list order, each on its best
+/// host under its limit. Returns the schedule, the list and the final pot.
+pub(crate) fn heft_inner<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
     b_ini: Option<f64>,
-    mut pot: Pot,
+    pot: Pot,
     sink: &mut S,
 ) -> (Schedule, Vec<TaskId>, Pot) {
-    let split = b_ini.map(|b| divide_budget(wf, platform, b));
-    if S::ENABLED {
-        if let Some(s) = &split {
-            sink.record(&Obs::BudgetReserved {
-                initial: s.initial,
-                reserved_datacenter: s.reserved_datacenter,
-                reserved_init: s.reserved_init,
-                b_calc: s.b_calc,
-            });
-        }
-    }
+    let mut placement = Placement::new(wf, platform, b_ini, pot, sink);
     let list = priority_list(wf, platform);
     let mut plan = PlanState::new(wf, platform);
-    for (pos, &t) in list.iter().enumerate() {
-        let limit = match &split {
-            Some(s) => s.share(t) + pot.available(),
-            None => f64::INFINITY,
-        };
-        if S::ENABLED {
-            sink.record(&Obs::TaskRanked { pos: u32::try_from(pos).unwrap_or(u32::MAX), task: t.0 });
-            if let Some(s) = &split {
-                sink.record(&Obs::TaskShare { task: t.0, share: s.share(t) });
-            }
-        }
-        let eval = get_best_host_observed(&plan, t, limit, sink);
-        let pot_before = pot.available();
-        let vm = plan.commit(t, eval.candidate);
-        if let Some(s) = &split {
-            pot.settle(s.share(t), eval.cost);
-        }
-        if S::ENABLED {
-            sink.record(&Obs::TaskPlaced {
-                task: t.0,
-                vm: vm.0,
-                new_vm: matches!(eval.candidate, Candidate::New(_)),
-                eft: eval.eft,
-                cost: eval.cost,
-                limit,
-                pot_before,
-                pot_after: pot.available(),
-            });
-        }
+    for &t in &list {
+        placement.place(&mut plan, t, sink, |plan, limit, sink| {
+            get_best_host_observed(plan, t, limit, sink)
+        });
     }
-    if S::ENABLED {
-        let (sweeps, cand_evals) = plan.sweep_stats();
-        sink.record(&Obs::Counter { name: "plan_sweeps", delta: sweeps });
-        sink.record(&Obs::Counter { name: "plan_candidate_evals", delta: cand_evals });
-    }
-    debug_assert!(plan.is_complete());
+    let pot = placement.finish(&plan, sink);
     (plan.into_schedule(), list, pot)
 }
 

@@ -10,13 +10,19 @@
 //! - [`min_min_budg`] / [`heft_budg`] — budget-aware extensions: the budget
 //!   is first split per task ([`divide_budget`], Alg. 1), then each task
 //!   takes the fastest host it can afford ([`get_best_host`], Alg. 2),
-//!   recycling leftovers through the [`Pot`];
+//!   recycling leftovers through the [`Pot`]. This placement step is one
+//!   piece of code shared by every list scheduler, so it also yields
+//!   [`max_min_budg`] and [`sufferage_budg`] (extensions; MIN-MIN, MAX-MIN
+//!   and SUFFERAGE share one ready-set loop and differ only in how they
+//!   pick the next task);
 //! - [`heft_budg_plus`] — HEFTBUDG+ / HEFTBUDG+INV refinements (Alg. 5)
 //!   that re-map tasks using full schedule re-evaluations;
 //! - [`bdt`] and [`cg`] / [`cg_plus`] — the two competitors the paper
 //!   extends and compares against (§V-D).
 //!
-//! The [`Algorithm`] enum exposes all of them uniformly.
+//! The [`Algorithm`] enum exposes all of them uniformly;
+//! [`Algorithm::run_observed`] is the one dispatch over them and reports
+//! the planners' decisions to an event sink.
 //!
 //! ```
 //! use wfs_scheduler::{heft_budg, Algorithm};
@@ -42,7 +48,6 @@ mod cg;
 mod deadline;
 mod ensemble;
 mod heft;
-mod maxmin;
 mod minmin;
 mod online;
 mod plan;
@@ -52,7 +57,7 @@ mod refine;
 
 pub use algorithms::{min_cost_schedule, Algorithm};
 pub use bdt::bdt;
-pub use best_host::{get_best_host, get_best_host_observed};
+pub use best_host::get_best_host;
 pub use budget::{
     datacenter_reservation, divide_budget, t_calc_task, t_calc_workflow, BudgetSplit, Pot,
 };
@@ -60,11 +65,9 @@ pub use cg::{cg, cg_plus};
 pub use deadline::{min_budget_for_deadline, plan_bicriteria, Bicriteria};
 pub use ensemble::{schedule_ensemble, AdmittedWorkflow, EnsembleMember, EnsembleResult};
 pub use heft::{
-    heft, heft_budg, heft_budg_carry, heft_budg_carry_observed, heft_budg_observed,
-    heft_budg_with_pot, heft_observed, priority_list,
+    heft, heft_budg, heft_budg_carry, heft_budg_observed, heft_budg_with_pot, priority_list,
 };
-pub use maxmin::{max_min, max_min_budg, sufferage, sufferage_budg};
-pub use minmin::{min_min, min_min_budg, min_min_budg_observed, min_min_budg_with_pot, min_min_observed};
+pub use minmin::{max_min, max_min_budg, min_min, min_min_budg, sufferage, sufferage_budg};
 pub use online::{run_online, OnlineConfig, OnlineOutcome};
 pub use plan::{Candidate, HostEval, PlanState};
 pub use recovery::{
@@ -72,6 +75,5 @@ pub use recovery::{
     RecoveryPolicy,
 };
 pub use refine::{
-    heft_budg_plus, heft_budg_plus_observed, min_min_budg_plus, refine_schedule,
-    refine_schedule_observed, RefineOrder,
+    heft_budg_plus, min_min_budg_plus, refine_schedule, refine_schedule_observed, RefineOrder,
 };

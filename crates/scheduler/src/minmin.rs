@@ -1,14 +1,24 @@
-//! MIN-MIN and its budget-aware extension MIN-MINBUDG (paper Algorithm 3).
+//! The ready-set list schedulers: MIN-MIN and its budget-aware extension
+//! MIN-MINBUDG (paper Algorithm 3), plus MAX-MIN and SUFFERAGE, the other
+//! two classic heuristics of the family ([6], [14]), with budget-aware
+//! variants built from the same Algorithm 1/2 machinery (extensions beyond
+//! the paper; its §IV notes the approach applies to any list scheduler).
 //!
-//! MIN-MIN repeatedly looks at all *ready* tasks (predecessors scheduled),
-//! computes each task's best host, and commits the (task, host) pair with
-//! the overall smallest EFT. MIN-MINBUDG runs the same loop but restricts
-//! each task's host choice to those respecting its budget share plus the
-//! accumulated pot.
+//! Each round looks at all *ready* tasks (predecessors scheduled), computes
+//! each task's best host under its limit (budget share plus pot, ∞ for the
+//! baselines), and commits one (task, host) pair. Only the [`Rule`] that
+//! picks the task differs:
+//!
+//! - MIN-MIN commits the pair with the overall smallest EFT;
+//! - MAX-MIN commits the task whose *best* EFT is **largest** (big tasks
+//!   first, small ones fill the gaps);
+//! - SUFFERAGE commits the task that would *suffer* most if denied its best
+//!   host: maximal difference between its second-best and best EFT.
 
-use crate::best_host::BestHostCache;
-use crate::budget::{divide_budget, Pot};
-use crate::plan::{Candidate, PlanState};
+use crate::best_host::{select_best, BestHostCache, COST_EPS};
+use crate::budget::{Placement, Pot};
+use crate::plan::{HostEval, PlanState};
+use std::cmp::Ordering;
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_platform::Platform;
 use wfs_simulator::{Schedule, VmId};
@@ -16,64 +26,123 @@ use wfs_workflow::{OrdF64, TaskId, Workflow};
 
 /// Run MIN-MIN (unbounded budget) — the baseline of §V-B.
 pub fn min_min(wf: &Workflow, platform: &Platform) -> Schedule {
-    min_min_inner(wf, platform, None, Pot::new(), &mut NoopSink)
-}
-
-/// [`min_min`] with an event sink (no budget events: the baseline has no
-/// shares, so limits are infinite and the pot stays empty).
-pub fn min_min_observed<S: EventSink>(
-    wf: &Workflow,
-    platform: &Platform,
-    sink: &mut S,
-) -> Schedule {
-    min_min_inner(wf, platform, None, Pot::new(), sink)
+    ready_set(wf, platform, None, Rule::MinMin, &mut NoopSink)
 }
 
 /// Run MIN-MINBUDG with initial budget `b_ini` (Algorithm 3).
 pub fn min_min_budg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
-    min_min_budg_with_pot(wf, platform, b_ini, Pot::new())
+    ready_set(wf, platform, Some(b_ini), Rule::MinMin, &mut NoopSink)
 }
 
-/// [`min_min_budg`] with an event sink: the budget division, each round's
-/// winning placement (with pot before/after) and the selection-cache
-/// hit/miss counters are reported to `sink`.
-pub fn min_min_budg_observed<S: EventSink>(
-    wf: &Workflow,
-    platform: &Platform,
-    b_ini: f64,
-    sink: &mut S,
-) -> Schedule {
-    min_min_inner(wf, platform, Some(b_ini), Pot::new(), sink)
+/// Run MAX-MIN (unbounded budget).
+pub fn max_min(wf: &Workflow, platform: &Platform) -> Schedule {
+    ready_set(wf, platform, None, Rule::MaxMin, &mut NoopSink)
 }
 
-/// MIN-MINBUDG with an explicit pot configuration (ablation hook).
-pub fn min_min_budg_with_pot(
-    wf: &Workflow,
-    platform: &Platform,
-    b_ini: f64,
-    pot: Pot,
-) -> Schedule {
-    min_min_inner(wf, platform, Some(b_ini), pot, &mut NoopSink)
+/// Run the budget-aware MAX-MINBUDG.
+pub fn max_min_budg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
+    ready_set(wf, platform, Some(b_ini), Rule::MaxMin, &mut NoopSink)
 }
 
-fn min_min_inner<S: EventSink>(
+/// Run SUFFERAGE (unbounded budget).
+pub fn sufferage(wf: &Workflow, platform: &Platform) -> Schedule {
+    ready_set(wf, platform, None, Rule::Sufferage, &mut NoopSink)
+}
+
+/// Run the budget-aware SUFFERAGEBUDG.
+pub fn sufferage_budg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
+    ready_set(wf, platform, Some(b_ini), Rule::Sufferage, &mut NoopSink)
+}
+
+/// Task-selection rule within the ready set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rule {
+    /// Smallest (EFT, cost, id).
+    MinMin,
+    /// Largest EFT; ties: smaller EFT, then id (no cost key).
+    MaxMin,
+    /// Largest sufferage; ties: smaller EFT, then id.
+    Sufferage,
+}
+
+/// A ready task's best host and its score under the rule.
+#[derive(Debug, Clone, Copy)]
+struct Pick {
+    task: TaskId,
+    eval: HostEval,
+    score: f64,
+}
+
+impl Rule {
+    /// Evaluate ready task `t` under `limit`. MIN-MIN and MAX-MIN score
+    /// the best EFT and reuse the incremental best-host cache. SUFFERAGE
+    /// cannot: its score depends on the whole affordable candidate *set*,
+    /// so it runs one uncached zero-allocation sweep instead.
+    fn pick(
+        self,
+        plan: &PlanState<'_>,
+        cache: &mut BestHostCache,
+        t: TaskId,
+        limit: f64,
+        last_commit: Option<VmId>,
+    ) -> Pick {
+        if self == Rule::Sufferage {
+            return plan.with_candidate_evals(t, |evals| {
+                // Sufferage = second-best EFT − best EFT among the
+                // affordable candidates (∞ limit for the baseline); 0 when
+                // none is affordable, ∞ when exactly one is.
+                let (mut e1, mut e2) = (f64::INFINITY, f64::INFINITY);
+                let mut affordable = 0usize;
+                for e in evals {
+                    if e.cost <= limit + COST_EPS {
+                        affordable += 1;
+                        if e.eft < e1 {
+                            (e1, e2) = (e.eft, e1);
+                        } else if e.eft < e2 {
+                            e2 = e.eft;
+                        }
+                    }
+                }
+                let score = match affordable {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    _ => e2 - e1,
+                };
+                Pick { task: t, eval: select_best(evals, limit), score }
+            });
+        }
+        let eval = cache.best(plan, t, limit, last_commit);
+        Pick { task: t, eval, score: eval.eft }
+    }
+
+    /// Does `a` beat the incumbent `b`? MAX-MIN and SUFFERAGE maximize the
+    /// score with `total_cmp`, which keeps the rule total should a
+    /// sufferage (a difference of EFTs) degenerate to NaN.
+    fn beats(self, a: &Pick, b: &Pick) -> bool {
+        match self {
+            Rule::MinMin => {
+                (OrdF64(a.eval.eft), OrdF64(a.eval.cost), a.task.0)
+                    < (OrdF64(b.eval.eft), OrdF64(b.eval.cost), b.task.0)
+            }
+            Rule::MaxMin | Rule::Sufferage => match a.score.total_cmp(&b.score) {
+                Ordering::Greater => true,
+                Ordering::Equal => (OrdF64(a.eval.eft), a.task.0) < (OrdF64(b.eval.eft), b.task.0),
+                Ordering::Less => false,
+            },
+        }
+    }
+}
+
+/// The ready-set loop shared by the three rules, with or without a
+/// budget (`b_ini`); decisions are reported to `sink`.
+pub(crate) fn ready_set<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
     b_ini: Option<f64>,
-    mut pot: Pot,
+    rule: Rule,
     sink: &mut S,
 ) -> Schedule {
-    let split = b_ini.map(|b| divide_budget(wf, platform, b));
-    if S::ENABLED {
-        if let Some(s) = &split {
-            sink.record(&Obs::BudgetReserved {
-                initial: s.initial,
-                reserved_datacenter: s.reserved_datacenter,
-                reserved_init: s.reserved_init,
-                b_calc: s.b_calc,
-            });
-        }
-    }
+    let mut placement = Placement::new(wf, platform, b_ini, Pot::new(), sink);
     let mut plan = PlanState::new(wf, platform);
 
     // Ready set maintained with remaining-predecessor counts.
@@ -85,59 +154,20 @@ fn min_min_inner<S: EventSink>(
     // can prove otherwise (see `BestHostCache`).
     let mut cache = BestHostCache::new(wf.task_count());
     let mut last_commit: Option<VmId> = None;
-    let mut round: u32 = 0;
 
     while !ready.is_empty() {
-        // MIN-MIN selection: the ready task whose best host yields the
-        // minimal EFT over all ready tasks (ties: cheaper, then lower id).
-        let mut best: Option<(usize, crate::plan::HostEval)> = None;
+        let mut best: Option<(usize, Pick)> = None;
         for (i, &t) in ready.iter().enumerate() {
-            let limit = match &split {
-                Some(s) => s.share(t) + pot.available(),
-                None => f64::INFINITY,
-            };
-            let eval = cache.best(&plan, t, limit, last_commit);
-            let better = best.as_ref().is_none_or(|(bi, b)| {
-                (OrdF64(eval.eft), OrdF64(eval.cost), t.0)
-                    < (OrdF64(b.eft), OrdF64(b.cost), ready[*bi].0)
-            });
-            if better {
-                best = Some((i, eval));
+            let pick = rule.pick(&plan, &mut cache, t, placement.limit(t), last_commit);
+            if best.as_ref().is_none_or(|(_, b)| rule.beats(&pick, b)) {
+                best = Some((i, pick));
             }
         }
         #[allow(clippy::expect_used)] // loop guard: `ready` is non-empty
-        let (idx, eval) = best.expect("ready set is non-empty");
+        let (idx, pick) = best.expect("ready set is non-empty");
         let t = ready.swap_remove(idx);
-        let limit = match &split {
-            Some(s) => s.share(t) + pot.available(),
-            None => f64::INFINITY,
-        };
-        if S::ENABLED {
-            sink.record(&Obs::TaskRanked { pos: round, task: t.0 });
-            if let Some(s) = &split {
-                sink.record(&Obs::TaskShare { task: t.0, share: s.share(t) });
-            }
-        }
-        let pot_before = pot.available();
-        let vm = plan.commit(t, eval.candidate);
-        last_commit = Some(vm);
+        last_commit = Some(placement.place(&mut plan, t, sink, |_, _, _| pick.eval));
         cache.forget(t);
-        if let Some(s) = &split {
-            pot.settle(s.share(t), eval.cost);
-        }
-        if S::ENABLED {
-            sink.record(&Obs::TaskPlaced {
-                task: t.0,
-                vm: vm.0,
-                new_vm: matches!(eval.candidate, Candidate::New(_)),
-                eft: eval.eft,
-                cost: eval.cost,
-                limit,
-                pot_before,
-                pot_after: pot.available(),
-            });
-        }
-        round += 1;
         for succ in wf.successors(t) {
             missing[succ.index()] -= 1;
             if missing[succ.index()] == 0 {
@@ -149,11 +179,8 @@ fn min_min_inner<S: EventSink>(
         let (hits, misses) = cache.hit_miss();
         sink.record(&Obs::Counter { name: "best_host_cache_hits", delta: hits });
         sink.record(&Obs::Counter { name: "best_host_cache_misses", delta: misses });
-        let (sweeps, cand_evals) = plan.sweep_stats();
-        sink.record(&Obs::Counter { name: "plan_sweeps", delta: sweeps });
-        sink.record(&Obs::Counter { name: "plan_candidate_evals", delta: cand_evals });
     }
-    debug_assert!(plan.is_complete(), "all tasks scheduled (DAG is acyclic)");
+    placement.finish(&plan, sink);
     plan.into_schedule()
 }
 
@@ -162,7 +189,7 @@ fn min_min_inner<S: EventSink>(
 mod tests {
     use super::*;
     use wfs_simulator::{simulate, SimConfig};
-    use wfs_workflow::gen::{bag_of_tasks, montage, GenConfig};
+    use wfs_workflow::gen::{bag_of_tasks, cybershake, montage, GenConfig};
 
     fn paper() -> Platform {
         Platform::paper_default()
@@ -232,5 +259,84 @@ mod tests {
         let wf = montage(GenConfig::new(60, 3));
         let p = paper();
         assert_eq!(min_min_budg(&wf, &p, 5.0), min_min_budg(&wf, &p, 5.0));
+    }
+
+    #[test]
+    fn all_variants_produce_valid_schedules() {
+        let wf = montage(GenConfig::new(30, 1));
+        let p = paper();
+        for s in [
+            max_min(&wf, &p),
+            max_min_budg(&wf, &p, 1.0),
+            sufferage(&wf, &p),
+            sufferage_budg(&wf, &p, 1.0),
+        ] {
+            s.validate(&wf).unwrap();
+        }
+    }
+
+    #[test]
+    fn budget_variants_hold_planned_cost() {
+        let wf = cybershake(GenConfig::new(60, 1));
+        let p = paper();
+        let floor = simulate(
+            &wf,
+            &p,
+            &crate::min_cost_schedule(&wf, &p),
+            &SimConfig::planning(),
+        )
+        .unwrap()
+        .total_cost;
+        for mult in [1.2, 2.0] {
+            let budget = floor * mult;
+            for s in [max_min_budg(&wf, &p, budget), sufferage_budg(&wf, &p, budget)] {
+                let r = simulate(&wf, &p, &s, &SimConfig::planning()).unwrap();
+                assert!(
+                    r.total_cost <= budget * 1.1,
+                    "cost {} for budget {budget}",
+                    r.total_cost
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn max_min_prefers_big_tasks_first() {
+        // A bag with one huge and several small tasks: MAX-MIN schedules
+        // the huge one first (earliest start), MIN-MIN last.
+        use wfs_workflow::{StochasticWeight, WorkflowBuilder};
+        let mut b = WorkflowBuilder::new("mix");
+        let big = b.add_task("big", StochasticWeight::fixed(10_000.0));
+        for i in 0..4 {
+            b.add_task(format!("small{i}"), StochasticWeight::fixed(100.0));
+        }
+        let wf = b.build().unwrap();
+        let p = paper();
+        let s_max = max_min(&wf, &p);
+        let s_min = min_min(&wf, &p);
+        let cfg = SimConfig::planning();
+        let r_max = simulate(&wf, &p, &s_max, &cfg).unwrap();
+        let r_min = simulate(&wf, &p, &s_min, &cfg).unwrap();
+        assert!(
+            r_max.task(big).start <= r_min.task(big).start,
+            "MAX-MIN should not start the big task later than MIN-MIN"
+        );
+    }
+
+    #[test]
+    fn sufferage_handles_bags() {
+        let wf = bag_of_tasks(10, 500.0, 0.0);
+        let p = paper();
+        let s = sufferage(&wf, &p);
+        s.validate(&wf).unwrap();
+        assert!(s.used_vm_count() >= 1);
+    }
+
+    #[test]
+    fn extension_variants_deterministic() {
+        let wf = montage(GenConfig::new(60, 2));
+        let p = paper();
+        assert_eq!(max_min_budg(&wf, &p, 2.0), max_min_budg(&wf, &p, 2.0));
+        assert_eq!(sufferage_budg(&wf, &p, 2.0), sufferage_budg(&wf, &p, 2.0));
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::algorithms::{min_cost_schedule, Algorithm};
 use crate::budget::{datacenter_reservation, Pot};
-use crate::heft::heft_budg_carry_observed;
+use crate::heft::heft_budg_carry;
 use serde::{Deserialize, Serialize};
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_platform::{CategoryId, Platform};
@@ -398,7 +398,7 @@ pub fn run_with_recovery_observed<S: EventSink>(
                         min_cost_schedule(sub_ref, platform)
                     } else {
                         let (s, carried) =
-                            heft_budg_carry_observed(sub_ref, platform, remaining, pot, sink);
+                            heft_budg_carry(sub_ref, platform, remaining, pot, sink);
                         pot = carried;
                         s
                     }

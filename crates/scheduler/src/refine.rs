@@ -9,7 +9,7 @@
 //! kept. This is an order of magnitude more CPU-demanding than HEFTBUDG
 //! (§IV-B) — the trade-off the paper quantifies in Table III.
 
-use crate::heft::{heft_budg, heft_budg_observed};
+use crate::heft::heft_budg;
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_platform::Platform;
 use wfs_simulator::{simulate, Schedule, SimConfig};
@@ -38,20 +38,6 @@ pub fn heft_budg_plus(
     refine_schedule(wf, platform, b_ini, sched, &list, order)
 }
 
-/// [`heft_budg_plus`] with an event sink: the HEFTBUDG planning events plus
-/// one [`Event::RefineMove`](wfs_observe::Event::RefineMove) per accepted
-/// re-mapping and trial/acceptance counters.
-pub fn heft_budg_plus_observed<S: EventSink>(
-    wf: &Workflow,
-    platform: &Platform,
-    b_ini: f64,
-    order: RefineOrder,
-    sink: &mut S,
-) -> Schedule {
-    let (sched, list) = heft_budg_observed(wf, platform, b_ini, sink);
-    refine_schedule_observed(wf, platform, b_ini, sched, &list, order, sink)
-}
-
 /// MIN-MINBUDG followed by the same refinement pass — the variant the
 /// paper points out "could be designed for MIN-MINBUDG" (§V-B closing
 /// remark) but does not evaluate. The HEFT priority list orders the
@@ -67,10 +53,7 @@ pub fn min_min_budg_plus(
     // MIN-MIN's per-VM orders follow its own commit sequence, which is a
     // valid linear extension but not necessarily rank-sorted; normalize to
     // rank order first so single-task moves stay executable.
-    let mut pos = vec![0usize; wf.task_count()];
-    for (i, &t) in list.iter().enumerate() {
-        pos[t.index()] = i;
-    }
+    let pos = rank_positions(wf, &list);
     let mut sched = sched;
     sched.sort_orders_by(|x| pos[x.index()]);
     refine_schedule(wf, platform, b_ini, sched, &list, order)
@@ -101,13 +84,7 @@ pub fn refine_schedule_observed<S: EventSink>(
     sink: &mut S,
 ) -> Schedule {
     let cfg = SimConfig::planning();
-    // Rank position of each task: per-VM orders stay sorted by it, so any
-    // single-task move keeps the schedule executable (rank order is a
-    // linear extension of the DAG).
-    let mut pos = vec![0usize; wf.task_count()];
-    for (i, &t) in list.iter().enumerate() {
-        pos[t.index()] = i;
-    }
+    let pos = rank_positions(wf, list);
     #[allow(clippy::expect_used)] // HEFTBUDG emits a complete, validated schedule
     let mut best_time = simulate(wf, platform, &sched, &cfg)
         .expect("HEFTBUDG emits a valid schedule")
@@ -120,27 +97,11 @@ pub fn refine_schedule_observed<S: EventSink>(
     let mut trials: u64 = 0;
     let mut accepted: u64 = 0;
     for &t in &tasks {
-        #[allow(clippy::expect_used)] // HEFTBUDG assigns every task
-        let cur_vm = sched.assignment(t).expect("complete schedule");
         let mut best_alt: Option<(Schedule, f64)> = None;
-        // Every other used VM...
-        let alt_vms: Vec<_> = sched.vm_ids().filter(|&v| v != cur_vm).collect();
-        for vm in alt_vms {
-            let mut trial = sched.clone();
-            trial.reassign(t, vm);
-            trial.sort_orders_by(|x| pos[x.index()]);
+        for_each_move(&sched, platform, t, &pos, |trial| {
             trials += 1;
             consider(wf, platform, b_ini, &cfg, trial, best_time, &mut best_alt);
-        }
-        // ...and a fresh VM of each category.
-        for cat in platform.category_ids() {
-            let mut trial = sched.clone();
-            let vm = trial.add_vm(cat);
-            trial.reassign(t, vm);
-            trial.sort_orders_by(|x| pos[x.index()]);
-            trials += 1;
-            consider(wf, platform, b_ini, &cfg, trial, best_time, &mut best_alt);
-        }
+        });
         if let Some((s, time)) = best_alt {
             if S::ENABLED {
                 sink.record(&Obs::RefineMove {
@@ -160,6 +121,44 @@ pub fn refine_schedule_observed<S: EventSink>(
     }
     sched.prune_empty_vms();
     sched
+}
+
+/// Rank position of each task in `list`. Per-VM orders kept sorted by it
+/// stay executable under any single-task move (rank order is a linear
+/// extension of the DAG).
+pub(crate) fn rank_positions(wf: &Workflow, list: &[TaskId]) -> Vec<usize> {
+    let mut pos = vec![0usize; wf.task_count()];
+    for (i, &t) in list.iter().enumerate() {
+        pos[t.index()] = i;
+    }
+    pos
+}
+
+/// The single-task moves of `t` that Alg. 5 and CG+ try, in order: onto
+/// every other used VM, then onto a fresh VM of each category. Each trial
+/// is a copy of `sched` with per-VM orders re-sorted by `pos`.
+pub(crate) fn for_each_move(
+    sched: &Schedule,
+    platform: &Platform,
+    t: TaskId,
+    pos: &[usize],
+    mut visit: impl FnMut(Schedule),
+) {
+    #[allow(clippy::expect_used)] // both planners refine complete schedules
+    let cur = sched.assignment(t).expect("complete schedule");
+    let mut try_on = |mut trial: Schedule, vm| {
+        trial.reassign(t, vm);
+        trial.sort_orders_by(|x| pos[x.index()]);
+        visit(trial);
+    };
+    for vm in sched.vm_ids().filter(|&v| v != cur) {
+        try_on(sched.clone(), vm);
+    }
+    for cat in platform.category_ids() {
+        let mut trial = sched.clone();
+        let vm = trial.add_vm(cat);
+        try_on(trial, vm);
+    }
 }
 
 /// Evaluate a tentative schedule; record it if it beats the incumbent and

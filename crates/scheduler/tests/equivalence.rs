@@ -125,6 +125,14 @@ fn observed_runs_are_bit_identical_to_plain_runs() {
                     "{}: RecordingSink diverges on {name} x{mult}",
                     alg.name()
                 );
+                if !matches!(alg, Algorithm::Bdt | Algorithm::Cg | Algorithm::CgPlus) {
+                    assert_eq!(
+                        Counters::from_events(&rec.events).get("tasks_placed"),
+                        u64::try_from(wf.task_count()).unwrap(),
+                        "{}: not every placement traced on {name} x{mult}",
+                        alg.name()
+                    );
+                }
             }
         }
     }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline CI: build, test, lint, and a one-iteration benchmark smoke run.
+# Offline CI: build, test, lint, pinned results/ tables, the wfsbench tests,
+# and a one-iteration benchmark smoke run.
 # Run from the repository root: ./scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,6 +42,28 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$FAULTS_TMP/montage3
   --seed 7 --trace "$FAULTS_TMP/ligo30.trace.json" --ledger | grep -q "reconciles  yes (exact)"
 test -s "$FAULTS_TMP/ligo30.trace.json"
 echo "  trace exports written, ledgers reconcile exactly"
+
+echo "== results/ tables regenerate byte-identical"
+# Every deterministic table is pinned: a change that moves a schedule shows
+# up here as a diff against results/. The CSVs end in two scheduling-time
+# columns (wall clock), which are stripped before comparing.
+RES_TMP="$FAULTS_TMP/results"
+mkdir -p "$RES_TMP"
+for cmd in fig1 fig2 fig3 fig4 sigma sizes online extras deadline robustness faults counters; do
+  WFS_RESULTS_DIR="$RES_TMP" WFS_FIG2_TASKS=90 WFS_FIG4_TASKS=90 \
+    target/release/wfs-experiments "$cmd" >/dev/null
+done
+for f in "$RES_TMP"/*.md; do
+  diff -u "results/$(basename "$f")" "$f"
+done
+strip_timing() { sed -E 's/,[^,]*,[^,]*$//' "$1"; }
+for f in "$RES_TMP"/*.csv; do
+  diff -u <(strip_timing "results/$(basename "$f")") <(strip_timing "$f")
+done
+echo "  results/ regenerated identically"
+
+echo "== wfsbench (its own workspace): cargo test"
+cargo test -q --release --offline --manifest-path wfsbench/Cargo.toml
 
 echo "== quickbench smoke + zero-overhead gate (1 iteration vs pinned medians)"
 # Writes to a temp file (the pin is regenerated only by deliberate 9-iteration

@@ -32,6 +32,8 @@ fn main() -> ExitCode {
             eprintln!("wfs: {e}");
             eprintln!();
             eprintln!("{USAGE}");
+            let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
+            eprintln!("\nalgorithms: {}", names.join(" "));
             ExitCode::from(2)
         }
     }
@@ -52,9 +54,7 @@ const USAGE: &str = "usage:
   wfs trace <workflow.json> --budget <dollars> [--alg NAME] [--seed N | --conservative | --mean]
             [--platform FILE] [-o FILE] [--ledger] [--counters]
   wfs deadline <workflow.json> --deadline <secs> [--platform FILE]
-  wfs platform [-o FILE]
-
-algorithms: MIN-MIN HEFT MIN-MINBUDG HEFTBUDG HEFTBUDG+ HEFTBUDG+INV BDT CG CG+";
+  wfs platform [-o FILE]";
 
 type CliResult = Result<(), String>;
 

@@ -42,7 +42,7 @@ pub use wfs_workflow as workflow;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use wfs_observe::{
-        BudgetLedger, ChromeTrace, Counters, Event, EventSink, Histogram, NoopSink, RecordingSink,
+        BudgetLedger, ChromeTrace, Counters, Event, EventSink, NoopSink, RecordingSink,
     };
     pub use wfs_platform::{BillingPolicy, CategoryId, Datacenter, Platform, VmCategory};
     pub use wfs_scheduler::{

@@ -115,7 +115,12 @@ fn epigenomics_generator_exposed() {
 fn bad_usage_exits_nonzero_with_usage() {
     let out = wfs(&["frobnicate"]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage:"));
+    // The usage text lists every algorithm `--alg` accepts.
+    for alg in budget_sched::prelude::Algorithm::ALL {
+        assert!(stderr.contains(alg.name()), "usage misses {alg}");
+    }
 
     let out = wfs(&["schedule", "/nonexistent.json", "--alg", "heft", "--budget", "1"]);
     assert!(!out.status.success());
@@ -250,6 +255,25 @@ fn trace_subcommand_writes_chrome_trace_and_reconciles() {
     let out = wfs(&["trace", wf.to_str().unwrap(), "--budget", "2.0"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(tmp("t30.trace.json").exists());
+
+    // The ready-set heuristics place every task through the traced step.
+    for alg in ["MAX-MINBUDG", "SUFFERAGEBUDG"] {
+        let out = wfs(&[
+            "trace",
+            wf.to_str().unwrap(),
+            "--budget",
+            "2.0",
+            "--alg",
+            alg,
+            "--ledger",
+            "-o",
+            trace.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("30 placements"), "{alg}: {text}");
+        assert!(text.contains("reconciles  yes (exact)"), "{alg}: {text}");
+    }
 
     // Missing budget and garbage budget are usage errors.
     assert!(!wfs(&["trace", wf.to_str().unwrap()]).status.success());
