@@ -75,7 +75,9 @@ const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
 /// True if `file` is one of the allocation-audited hot-path files: the
 /// planner sweep (`plan.rs` / `best_host.rs`, allocation-free — see
-/// `crates/scheduler/tests/alloc_free.rs`), the fault layer
+/// `crates/scheduler/tests/alloc_free.rs`), the simulator's event kernel
+/// (`engine.rs`: buffers sized at construction, an allocation-free event
+/// loop — see `tests/engine_alloc.rs`), the fault layer
 /// (`faults.rs` runs per simulator event; `recovery.rs` re-plans per
 /// epoch — their allocations are pinned, not banned), and the
 /// observability core (`observe`'s `event.rs` / `sink.rs` are on every
@@ -84,6 +86,7 @@ const ALLOC_MACROS: &[&str] = &["vec", "format"];
 pub fn is_hot_path_file(file: &str) -> bool {
     file.ends_with("plan.rs")
         || file.ends_with("best_host.rs")
+        || file.ends_with("simulator/src/engine.rs")
         || file.ends_with("faults.rs")
         || file.ends_with("recovery.rs")
         || file.ends_with("observe/src/event.rs")
@@ -334,8 +337,10 @@ mod tests {
         assert!(rules_of("other.rs", src).is_empty());
         let rules = rules_of("crates/scheduler/src/plan.rs", src);
         assert_eq!(rules, vec![RULE_HOT_PATH_ALLOC; 3]);
-        // The fault layer and the observability core are audited too.
+        // The event kernel, the fault layer and the observability core are
+        // audited too.
         for hot in [
+            "crates/simulator/src/engine.rs",
             "crates/simulator/src/faults.rs",
             "crates/scheduler/src/recovery.rs",
             "crates/observe/src/event.rs",
@@ -346,6 +351,7 @@ mod tests {
         // Only observe's own event.rs/sink.rs are hot — a stray
         // `event.rs` elsewhere is not pulled in.
         assert!(rules_of("crates/other/src/event.rs", src).is_empty());
+        assert!(rules_of("crates/other/src/engine.rs", src).is_empty());
     }
 
     #[test]

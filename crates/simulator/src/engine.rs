@@ -31,9 +31,9 @@ use crate::weights::realize_weights;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
-use wfs_platform::Platform;
+use wfs_platform::{CategoryId, Platform};
 use wfs_workflow::{EdgeId, TaskId, Workflow};
 
 /// Widen a dense VM index into the `u32` observability id space.
@@ -47,11 +47,42 @@ const T_EPS: f64 = 1e-9;
 /// Bytes below which a transfer is considered drained.
 const B_EPS: f64 = 1e-6;
 
+/// A rate the engine divides by, named in [`SimError::InvalidRate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RateField {
+    /// The datacenter bandwidth (`Platform::datacenter.bandwidth`).
+    DatacenterBandwidth,
+    /// The speed of one VM category.
+    CategorySpeed(CategoryId),
+    /// The aggregate capacity of [`DcCapacity::Finite`].
+    DcCapacity,
+}
+
+impl std::fmt::Display for RateField {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RateField::DatacenterBandwidth => write!(f, "datacenter bandwidth"),
+            RateField::CategorySpeed(c) => write!(f, "speed of VM category {}", c.0),
+            RateField::DcCapacity => write!(f, "datacenter capacity"),
+        }
+    }
+}
+
 /// Errors raised by the simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The schedule failed validation.
     Schedule(ScheduleError),
+    /// A bandwidth, speed or capacity is zero, negative, NaN or infinite.
+    /// Deserialized platforms and the public `datacenter` field bypass the
+    /// constructors' checks; without this one, a zero rate would make
+    /// every transfer or task take forever and the event loop never end.
+    InvalidRate {
+        /// Which rate.
+        field: RateField,
+        /// Its offending value.
+        value: f64,
+    },
     /// The simulation stalled with unfinished tasks (should be impossible
     /// for validated schedules without faults; kept as a defensive
     /// backstop).
@@ -67,6 +98,9 @@ impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimError::Schedule(e) => write!(f, "invalid schedule: {e}"),
+            SimError::InvalidRate { field, value } => {
+                write!(f, "invalid rate: {field} must be finite and > 0, got {value}")
+            }
             SimError::Stalled { completed, unfinished } => {
                 write!(f, "simulation stalled after {completed} tasks; unfinished:")?;
                 for t in unfinished.iter().take(8) {
@@ -86,6 +120,26 @@ impl std::error::Error for SimError {}
 impl From<ScheduleError> for SimError {
     fn from(e: ScheduleError) -> Self {
         SimError::Schedule(e)
+    }
+}
+
+/// Check every rate the engine divides by: finite and strictly positive.
+fn check_rates(platform: &Platform, config: &SimConfig) -> Result<(), SimError> {
+    let positive = |field, value: f64| {
+        if value.is_finite() && value > 0.0 {
+            Ok(())
+        } else {
+            Err(SimError::InvalidRate { field, value })
+        }
+    };
+    positive(RateField::DatacenterBandwidth, platform.datacenter.bandwidth)?;
+    for (c, cat) in platform.categories().iter().enumerate() {
+        let id = CategoryId(u32::try_from(c).unwrap_or(u32::MAX));
+        positive(RateField::CategorySpeed(id), cat.speed)?;
+    }
+    match config.dc_capacity {
+        DcCapacity::Infinite => Ok(()),
+        DcCapacity::Finite(cap) => positive(RateField::DcCapacity, cap),
     }
 }
 
@@ -139,12 +193,6 @@ impl Ord for HeapEntry {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Dir {
-    Down,
-    Up,
-}
-
 /// A pending download: data some task on this VM needs from the datacenter.
 #[derive(Debug, Clone, Copy)]
 struct Download {
@@ -166,25 +214,30 @@ struct Upload {
     bytes: f64,
 }
 
-/// An in-flight transfer on some VM's link.
+/// An in-flight transfer on some VM's link. Every in-flight transfer runs
+/// at the engine's one shared [`Engine::rate`].
 #[derive(Debug, Clone, Copy)]
 struct Active {
     vm: usize,
-    dir: Dir,
-    /// Index into the VM's `downloads` for Down; upload payload for Up.
     payload: TransferPayload,
     remaining: f64,
-    rate: f64,
+}
+
+impl Active {
+    fn is_up(&self) -> bool {
+        matches!(self.payload, TransferPayload::Upload(_))
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
 enum TransferPayload {
+    /// Slot in [`Engine::downloads`].
     Download(usize),
     Upload(Upload),
 }
 
-struct VmState {
-    order: Vec<TaskId>,
+struct VmState<'a> {
+    order: &'a [TaskId],
     next_idx: usize,
     booked_at: Option<f64>,
     ready: bool,
@@ -192,8 +245,15 @@ struct VmState {
     proc_busy: bool,
     in_busy: bool,
     out_busy: bool,
-    downloads: Vec<Download>,
-    uploads: VecDeque<Upload>,
+    /// This VM's downloads are `downloads[dl_next..dl_end]` of the flat
+    /// array; every slot before `dl_next` has started.
+    dl_next: usize,
+    dl_end: usize,
+    /// This VM's upload queue is `uploads[up_head..up_tail]` of the flat
+    /// array; its slice is sized at construction for every upload the VM
+    /// can ever queue.
+    up_head: usize,
+    up_tail: usize,
     /// Cross-VM input edges of the first task still missing from the
     /// datacenter — the boot gate.
     boot_gate: usize,
@@ -216,7 +276,22 @@ struct Engine<'a, S: EventSink> {
     seq: u64,
     heap: BinaryHeap<Reverse<HeapEntry>>,
     active: Vec<Active>,
-    vms: Vec<VmState>,
+    /// The rate of every in-flight transfer: `share_rate(active.len())`
+    /// under the current degradation factor. Kept exact by calling
+    /// [`Engine::recompute_rates`] after every change to either.
+    rate: f64,
+    vms: Vec<VmState<'a>>,
+    /// Every VM's downloads, one contiguous run per VM, each run sorted by
+    /// (position of the consuming task in the VM order, edge id) with an
+    /// external input after an edge of id 0: the selection order, so the
+    /// first eligible slot is the one to start.
+    downloads: Vec<Download>,
+    /// Per edge: its slot in `downloads` (cross-VM edges only).
+    download_of_edge: Vec<usize>,
+    /// Every VM's upload queue, one fixed slice per VM.
+    uploads: Vec<Upload>,
+    /// The event loop's per-iteration scratch of finished transfers.
+    done_transfers: Vec<Active>,
     /// Remaining unsatisfied inputs per task (local preds + downloads).
     missing: Vec<usize>,
     done: Vec<bool>,
@@ -248,10 +323,10 @@ impl<'a, S: EventSink> Engine<'a, S> {
     ) -> Self {
         let n = wf.task_count();
         let weights = realize_weights(wf, config.weights);
-        let mut vms: Vec<VmState> = schedule
+        let mut vms: Vec<VmState<'a>> = schedule
             .vm_ids()
             .map(|v| VmState {
-                order: schedule.order(v).to_vec(),
+                order: schedule.order(v),
                 next_idx: 0,
                 booked_at: None,
                 ready: false,
@@ -259,8 +334,10 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 proc_busy: false,
                 in_busy: false,
                 out_busy: false,
-                downloads: Vec::new(),
-                uploads: VecDeque::new(),
+                dl_next: 0,
+                dl_end: 0,
+                up_head: 0,
+                up_tail: 0,
                 boot_gate: 0,
                 last_activity: 0.0,
                 tasks_run: 0,
@@ -268,44 +345,71 @@ impl<'a, S: EventSink> Engine<'a, S> {
             })
             .collect();
 
+        // Size the flat buffers: every cross-VM edge is one upload on its
+        // producer's VM and one download on its consumer's; external data
+        // adds one of each per task that has some.
+        let mut n_downloads = 0;
+        let mut n_uploads = 0;
+        for vm in &mut vms {
+            vm.up_head = n_uploads;
+            for &t in vm.order {
+                let task = wf.task(t);
+                let cross_out =
+                    wf.out_edges(t).iter().filter(|&&e| schedule.is_cross_vm(wf, e)).count();
+                n_uploads += cross_out + usize::from(task.external_output > 0.0);
+                n_downloads += cross_out + usize::from(task.external_input > 0.0);
+            }
+            vm.up_tail = vm.up_head;
+        }
+        let placeholder = Upload { task: TaskId(0), edge: None, bytes: 0.0 };
+        let uploads = vec![placeholder; n_uploads];
+
+        // Downloads in selection order: VM by VM, task by task along the
+        // VM order, each task's inputs by edge id.
         let mut missing = vec![0usize; n];
-        for t in wf.task_ids() {
-            #[allow(clippy::expect_used)] // Engine::new runs after validate()
-            let vm = schedule.assignment(t).expect("validated").index();
-            for &e in wf.in_edges(t) {
-                missing[t.index()] += 1;
-                if schedule.is_cross_vm(wf, e) {
-                    vms[vm].downloads.push(Download {
+        let mut downloads = Vec::with_capacity(n_downloads);
+        for vm in &mut vms {
+            let first_dl = downloads.len();
+            for &t in vm.order {
+                let task_dl = downloads.len();
+                let inputs = wf.in_edges(t);
+                missing[t.index()] = inputs.len();
+                for &e in inputs {
+                    // Same-VM edges are satisfied directly at producer completion.
+                    if schedule.is_cross_vm(wf, e) {
+                        downloads.push(Download {
+                            task: t,
+                            edge: Some(e),
+                            bytes: wf.edge(e).size,
+                            at_dc: false,
+                            started: false,
+                        });
+                    }
+                }
+                if t == vm.order[0] {
+                    vm.boot_gate = downloads.len() - task_dl;
+                }
+                let ext = wf.task(t).external_input;
+                if ext > 0.0 {
+                    missing[t.index()] += 1;
+                    downloads.push(Download {
                         task: t,
-                        edge: Some(e),
-                        bytes: wf.edge(e).size,
-                        at_dc: false,
+                        edge: None,
+                        bytes: ext,
+                        at_dc: true,
                         started: false,
                     });
                 }
-                // Same-VM edges are satisfied directly at producer completion.
+                downloads[task_dl..]
+                    .sort_unstable_by_key(|d| (d.edge.map_or(0, |e| e.0), d.edge.is_none()));
             }
-            let ext = wf.task(t).external_input;
-            if ext > 0.0 {
-                missing[t.index()] += 1;
-                vms[vm].downloads.push(Download {
-                    task: t,
-                    edge: None,
-                    bytes: ext,
-                    at_dc: true,
-                    started: false,
-                });
-            }
+            vm.dl_next = first_dl;
+            vm.dl_end = downloads.len();
         }
-        // Boot gates: cross-VM input edges of each VM's first task.
-        for (v, vm) in vms.iter_mut().enumerate() {
-            if let Some(&first) = vm.order.first() {
-                vm.boot_gate = wf
-                    .in_edges(first)
-                    .iter()
-                    .filter(|&&e| schedule.is_cross_vm(wf, e))
-                    .count();
-                let _ = v;
+        let mut download_of_edge = vec![usize::MAX; wf.edge_count()];
+        for (slot, d) in downloads.iter().enumerate() {
+            if let Some(e) = d.edge {
+                download_of_edge[e.index()] = slot;
             }
         }
 
@@ -325,8 +429,10 @@ impl<'a, S: EventSink> Engine<'a, S> {
             r.task = t;
         }
 
+        // Per VM at most one pending work event, one crash and one
+        // transfer per direction; plus one degradation event.
         let n_vms = vms.len();
-        Self {
+        let mut engine = Self {
             sink,
             wf,
             platform,
@@ -336,9 +442,14 @@ impl<'a, S: EventSink> Engine<'a, S> {
             faults: *faults,
             now: 0.0,
             seq: 0,
-            heap: BinaryHeap::new(),
-            active: Vec::new(),
+            heap: BinaryHeap::with_capacity(2 * n_vms + 1),
+            active: Vec::with_capacity(2 * n_vms),
+            rate: 0.0,
             vms,
+            downloads,
+            download_of_edge,
+            uploads,
+            done_transfers: Vec::with_capacity(2 * n_vms),
             missing,
             done: vec![false; n],
             edge_at_dc: vec![false; wf.edge_count()],
@@ -351,7 +462,9 @@ impl<'a, S: EventSink> Engine<'a, S> {
             window_start: 0.0,
             degrade_rng: faults.degrade_rng(),
             stats: FaultStats::default(),
-        }
+        };
+        engine.recompute_rates();
+        engine
     }
 
     fn push_event(&mut self, time: f64, event: Event) {
@@ -381,21 +494,20 @@ impl<'a, S: EventSink> Engine<'a, S> {
         }
     }
 
+    /// Re-derive the shared transfer rate; called after every change to
+    /// the in-flight set or to the degradation factor.
     fn recompute_rates(&mut self) {
-        let r = self.share_rate(self.active.len());
-        for a in &mut self.active {
-            a.rate = r;
-        }
+        self.rate = self.share_rate(self.active.len());
     }
 
     fn book_vm(&mut self, v: usize) {
         debug_assert!(self.vms[v].booked_at.is_none());
         self.vms[v].booked_at = Some(self.now);
+        let cat = self.schedule.vm_category(VmId(vm_u32(v)));
         if S::ENABLED {
-            let cat = self.schedule.vm_category(VmId(vm_u32(v)));
             self.sink.record(&Obs::VmBooked { vm: vm_u32(v), category: cat.0, t: self.now });
         }
-        let boot = self.platform.category(self.schedule.vm_category(VmId(v as u32))).boot_time;
+        let boot = self.platform.category(cat).boot_time;
         let mut delay = boot;
         if let Some(bf) = self.faults.boot {
             let mut rng = self.faults.boot_rng(v);
@@ -422,76 +534,72 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.push_event(self.now + delay, Event::BootDone(v));
     }
 
-    /// Start the best ready pending download on `v`, if its in-link is free.
+    /// Start the best ready pending download on `v`, if its in-link is free:
+    /// the first slot of the VM's pre-sorted run that is at the datacenter
+    /// and not started. Inputs of earlier tasks come first, so prefetching
+    /// never starves the next task to run.
     fn try_start_download(&mut self, v: usize) {
-        if !self.vms[v].ready || self.vms[v].dead || self.vms[v].in_busy {
+        let vm = &mut self.vms[v];
+        if !vm.ready || vm.dead || vm.in_busy {
             return;
         }
-        // Position of each task in the VM order: prefer inputs of earlier
-        // tasks so prefetching never starves the next task to run.
-        #[allow(clippy::expect_used)] // downloads only reference tasks of their VM
-        let pos_of = |vm: &VmState, t: TaskId| {
-            vm.order.iter().position(|&x| x == t).expect("task is on this VM")
-        };
-        let best = {
-            let vm = &self.vms[v];
-            vm.downloads
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.at_dc && !d.started)
-                .min_by_key(|(i, d)| (pos_of(vm, d.task), d.edge.map_or(0, |e| e.0), *i))
-                .map(|(i, _)| i)
-        };
-        if let Some(i) = best {
-            self.vms[v].downloads[i].started = true;
-            self.vms[v].in_busy = true;
-            if S::ENABLED {
-                let d = self.vms[v].downloads[i];
-                self.sink.record(&Obs::TransferStarted {
-                    vm: vm_u32(v),
-                    up: false,
-                    edge: d.edge.map_or(-1, |e| i64::from(e.0)),
-                    bytes: d.bytes,
-                    t: self.now,
-                });
-            }
-            let bytes = self.vms[v].downloads[i].bytes.max(B_EPS);
-            self.active.push(Active {
-                vm: v,
-                dir: Dir::Down,
-                payload: TransferPayload::Download(i),
-                remaining: bytes,
-                rate: self.bandwidth(),
-            });
-            self.recompute_rates();
+        while vm.dl_next < vm.dl_end && self.downloads[vm.dl_next].started {
+            vm.dl_next += 1;
         }
+        let Some(i) = (vm.dl_next..vm.dl_end).find(|&i| {
+            let d = &self.downloads[i];
+            d.at_dc && !d.started
+        }) else {
+            return;
+        };
+        vm.in_busy = true;
+        let d = &mut self.downloads[i];
+        d.started = true;
+        if S::ENABLED {
+            self.sink.record(&Obs::TransferStarted {
+                vm: vm_u32(v),
+                up: false,
+                edge: d.edge.map_or(-1, |e| i64::from(e.0)),
+                bytes: d.bytes,
+                t: self.now,
+            });
+        }
+        let remaining = d.bytes.max(B_EPS);
+        self.active.push(Active { vm: v, payload: TransferPayload::Download(i), remaining });
+        self.recompute_rates();
     }
 
     /// Start the next queued upload on `v`, if its out-link is free.
     fn try_start_upload(&mut self, v: usize) {
-        if self.vms[v].out_busy || self.vms[v].dead {
+        let vm = &mut self.vms[v];
+        if vm.out_busy || vm.dead || vm.up_head == vm.up_tail {
             return;
         }
-        if let Some(u) = self.vms[v].uploads.pop_front() {
-            self.vms[v].out_busy = true;
-            if S::ENABLED {
-                self.sink.record(&Obs::TransferStarted {
-                    vm: vm_u32(v),
-                    up: true,
-                    edge: u.edge.map_or(-1, |e| i64::from(e.0)),
-                    bytes: u.bytes,
-                    t: self.now,
-                });
-            }
-            self.active.push(Active {
-                vm: v,
-                dir: Dir::Up,
-                payload: TransferPayload::Upload(u),
-                remaining: u.bytes.max(B_EPS),
-                rate: self.bandwidth(),
+        let u = self.uploads[vm.up_head];
+        vm.up_head += 1;
+        vm.out_busy = true;
+        if S::ENABLED {
+            self.sink.record(&Obs::TransferStarted {
+                vm: vm_u32(v),
+                up: true,
+                edge: u.edge.map_or(-1, |e| i64::from(e.0)),
+                bytes: u.bytes,
+                t: self.now,
             });
-            self.recompute_rates();
         }
+        self.active.push(Active {
+            vm: v,
+            payload: TransferPayload::Upload(u),
+            remaining: u.bytes.max(B_EPS),
+        });
+        self.recompute_rates();
+    }
+
+    /// Append an upload to `v`'s queue slice.
+    fn queue_upload(&mut self, v: usize, u: Upload) {
+        let vm = &mut self.vms[v];
+        self.uploads[vm.up_tail] = u;
+        vm.up_tail += 1;
     }
 
     /// Start the next task on `v` if the processor is free and inputs are in.
@@ -504,11 +612,11 @@ impl<'a, S: EventSink> Engine<'a, S> {
         if self.missing[t.index()] > 0 {
             return;
         }
-        let cat = self.platform.category(self.schedule.vm_category(VmId(v as u32)));
+        let cat = self.platform.category(self.schedule.vm_category(VmId(vm_u32(v))));
         let dur = self.weights[t.index()] / cat.speed;
         self.records[t.index()] = TaskRecord {
             task: t,
-            vm: VmId(v as u32),
+            vm: VmId(vm_u32(v)),
             start: self.now,
             end: self.now + dur,
             realized_weight: self.weights[t.index()],
@@ -533,9 +641,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
         // Satisfy same-VM consumers; queue uploads for cross-VM edges.
         for &e in self.wf.out_edges(t) {
             if self.schedule.is_cross_vm(self.wf, e) {
-                self.vms[v]
-                    .uploads
-                    .push_back(Upload { task: t, edge: Some(e), bytes: self.wf.edge(e).size });
+                let bytes = self.wf.edge(e).size;
+                self.queue_upload(v, Upload { task: t, edge: Some(e), bytes });
             } else {
                 let c = self.wf.edge(e).to;
                 self.missing[c.index()] -= 1;
@@ -545,7 +652,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         }
         let ext_out = self.wf.task(t).external_output;
         if ext_out > 0.0 {
-            self.vms[v].uploads.push_back(Upload { task: t, edge: None, bytes: ext_out });
+            self.queue_upload(v, Upload { task: t, edge: None, bytes: ext_out });
         }
         self.try_start_upload(v);
         self.try_start_compute(v);
@@ -561,7 +668,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         // Crash-stop fault: the VM's time-to-failure starts ticking the
         // moment it becomes operational.
         if let Some(cm) = self.faults.crash {
-            let cat = self.schedule.vm_category(VmId(v as u32));
+            let cat = self.schedule.vm_category(VmId(vm_u32(v)));
             let mut rng = self.faults.crash_rng(v);
             let ttf = cm.sample_ttf(cat.0, &mut rng);
             if ttf.is_finite() {
@@ -584,7 +691,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 && !vm.proc_busy
                 && !vm.in_busy
                 && !vm.out_busy
-                && vm.uploads.is_empty()
+                && vm.up_head == vm.up_tail
         };
         if idle_done {
             // The VM already pushed its last byte and would have been
@@ -618,20 +725,18 @@ impl<'a, S: EventSink> Engine<'a, S> {
             for a in self.active.iter().filter(|a| a.vm == v) {
                 self.sink.record(&Obs::TransferAborted {
                     vm: vm_u32(v),
-                    up: matches!(a.dir, Dir::Up),
+                    up: a.is_up(),
                     t: self.now,
                 });
             }
             self.sink.record(&Obs::VmCrashed { vm: vm_u32(v), t: self.now });
         }
-        let before = self.active.len();
         self.active.retain(|a| a.vm != v);
-        if self.active.len() != before {
-            self.recompute_rates();
-        }
-        self.vms[v].uploads.clear();
-        self.vms[v].in_busy = false;
-        self.vms[v].out_busy = false;
+        self.recompute_rates();
+        let vm = &mut self.vms[v];
+        vm.up_head = vm.up_tail;
+        vm.in_busy = false;
+        vm.out_busy = false;
     }
 
     /// Any work left that degradation windows could still affect?
@@ -670,8 +775,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
         }
     }
 
-    fn on_download_done(&mut self, v: usize, idx: usize) {
-        let d = self.vms[v].downloads[idx];
+    fn on_download_done(&mut self, v: usize, slot: usize) {
+        let d = self.downloads[slot];
         if S::ENABLED {
             self.sink.record(&Obs::TransferFinished {
                 vm: vm_u32(v),
@@ -703,12 +808,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             let consumer = self.wf.edge(e).to;
             #[allow(clippy::expect_used)] // schedule was validated before simulation
             let cv = self.schedule.assignment(consumer).expect("validated").index();
-            // Mark the matching pending download as available.
-            for d in &mut self.vms[cv].downloads {
-                if d.edge == Some(e) {
-                    d.at_dc = true;
-                }
-            }
+            self.downloads[self.download_of_edge[e.index()]].at_dc = true;
             // Boot gate: first-task inputs arriving can trigger the booking.
             if self.vms[cv].booked_at.is_none() {
                 if let Some(&first) = self.vms[cv].order.first() {
@@ -729,7 +829,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.try_start_upload(v);
     }
 
-    fn run(mut self) -> Result<FaultRun, SimError> {
+    /// Run the event loop to quiescence.
+    fn run(&mut self) -> Result<(), SimError> {
         // Book every VM whose boot gate is already open (first task has no
         // cross-VM inputs: entry tasks, or tasks with same-VM-only preds
         // cannot be first, so this means entries / no inputs).
@@ -745,12 +846,15 @@ impl<'a, S: EventSink> Engine<'a, S> {
         }
 
         loop {
-            // Next transfer completion, if any.
+            // Next transfer completion, if any. All transfers share one
+            // rate and `now + r / rate` is monotone in `r`, so the least
+            // remaining volume finishes first.
             let next_xfer: Option<f64> = self
                 .active
                 .iter()
-                .map(|a| self.now + a.remaining / a.rate)
-                .min_by(|a, b| a.total_cmp(b));
+                .map(|a| a.remaining)
+                .min_by(|a, b| a.total_cmp(b))
+                .map(|r| self.now + r / self.rate);
             let next_ev: Option<f64> = self.heap.peek().map(|Reverse(h)| h.time);
             let t = match (next_xfer, next_ev) {
                 (None, None) => break,
@@ -759,9 +863,9 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 (Some(a), Some(b)) => a.min(b),
             };
             debug_assert!(t >= self.now - T_EPS, "time went backwards: {t} < {}", self.now);
-            let dt = (t - self.now).max(0.0);
+            let drained = self.rate * (t - self.now).max(0.0);
             for a in &mut self.active {
-                a.remaining -= a.rate * dt;
+                a.remaining -= drained;
             }
             self.now = t;
 
@@ -771,31 +875,29 @@ impl<'a, S: EventSink> Engine<'a, S> {
             // without the latter, `now + remaining/rate == now` can stall
             // the clock forever once `now` is large (float underflow).
             let resolution = (self.now.abs() * f64::EPSILON).max(T_EPS);
-            let mut finished: Vec<usize> = self
-                .active
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.remaining <= B_EPS || a.remaining <= a.rate * resolution)
-                .map(|(i, _)| i)
-                .collect();
-            // Remove in descending *index* order so swap_remove never
-            // touches a not-yet-removed finished entry; then order the
-            // removed set deterministically (vm, direction) for processing.
-            finished.sort_unstable_by(|a, b| b.cmp(a));
-            let mut done_transfers = Vec::with_capacity(finished.len());
-            for &i in &finished {
-                done_transfers.push(self.active.swap_remove(i));
+            let threshold = self.rate * resolution;
+            // Remove in descending index order so swap_remove only ever
+            // moves an already-checked entry; then order the removed set by
+            // (vm, direction) — unique, as each link carries one transfer
+            // per direction — for processing.
+            let mut done = std::mem::take(&mut self.done_transfers);
+            for i in (0..self.active.len()).rev() {
+                let r = self.active[i].remaining;
+                if r <= B_EPS || r <= threshold {
+                    done.push(self.active.swap_remove(i));
+                }
             }
-            done_transfers.sort_by_key(|a| (a.vm, matches!(a.dir, Dir::Up) as u8));
-            if !done_transfers.is_empty() {
+            done.sort_unstable_by_key(|a| (a.vm, a.is_up()));
+            if !done.is_empty() {
                 self.recompute_rates();
             }
-            for a in done_transfers {
+            for a in done.drain(..) {
                 match a.payload {
-                    TransferPayload::Download(idx) => self.on_download_done(a.vm, idx),
+                    TransferPayload::Download(slot) => self.on_download_done(a.vm, slot),
                     TransferPayload::Upload(u) => self.on_upload_done(a.vm, u),
                 }
             }
+            self.done_transfers = done;
 
             // Then discrete events scheduled at (or before) `now`.
             while let Some(Reverse(h)) = self.heap.peek().copied() {
@@ -826,34 +928,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.wf.task_ids().filter(|t| !self.done[t.index()]).collect();
             return Err(SimError::Stalled { completed: self.completed, unfinished });
         }
-        let (durable, complete) = self.durability();
-        let report = self.build_report();
-        // Bill emission mirrors the report arithmetic exactly: one VmBilled
-        // per VM in report order, then DcBilled — a ledger folding costs in
-        // event order reproduces `total_cost` bit-for-bit.
-        if S::ENABLED {
-            for u in &report.vms {
-                self.sink.record(&Obs::VmBilled {
-                    vm: u.vm.0,
-                    category: u.category.0,
-                    booked_at: u.booked_at,
-                    ready_at: u.ready_at,
-                    released_at: u.released_at,
-                    cost: u.cost,
-                    tasks_run: u32::try_from(u.tasks_run).unwrap_or(u32::MAX),
-                });
-            }
-            self.sink
-                .record(&Obs::DcBilled { cost: report.datacenter_cost, makespan: report.makespan });
-        }
-        Ok(FaultRun {
-            report,
-            stats: self.stats.clone(),
-            finished: self.done.clone(),
-            durable,
-            boot_delays: self.boot_delay.clone(),
-            complete,
-        })
+        Ok(())
     }
 
     /// Which tasks are *durably* complete? Data at the datacenter is
@@ -880,8 +955,12 @@ impl<'a, S: EventSink> Engine<'a, S> {
         (durable, complete)
     }
 
-    fn build_report(&self) -> SimulationReport {
-        let mut vm_usages = Vec::new();
+    /// Bill the run (Eqs. 1–2) and hand the task records over to the
+    /// report. Bill emission mirrors the report arithmetic exactly: one
+    /// VmBilled per VM in report order, then DcBilled — a ledger folding
+    /// costs in event order reproduces `total_cost` bit-for-bit.
+    fn report(&mut self) -> SimulationReport {
+        let mut vm_usages = Vec::with_capacity(self.vms.len());
         let mut start_first = f64::INFINITY;
         let mut end_last: f64 = 0.0;
         let mut vm_cost_total = 0.0;
@@ -892,14 +971,14 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 // provider never handed the instance over — nothing billed.
                 continue;
             }
-            let cat_id = self.schedule.vm_category(VmId(v as u32));
+            let cat_id = self.schedule.vm_category(VmId(vm_u32(v)));
             let usage = vm.last_activity - vm.ready_at;
             let cost = self.platform.vm_cost(cat_id, usage);
             start_first = start_first.min(booked);
             end_last = end_last.max(vm.last_activity);
             vm_cost_total += cost;
             vm_usages.push(VmUsage {
-                vm: VmId(v as u32),
+                vm: VmId(vm_u32(v)),
                 category: cat_id,
                 booked_at: booked,
                 ready_at: vm.ready_at,
@@ -912,16 +991,29 @@ impl<'a, S: EventSink> Engine<'a, S> {
             start_first = 0.0;
         }
         let makespan = (end_last - start_first).max(0.0);
-        let external =
-            self.wf.external_input_data() + self.wf.external_output_data();
+        let external = self.wf.external_input_data() + self.wf.external_output_data();
         let dc_cost = self.platform.datacenter.cost(makespan, external);
+        if S::ENABLED {
+            for u in &vm_usages {
+                self.sink.record(&Obs::VmBilled {
+                    vm: u.vm.0,
+                    category: u.category.0,
+                    booked_at: u.booked_at,
+                    ready_at: u.ready_at,
+                    released_at: u.released_at,
+                    cost: u.cost,
+                    tasks_run: u32::try_from(u.tasks_run).unwrap_or(u32::MAX),
+                });
+            }
+            self.sink.record(&Obs::DcBilled { cost: dc_cost, makespan });
+        }
         SimulationReport {
             makespan,
             vm_cost: vm_cost_total,
             datacenter_cost: dc_cost,
             total_cost: vm_cost_total + dc_cost,
             vms_used: vm_usages.iter().filter(|u| u.tasks_run > 0).count(),
-            tasks: self.records.clone(),
+            tasks: std::mem::take(&mut self.records),
             vms: vm_usages,
         }
     }
@@ -941,6 +1033,10 @@ pub fn simulate(
 /// [`simulate`] with an event sink: every boot, task, transfer and the
 /// final Eq. 1–2 bill are reported to `sink`. With [`NoopSink`] this is
 /// the same code path as [`simulate`] (the emissions compile away).
+///
+/// It runs the same event loop as [`simulate_with_faults_observed`] under
+/// [`FaultConfig::none`], but skips the durability pass and the
+/// [`FaultRun`] bookkeeping that a fault-free run has no use for.
 pub fn simulate_observed<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
@@ -948,10 +1044,11 @@ pub fn simulate_observed<S: EventSink>(
     config: &SimConfig,
     sink: &mut S,
 ) -> Result<SimulationReport, SimError> {
+    check_rates(platform, config)?;
     schedule.validate(wf)?;
-    Engine::new(wf, platform, schedule, config, &FaultConfig::none(), sink)
-        .run()
-        .map(|r| r.report)
+    let mut engine = Engine::new(wf, platform, schedule, config, &FaultConfig::none(), sink);
+    engine.run()?;
+    Ok(engine.report())
 }
 
 /// Validate `schedule` and simulate with fault injection. With faults the
@@ -980,6 +1077,18 @@ pub fn simulate_with_faults_observed<S: EventSink>(
     faults: &FaultConfig,
     sink: &mut S,
 ) -> Result<FaultRun, SimError> {
+    check_rates(platform, config)?;
     schedule.validate(wf)?;
-    Engine::new(wf, platform, schedule, config, faults, sink).run()
+    let mut engine = Engine::new(wf, platform, schedule, config, faults, sink);
+    engine.run()?;
+    let (durable, complete) = engine.durability();
+    let report = engine.report();
+    Ok(FaultRun {
+        report,
+        stats: engine.stats,
+        finished: engine.done,
+        durable,
+        boot_delays: engine.boot_delay,
+        complete,
+    })
 }

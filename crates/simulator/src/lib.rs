@@ -36,7 +36,8 @@ mod weights;
 
 pub use config::{DcCapacity, SimConfig};
 pub use engine::{
-    simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed, SimError,
+    simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed, RateField,
+    SimError,
 };
 pub use faults::{
     stream_seed, BootFaultModel, CrashModel, DegradationModel, FaultConfig, FaultRun, FaultStats,
@@ -247,6 +248,44 @@ mod engine_tests {
         match simulate(&wf, &p, &s, &SimConfig::planning()) {
             Err(SimError::Schedule(ScheduleError::Unassigned(t))) => assert_eq!(t, TaskId(0)),
             other => panic!("expected Unassigned, got {other:?}"),
+        }
+    }
+
+    /// Zero, negative, NaN and infinite rates are refused up front instead
+    /// of stalling the event loop forever.
+    #[test]
+    fn non_positive_or_non_finite_rates_rejected() {
+        let wf = chain(2, 10.0, 5.0);
+        let s = single_vm_schedule(&wf);
+        let cfg = SimConfig::planning();
+        let check = |p: &Platform, cfg: &SimConfig, field: RateField, bad: f64| {
+            let errs = [
+                simulate(&wf, p, &s, cfg).unwrap_err(),
+                simulate_with_faults(&wf, p, &s, cfg, &FaultConfig::none()).unwrap_err(),
+            ];
+            for e in errs {
+                match e {
+                    SimError::InvalidRate { field: f, value } => {
+                        assert_eq!(f, field);
+                        assert!(value.to_bits() == bad.to_bits(), "{value} != {bad}");
+                    }
+                    other => panic!("expected InvalidRate for {field}, got {other:?}"),
+                }
+            }
+        };
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut p = unit_platform();
+            p.datacenter.bandwidth = bad;
+            check(&p, &cfg, RateField::DatacenterBandwidth, bad);
+            let msg = simulate(&wf, &p, &s, &cfg).unwrap_err().to_string();
+            assert!(msg.contains("datacenter bandwidth"), "{msg}");
+
+            let slow = VmCategory { speed: bad, ..VmCategory::new("u", 1.0, 36.0, 0.0, 10.0) };
+            let p = Platform::new(vec![slow], Datacenter::new(10.0, 0.0, 0.0));
+            check(&p, &cfg, RateField::CategorySpeed(CategoryId(0)), bad);
+
+            let capped = SimConfig { dc_capacity: DcCapacity::Finite(bad), ..cfg };
+            check(&unit_platform(), &capped, RateField::DcCapacity, bad);
         }
     }
 

@@ -226,29 +226,25 @@ impl Schedule {
             return Err(ScheduleError::InconsistentOrder(TaskId(idx as u32)));
         }
         // Deadlock check: topological sort of DAG edges + per-VM order edges.
+        // Each task appears once in the orders, so it has at most one
+        // order successor.
         let mut indeg = vec![0usize; n];
-        let mut extra_succ: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+        let mut order_succ: Vec<Option<TaskId>> = vec![None; n];
         for e in wf.edges() {
             indeg[e.to.index()] += 1;
         }
         for ord in &self.order {
             for w in ord.windows(2) {
-                extra_succ[w[0].index()].push(w[1]);
+                order_succ[w[0].index()] = Some(w[1]);
                 indeg[w[1].index()] += 1;
             }
         }
-        let mut queue: Vec<TaskId> =
-            wf.task_ids().filter(|t| indeg[t.index()] == 0).collect();
+        let mut queue: Vec<TaskId> = Vec::with_capacity(n);
+        queue.extend(wf.task_ids().filter(|t| indeg[t.index()] == 0));
         let mut visited = 0usize;
         while let Some(t) = queue.pop() {
             visited += 1;
-            for s in wf.successors(t) {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    queue.push(s);
-                }
-            }
-            for &s in &extra_succ[t.index()] {
+            for s in wf.successors(t).chain(order_succ[t.index()]) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
                     queue.push(s);

@@ -351,3 +351,39 @@ fn faults_subcommand_runs_and_is_deterministic() {
     let bad = wfs(&["faults", wf.to_str().unwrap(), "--budget", "1", "--policy", "pray"]);
     assert!(!bad.status.success());
 }
+
+#[test]
+fn simulate_rejects_bad_datacenter_bandwidth() {
+    let wf = tmp("bw30.json");
+    assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
+    let sched = tmp("bw30-sched.json");
+    let out = wfs(&[
+        "schedule",
+        wf.to_str().unwrap(),
+        "--alg",
+        "heftbudg",
+        "--budget",
+        "1.0",
+        "-o",
+        sched.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let dump = String::from_utf8(wfs(&["platform"]).stdout).unwrap();
+    for bad in ["0", "-125000000"] {
+        let pfile = tmp(&format!("platform-bw{bad}.json"));
+        let edited = dump.replace("\"bandwidth\": 125000000", &format!("\"bandwidth\": {bad}"));
+        assert_ne!(edited, dump, "platform dump format changed");
+        std::fs::write(&pfile, edited).unwrap();
+        let out = wfs(&[
+            "simulate",
+            wf.to_str().unwrap(),
+            sched.to_str().unwrap(),
+            "--conservative",
+            "--platform",
+            pfile.to_str().unwrap(),
+        ]);
+        assert!(!out.status.success(), "bandwidth {bad} accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("datacenter bandwidth must be finite and > 0"), "{err}");
+    }
+}

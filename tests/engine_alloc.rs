@@ -1,0 +1,74 @@
+//! The simulation engine allocates a constant number of buffers per run.
+//!
+//! This binary installs a counting global allocator (hence its own test
+//! file: `#[global_allocator]` is per-binary) and checks that one
+//! `simulate` call allocates at most a small constant number of times,
+//! whatever the task or VM count: the engine sizes its flat buffers at
+//! construction and the event loop itself never touches the heap.
+
+// Helper fns in integration-test files miss the tests-only exemption.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use budget_sched::prelude::*;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAllocator;
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Upper bound on allocations per `simulate`, independent of size.
+const MAX_ALLOCS_PER_SIM: usize = 40;
+
+#[test]
+fn simulate_allocations_do_not_grow_with_size() {
+    let p = Platform::paper_default();
+    for n in [30, 90, 400] {
+        for wf in [
+            montage(GenConfig::new(n, 1)),
+            cybershake(GenConfig::new(n, 2)),
+            ligo(GenConfig::new(n, 3)),
+        ] {
+            let min_cost = simulate(&wf, &p, &min_cost_schedule(&wf, &p), &SimConfig::planning())
+                .unwrap()
+                .total_cost;
+            let (sched, _) = heft_budg(&wf, &p, 3.0 * min_cost);
+            for cfg in [SimConfig::planning(), SimConfig::stochastic(7)] {
+                let before = ALLOCATIONS.load(Ordering::SeqCst);
+                let report = simulate(&wf, &p, &sched, &cfg).unwrap();
+                let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+                assert!(
+                    allocs <= MAX_ALLOCS_PER_SIM,
+                    "{} on {} VMs: {allocs} allocations per simulate",
+                    wf.name,
+                    report.vms.len(),
+                );
+            }
+        }
+    }
+}
