@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use wfs_platform::Platform;
-use wfs_scheduler::{min_cost_schedule, Algorithm};
+use wfs_scheduler::{min_cost_floor, Algorithm};
 use wfs_simulator::{simulate, Schedule, SimConfig};
 use wfs_workflow::gen::{BenchmarkType, GenConfig};
 use wfs_workflow::Workflow;
@@ -80,14 +80,6 @@ pub struct Cell {
     pub valid_pct: f64,
     /// Mean wall-clock time spent computing the schedule (seconds).
     pub sched_time: Stats,
-}
-
-/// The `min_cost` floor of a workflow: total cost of the all-on-one-cheap-VM
-/// schedule under conservative weights (the green dot of Fig. 1).
-pub fn min_cost_floor(wf: &Workflow, platform: &Platform) -> f64 {
-    simulate(wf, platform, &min_cost_schedule(wf, platform), &SimConfig::planning())
-        .expect("min-cost schedule is valid")
-        .total_cost
 }
 
 /// Work item of a sweep: one (workflow instance, algorithm, budget) triple.

@@ -5,7 +5,7 @@
 use crate::common::{results_dir, stats_of, write_text};
 use std::fmt::Write as _;
 use wfs_platform::Platform;
-use wfs_scheduler::{run_online, Algorithm, OnlineConfig};
+use wfs_scheduler::{min_cost_floor, run_online, Algorithm, OnlineConfig};
 use wfs_simulator::{simulate, SimConfig};
 use wfs_workflow::gen::{layered_random, BenchmarkType, GenConfig, LayeredParams};
 
@@ -28,7 +28,7 @@ pub fn sigma_sweep(instances: u64, reps: u64) {
                 for inst in 0..instances {
                     let wf = ty
                         .generate(GenConfig::new(90, inst).with_sigma_ratio(sigma));
-                    let floor = crate::common::min_cost_floor(&wf, &platform);
+                    let floor = min_cost_floor(&wf, &platform);
                     let budget = floor * 2.0;
                     let sched = alg.run(&wf, &platform, budget);
                     for seed in 0..reps {
@@ -85,7 +85,7 @@ pub fn robustness(instances: u64, reps: u64) {
             let mut total = 0usize;
             for inst in 0..instances {
                 let wf = ty.generate(GenConfig::new(90, inst));
-                let floor = crate::common::min_cost_floor(&wf, &platform);
+                let floor = min_cost_floor(&wf, &platform);
                 let budget = floor * 2.0;
                 let (sched, _) = wfs_scheduler::heft_budg(&wf, &platform, budget);
                 for seed in 0..reps {
@@ -137,7 +137,7 @@ pub fn deadline_map() {
     );
     for ty in BenchmarkType::ALL {
         let wf = ty.generate(GenConfig::new(90, 1));
-        let floor = crate::common::min_cost_floor(&wf, &platform);
+        let floor = min_cost_floor(&wf, &platform);
         let base_sched = Algorithm::Heft.run(&wf, &platform, f64::INFINITY);
         let base = simulate(&wf, &platform, &base_sched, &SimConfig::planning())
             .expect("valid")
@@ -192,7 +192,7 @@ pub fn online_study(reps: u64) {
         LayeredParams { layers: 4, width: 5, edge_prob: 0.3, work: 6000.0, data: 20e6 },
         GenConfig { tasks: 0, seed: 1, sigma_ratio: 1.0 },
     );
-    let floor = crate::common::min_cost_floor(&wf, &platform);
+    let floor = min_cost_floor(&wf, &platform);
     let budget = floor * 1.2;
 
     let mut md = String::from(
@@ -259,7 +259,7 @@ pub fn size_sweep() {
     for ty in BenchmarkType::ALL {
         for n in [30usize, 60, 90] {
             let wf = ty.generate(GenConfig::new(n, 1));
-            let floor = crate::common::min_cost_floor(&wf, &platform);
+            let floor = min_cost_floor(&wf, &platform);
             let heft_sched = Algorithm::Heft.run(&wf, &platform, f64::INFINITY);
             let target = simulate(&wf, &platform, &heft_sched, &cfg).unwrap().makespan * 1.1;
             let find = |alg: Algorithm| -> Option<f64> {
@@ -306,7 +306,7 @@ pub fn counters_study() {
     );
     for ty in BenchmarkType::ALL {
         let wf = ty.generate(GenConfig::new(90, 1));
-        let floor = crate::common::min_cost_floor(&wf, &platform);
+        let floor = min_cost_floor(&wf, &platform);
         let budget = floor * 2.0;
         for alg in [
             Algorithm::MinMin,
@@ -381,8 +381,7 @@ pub fn fault_study(instances: u64, reps: u64) {
                     let mut total = 0usize;
                     for inst in 0..instances {
                         let wf = ty.generate(GenConfig::new(60, inst));
-                        let budget =
-                            crate::common::min_cost_floor(&wf, &platform) * mult;
+                        let budget = min_cost_floor(&wf, &platform) * mult;
                         for seed in 0..reps {
                             let faults = FaultConfig::new(seed)
                                 .with_crash(CrashModel::exponential(mtbf))
@@ -428,4 +427,57 @@ pub fn fault_study(instances: u64, reps: u64) {
         }
     }
     write_text(&results_dir().join("ext_faults.md"), &md);
+}
+
+/// Pot ablation (DESIGN.md §5): HEFTBUDG with and without recycling the
+/// leftover budget of cheaper-than-planned tasks. Each schedule is
+/// replayed `reps` times with stochastic weights; budgets are multiples
+/// of each instance's min_cost floor.
+pub fn ablations(instances: u64, reps: u64) {
+    use wfs_observe::NoopSink;
+    use wfs_scheduler::{heft_budg_carry, Pot};
+    let platform = Platform::paper_default();
+    let mut md = format!(
+        "## Ablation — HEFTBUDG with and without the leftover-budget pot\n\n\
+         {instances} instances × 90 tasks, {reps} stochastic replays each; \"off\" plans\n\
+         with `Pot::disabled()`, so every task is held to its own Alg. 1 share.\n\n\
+         | workflow | budget (×min_cost) | pot | makespan (s) | cost ($) | valid % |\n\
+         |---|---|---|---|---|---|\n",
+    );
+    for ty in BenchmarkType::ALL {
+        for mult in [1.2, 1.5, 2.0, 3.0] {
+            for (label, pot) in [("on", Pot::new()), ("off", Pot::disabled())] {
+                let mut mks = Vec::new();
+                let mut costs = Vec::new();
+                let mut valid = 0usize;
+                for inst in 0..instances {
+                    let wf = ty.generate(GenConfig::new(90, inst));
+                    let budget = min_cost_floor(&wf, &platform) * mult;
+                    let (sched, _) = heft_budg_carry(&wf, &platform, budget, pot, &mut NoopSink);
+                    for seed in 0..reps {
+                        let r = simulate(&wf, &platform, &sched, &SimConfig::stochastic(seed))
+                            .expect("valid schedule");
+                        mks.push(r.makespan);
+                        costs.push(r.total_cost);
+                        valid += usize::from(r.within_budget(budget));
+                    }
+                }
+                let mk = stats_of(&mks);
+                let c = stats_of(&costs);
+                writeln!(
+                    md,
+                    "| {} | {mult:.1} | {label} | {:.0} ± {:.0} | {:.3} ± {:.3} | {:.0} |",
+                    ty.name(),
+                    mk.mean,
+                    mk.std,
+                    c.mean,
+                    c.std,
+                    100.0 * valid as f64 / mks.len() as f64
+                )
+                .unwrap();
+            }
+        }
+        println!("ablations: {} done", ty.name());
+    }
+    write_text(&results_dir().join("ext_ablations.md"), &md);
 }

@@ -2,8 +2,9 @@
 
 use crate::common::{results_dir, stats_of, write_text, Stats};
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 use wfs_platform::Platform;
-use wfs_scheduler::Algorithm;
+use wfs_scheduler::{min_cost_floor, Algorithm};
 use wfs_simulator::{simulate, SimConfig};
 use wfs_workflow::gen::{montage, GenConfig};
 use wfs_workflow::Workflow;
@@ -31,8 +32,11 @@ pub fn platform_table() {
 
 /// The three characteristic budget levels of Table III: "low" = minimum
 /// feasible, "medium" = halfway to "high", "high" = unconstrained.
-fn characteristic_budgets(wf: &Workflow, platform: &Platform) -> [(&'static str, f64); 3] {
-    let low = crate::common::min_cost_floor(wf, platform);
+pub(crate) fn characteristic_budgets(
+    wf: &Workflow,
+    platform: &Platform,
+) -> [(&'static str, f64); 3] {
+    let low = min_cost_floor(wf, platform);
     // "High": enough to never constrain a choice — cost of the HEFT
     // baseline schedule with margin.
     let heft_sched = Algorithm::Heft.run(wf, platform, f64::INFINITY);
@@ -44,27 +48,36 @@ fn characteristic_budgets(wf: &Workflow, platform: &Platform) -> [(&'static str,
     [("low", low), ("medium", medium), ("high", high)]
 }
 
-fn time_algorithm(
+/// Wall-clock time of each of `reps` back-to-back runs of `alg`.
+pub(crate) fn time_samples(
     alg: Algorithm,
     wf: &Workflow,
     platform: &Platform,
     budget: f64,
-    reps: u32,
-) -> Stats {
-    let mut samples = Vec::with_capacity(reps as usize);
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        let s = alg.run(wf, platform, budget);
-        samples.push(t0.elapsed().as_secs_f64());
-        std::hint::black_box(&s);
-    }
-    stats_of(&samples)
+    reps: usize,
+) -> Vec<Duration> {
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            let s = alg.run(wf, platform, budget);
+            let elapsed = t0.elapsed();
+            std::hint::black_box(&s);
+            elapsed
+        })
+        .collect()
+}
+
+/// Mean ± std of [`time_samples`], in seconds (one Table III cell).
+fn time_stats(alg: Algorithm, wf: &Workflow, platform: &Platform, budget: f64, reps: usize) -> Stats {
+    let secs: Vec<f64> =
+        time_samples(alg, wf, platform, budget, reps).iter().map(Duration::as_secs_f64).collect();
+    stats_of(&secs)
 }
 
 /// Table III(a): time to compute a schedule for MONTAGE-90 under the three
 /// characteristic budgets. `include_refined` adds HEFTBUDG+/+INV and CG+
 /// (orders of magnitude slower — Table III's very point).
-pub fn table3a(reps: u32, include_refined: bool) {
+pub fn table3a(reps: usize, include_refined: bool) {
     let platform = Platform::paper_default();
     let wf = montage(GenConfig::new(90, 1));
     let budgets = characteristic_budgets(&wf, &platform);
@@ -96,7 +109,7 @@ pub fn table3a(reps: u32, include_refined: bool) {
     for (name, b) in budgets {
         write!(md, "| {name} (${b:.2}) |").unwrap();
         for &a in &algos {
-            let st = time_algorithm(a, &wf, &platform, b, reps);
+            let st = time_stats(a, &wf, &platform, b, reps);
             write!(md, " {:.3} ± {:.3} |", st.mean, st.std).unwrap();
         }
         md.push('\n');
@@ -109,7 +122,7 @@ pub fn table3a(reps: u32, include_refined: bool) {
 /// Table III(b): schedule computation time vs task count (30/60/90/400,
 /// MONTAGE, high budget). Refined algorithms are timed only up to 90 tasks
 /// (at 400 they take hours, as the paper's own Table III shows).
-pub fn table3b(reps: u32, include_refined: bool) {
+pub fn table3b(reps: usize, include_refined: bool) {
     let platform = Platform::paper_default();
     let sizes = [30usize, 60, 90, 400];
     let mut algos = vec![
@@ -146,7 +159,7 @@ pub fn table3b(reps: u32, include_refined: bool) {
                 write!(md, " — |").unwrap();
                 continue;
             }
-            let st = time_algorithm(a, &wf, &platform, high, reps);
+            let st = time_stats(a, &wf, &platform, high, reps);
             write!(md, " {:.3} ± {:.3} |", st.mean, st.std).unwrap();
         }
         md.push('\n');

@@ -9,7 +9,7 @@ use crate::minmin::{ready_set, Rule};
 use crate::refine::{refine_schedule_observed, RefineOrder};
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_platform::Platform;
-use wfs_simulator::Schedule;
+use wfs_simulator::{simulate, Schedule, SimConfig};
 use wfs_workflow::Workflow;
 
 /// Every algorithm evaluated in the paper (§V).
@@ -232,6 +232,15 @@ pub fn min_cost_schedule(wf: &Workflow, platform: &Platform) -> Schedule {
         s.assign(t, vm);
     }
     s
+}
+
+/// The `min_cost` floor of Fig. 1: the planning cost of
+/// [`min_cost_schedule`], the least budget that affords the workflow.
+pub fn min_cost_floor(wf: &Workflow, platform: &Platform) -> f64 {
+    #[allow(clippy::expect_used)] // min_cost_schedule is valid by construction
+    let planned = simulate(wf, platform, &min_cost_schedule(wf, platform), &SimConfig::planning())
+        .expect("min-cost schedule is valid");
+    planned.total_cost
 }
 
 #[cfg(test)]

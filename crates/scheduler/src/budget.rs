@@ -93,7 +93,7 @@ pub fn divide_budget(wf: &Workflow, platform: &Platform, b_ini: f64) -> BudgetSp
 
 /// The leftover-budget pot: assignments cheaper than their share feed it,
 /// later tasks may draw on it (§IV-A). The `enabled` switch exists for the
-/// ablation benchmark (DESIGN.md §5).
+/// pot ablation (`wfs-experiments ablations`, DESIGN.md §5).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pot {
     amount: f64,

@@ -236,14 +236,7 @@ mod tests {
         // CG's makespan lags HEFTBUDG's at equal budget.
         let wf = cybershake(GenConfig::new(60, 1));
         let p = paper();
-        let floor = simulate(
-            &wf,
-            &p,
-            &crate::min_cost_schedule(&wf, &p),
-            &SimConfig::planning(),
-        )
-        .unwrap()
-        .total_cost;
+        let floor = crate::min_cost_floor(&wf, &p);
         let mean_cat = |b: f64| {
             let s = cg(&wf, &p, b);
             let total: u32 = s.vm_ids().map(|v| s.vm_category(v).0).sum();

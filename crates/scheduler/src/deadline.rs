@@ -42,17 +42,14 @@ pub fn plan_bicriteria(
     deadline: f64,
     budget: f64,
 ) -> Bicriteria {
-    let cfg = SimConfig::planning();
-    #[allow(clippy::expect_used)] // min_cost_schedule is valid by construction
-    let floor = simulate(wf, platform, &crate::min_cost_schedule(wf, platform), &cfg)
-        .expect("min-cost schedule is valid")
-        .total_cost;
+    let floor = crate::min_cost_floor(wf, platform);
     if budget < floor {
         return Bicriteria::BudgetInfeasible { min_cost: floor };
     }
     let (schedule, _) = heft_budg(wf, platform, budget);
     #[allow(clippy::expect_used)] // HEFTBUDG emits a complete, validated schedule
-    let planned = simulate(wf, platform, &schedule, &cfg).expect("HEFTBUDG schedule is valid");
+    let planned = simulate(wf, platform, &schedule, &SimConfig::planning())
+        .expect("HEFTBUDG schedule is valid");
     if planned.makespan <= deadline && planned.total_cost <= budget {
         Bicriteria::Feasible { schedule, planned }
     } else {
@@ -84,10 +81,7 @@ pub fn min_budget_for_deadline(
         let r = simulate(wf, platform, &s, &cfg).expect("valid");
         (r.makespan, s)
     };
-    #[allow(clippy::expect_used)] // min_cost_schedule is valid by construction
-    let floor = simulate(wf, platform, &crate::min_cost_schedule(wf, platform), &cfg)
-        .expect("valid")
-        .total_cost;
+    let floor = crate::min_cost_floor(wf, platform);
 
     // Bracket: grow the budget geometrically until the deadline is met.
     let mut lo = floor;
@@ -144,14 +138,7 @@ mod tests {
         let r = simulate(&wf, &p, &s, &SimConfig::planning()).unwrap();
         assert!(r.makespan <= 2000.0);
         // Within ~2 % of the absolute floor.
-        let floor = simulate(
-            &wf,
-            &p,
-            &crate::min_cost_schedule(&wf, &p),
-            &SimConfig::planning(),
-        )
-        .unwrap()
-        .total_cost;
+        let floor = crate::min_cost_floor(&wf, &p);
         assert!(b <= floor * 1.1, "budget {b} vs floor {floor}");
     }
 

@@ -74,16 +74,7 @@ pub fn schedule_ensemble(
         .enumerate()
         .map(|(i, m)| {
             assert!(m.priority > 0.0, "priorities must be positive");
-            #[allow(clippy::expect_used)] // min_cost_schedule is valid by construction
-            let floor = simulate(
-                &m.workflow,
-                platform,
-                &crate::min_cost_schedule(&m.workflow, platform),
-                &cfg,
-            )
-            .expect("min-cost schedule is valid")
-            .total_cost;
-            (i, floor * 1.3)
+            (i, crate::min_cost_floor(&m.workflow, platform) * 1.3)
         })
         .collect();
     // Greedy by priority density, ties by smaller index.

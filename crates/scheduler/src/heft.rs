@@ -45,17 +45,6 @@ pub fn heft_budg_observed<S: EventSink>(
     (s, list)
 }
 
-/// HEFTBUDG with an explicit pot configuration (ablation hook).
-pub fn heft_budg_with_pot(
-    wf: &Workflow,
-    platform: &Platform,
-    b_ini: f64,
-    pot: Pot,
-) -> (Schedule, Vec<TaskId>) {
-    let (s, list, _) = heft_inner(wf, platform, Some(b_ini), pot, &mut NoopSink);
-    (s, list)
-}
-
 /// HEFTBUDG that starts from `pot` and also returns the final [`Pot`], so
 /// a caller can carry the unspent leftovers into a later planning round
 /// (the recovery layer re-plans the residual DAG per epoch, threads the

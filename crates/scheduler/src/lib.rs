@@ -55,7 +55,7 @@ pub mod recovery;
 pub mod reference;
 mod refine;
 
-pub use algorithms::{min_cost_schedule, Algorithm};
+pub use algorithms::{min_cost_floor, min_cost_schedule, Algorithm};
 pub use bdt::bdt;
 pub use best_host::get_best_host;
 pub use budget::{
@@ -64,9 +64,7 @@ pub use budget::{
 pub use cg::{cg, cg_plus};
 pub use deadline::{min_budget_for_deadline, plan_bicriteria, Bicriteria};
 pub use ensemble::{schedule_ensemble, AdmittedWorkflow, EnsembleMember, EnsembleResult};
-pub use heft::{
-    heft, heft_budg, heft_budg_carry, heft_budg_observed, heft_budg_with_pot, priority_list,
-};
+pub use heft::{heft, heft_budg, heft_budg_carry, heft_budg_observed, priority_list};
 pub use minmin::{max_min, max_min_budg, min_min, min_min_budg, sufferage, sufferage_budg};
 pub use online::{run_online, OnlineConfig, OnlineOutcome};
 pub use plan::{Candidate, HostEval, PlanState};

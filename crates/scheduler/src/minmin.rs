@@ -279,14 +279,7 @@ mod tests {
     fn budget_variants_hold_planned_cost() {
         let wf = cybershake(GenConfig::new(60, 1));
         let p = paper();
-        let floor = simulate(
-            &wf,
-            &p,
-            &crate::min_cost_schedule(&wf, &p),
-            &SimConfig::planning(),
-        )
-        .unwrap()
-        .total_cost;
+        let floor = crate::min_cost_floor(&wf, &p);
         for mult in [1.2, 2.0] {
             let budget = floor * mult;
             for s in [max_min_budg(&wf, &p, budget), sufferage_budg(&wf, &p, budget)] {

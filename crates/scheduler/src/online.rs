@@ -419,13 +419,7 @@ mod tests {
             LayeredParams { layers: 4, width: 5, edge_prob: 0.3, work: 6000.0, data: 20e6 },
             GenConfig { tasks: 0, seed: 1, sigma_ratio: 1.0 },
         );
-        let floor = {
-            use wfs_simulator::{simulate, SimConfig};
-            simulate(&wf, &p, &crate::min_cost_schedule(&wf, &p), &SimConfig::planning())
-                .unwrap()
-                .total_cost
-        };
-        let budget = floor * 1.2;
+        let budget = crate::min_cost_floor(&wf, &p) * 1.2;
         (wf, p, budget)
     }
 

@@ -4,7 +4,7 @@
 //! and the incremental MIN-MIN/MAX-MIN selection caches are designed to be
 //! *observationally identical* to the straightforward implementations they
 //! replaced. This module provides the switch that turns those optimizations
-//! off, so tests (and the quickbench baseline) can run any algorithm twice —
+//! off, so tests can run any algorithm twice —
 //! fast and naive — and assert the outputs match bit for bit.
 //!
 //! The flag is thread-local and sampled when a [`crate::PlanState`] is

@@ -228,14 +228,7 @@ mod tests {
         let mut cases = 0;
         for seed in 1..=2 {
             let wf = montage(GenConfig::new(30, seed));
-            let floor = simulate(
-                &wf,
-                &p,
-                &crate::min_cost_schedule(&wf, &p),
-                &SimConfig::planning(),
-            )
-            .unwrap()
-            .total_cost;
+            let floor = crate::min_cost_floor(&wf, &p);
             for mult in [1.3, 1.8, 2.5] {
                 let budget = floor * mult;
                 let (base, _) = heft_budg(&wf, &p, budget);
@@ -273,14 +266,7 @@ mod tests {
         let p = paper();
         for seed in 1..=2 {
             let wf = montage(GenConfig::new(30, seed));
-            let floor = simulate(
-                &wf,
-                &p,
-                &crate::min_cost_schedule(&wf, &p),
-                &SimConfig::planning(),
-            )
-            .unwrap()
-            .total_cost;
+            let floor = crate::min_cost_floor(&wf, &p);
             let budget = floor * 1.5;
             let base = crate::min_min_budg(&wf, &p, budget);
             let (t0, _) = planned(&wf, &p, &base);

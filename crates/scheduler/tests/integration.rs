@@ -6,21 +6,14 @@
 
 use wfs_platform::{BillingPolicy, Datacenter, Platform, VmCategory};
 use wfs_scheduler::{
-    divide_budget, get_best_host, heft_budg, min_cost_schedule, priority_list, Algorithm,
+    divide_budget, get_best_host, heft_budg, min_cost_floor, priority_list, Algorithm,
     Candidate, PlanState,
 };
 use wfs_simulator::{simulate, SimConfig};
 use wfs_workflow::gen::{cybershake, ligo, montage, GenConfig};
-use wfs_workflow::Workflow;
 
 fn paper() -> Platform {
     Platform::paper_default()
-}
-
-fn floor(wf: &Workflow, p: &Platform) -> f64 {
-    simulate(wf, p, &min_cost_schedule(wf, p), &SimConfig::planning())
-        .unwrap()
-        .total_cost
 }
 
 #[test]
@@ -97,7 +90,7 @@ fn speed_inverted_pricing_handled() {
     )
     .with_billing(BillingPolicy::PerSecond);
     let wf = montage(GenConfig::new(30, 1));
-    let b = floor(&wf, &p) * 3.0;
+    let b = min_cost_floor(&wf, &p) * 3.0;
     for alg in [Algorithm::MinMinBudg, Algorithm::HeftBudg] {
         let s = alg.run(&wf, &p, b);
         s.validate(&wf).unwrap();
@@ -137,7 +130,7 @@ fn planned_cost_tracks_simulated_cost_for_heftbudg() {
     let p = paper();
     for ty_seed in 1..=3u64 {
         let wf = montage(GenConfig::new(60, ty_seed));
-        let b = floor(&wf, &p) * 2.0;
+        let b = min_cost_floor(&wf, &p) * 2.0;
         let (s, _) = heft_budg(&wf, &p, b);
         let r = simulate(&wf, &p, &s, &SimConfig::planning()).unwrap();
         assert!(r.total_cost <= b * 1.05, "seed {ty_seed}: {} > {b}", r.total_cost);
@@ -164,7 +157,7 @@ fn two_level_fork_join_all_algorithms() {
     use wfs_workflow::gen::fork_join;
     let wf = fork_join(12, 3000.0, 5e6);
     let p = paper();
-    let b = floor(&wf, &p) * 3.0;
+    let b = min_cost_floor(&wf, &p) * 3.0;
     for alg in Algorithm::ALL {
         let s = alg.run(&wf, &p, b);
         s.validate(&wf).unwrap_or_else(|e| panic!("{alg}: {e}"));

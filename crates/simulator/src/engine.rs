@@ -83,6 +83,8 @@ pub enum SimError {
         /// Its offending value.
         value: f64,
     },
+    /// The platform has no VM category to run anything on.
+    NoCategories,
     /// The simulation stalled with unfinished tasks (should be impossible
     /// for validated schedules without faults; kept as a defensive
     /// backstop).
@@ -101,6 +103,7 @@ impl std::fmt::Display for SimError {
             SimError::InvalidRate { field, value } => {
                 write!(f, "invalid rate: {field} must be finite and > 0, got {value}")
             }
+            SimError::NoCategories => write!(f, "the platform has no VM categories"),
             SimError::Stalled { completed, unfinished } => {
                 write!(f, "simulation stalled after {completed} tasks; unfinished:")?;
                 for t in unfinished.iter().take(8) {
@@ -123,8 +126,14 @@ impl From<ScheduleError> for SimError {
     }
 }
 
-/// Check every rate the engine divides by: finite and strictly positive.
-fn check_rates(platform: &Platform, config: &SimConfig) -> Result<(), SimError> {
+/// Check every rate the engine divides by (finite and strictly positive)
+/// and that the platform has at least one VM category. [`simulate`] runs
+/// it first; callers that plan on a deserialized platform run it at load
+/// time, since the planners divide by the same rates.
+pub fn check_rates(platform: &Platform, config: &SimConfig) -> Result<(), SimError> {
+    if platform.categories().is_empty() {
+        return Err(SimError::NoCategories);
+    }
     let positive = |field, value: f64| {
         if value.is_finite() && value > 0.0 {
             Ok(())

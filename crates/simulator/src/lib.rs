@@ -36,8 +36,8 @@ mod weights;
 
 pub use config::{DcCapacity, SimConfig};
 pub use engine::{
-    simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed, RateField,
-    SimError,
+    check_rates, simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed,
+    RateField, SimError,
 };
 pub use faults::{
     stream_seed, BootFaultModel, CrashModel, DegradationModel, FaultConfig, FaultRun, FaultStats,
@@ -287,6 +287,19 @@ mod engine_tests {
             let capped = SimConfig { dc_capacity: DcCapacity::Finite(bad), ..cfg };
             check(&unit_platform(), &capped, RateField::DcCapacity, bad);
         }
+    }
+
+    /// A deserialized platform can bypass `Platform::new`'s non-empty check.
+    #[test]
+    fn empty_platform_rejected() {
+        let mut json: serde_json::Value =
+            serde_json::from_str(&serde_json::to_string(&unit_platform()).unwrap()).unwrap();
+        json["categories"] = serde_json::Value::Array(Vec::new());
+        let p: Platform = serde_json::from_str(&json.to_json()).unwrap();
+        let err = check_rates(&p, &SimConfig::planning()).unwrap_err();
+        assert_eq!(err, SimError::NoCategories);
+        assert!(err.to_string().contains("no VM categories"), "{err}");
+        assert_eq!(check_rates(&unit_platform(), &SimConfig::planning()), Ok(()));
     }
 
     #[test]

@@ -15,11 +15,11 @@ mod montage;
 mod sipht;
 mod synthetic;
 
-pub use cybershake::cybershake;
-pub use epigenomics::epigenomics;
-pub use ligo::ligo;
-pub use montage::montage;
-pub use sipht::sipht;
+pub use cybershake::{cybershake, CYBERSHAKE_MIN_TASKS};
+pub use epigenomics::{epigenomics, EPIGENOMICS_MIN_TASKS};
+pub use ligo::{ligo, LIGO_MIN_TASKS};
+pub use montage::{montage, MONTAGE_MIN_TASKS};
+pub use sipht::{sipht, SIPHT_MIN_TASKS};
 pub use synthetic::{bag_of_tasks, chain, fork_join, layered_random, LayeredParams};
 
 use crate::graph::Workflow;

@@ -49,7 +49,7 @@ echo "== results/ tables regenerate byte-identical"
 # columns (wall clock), which are stripped before comparing.
 RES_TMP="$FAULTS_TMP/results"
 mkdir -p "$RES_TMP"
-for cmd in fig1 fig2 fig3 fig4 sigma sizes online extras deadline robustness faults counters; do
+for cmd in fig1 fig2 fig3 fig4 sigma sizes online extras deadline robustness faults counters ablations; do
   WFS_RESULTS_DIR="$RES_TMP" WFS_FIG2_TASKS=90 WFS_FIG4_TASKS=90 \
     target/release/wfs-experiments "$cmd" >/dev/null
 done
@@ -67,11 +67,11 @@ cargo test -q --release --offline --manifest-path wfsbench/Cargo.toml
 
 echo "== quickbench smoke + zero-overhead gate (1 iteration vs pinned medians)"
 # Writes to a temp file (the pin is regenerated only by deliberate 9-iteration
-# runs) and gates the fast-path medians against BENCH_sched_time.json: the
-# median ratio across all cells must stay within 1.5x — a NoopSink that
-# stopped compiling away would shift every cell, which the gate catches even
-# at 1 iteration.
-cargo run --release -p wfs-bench --bin quickbench -- 1 \
+# runs) and gates the medians against BENCH_sched_time.json: the run must
+# cover exactly the pinned cells and their median ratio must stay within
+# 1.5x — a NoopSink that stopped compiling away would shift every cell,
+# which the gate catches even at 1 iteration.
+target/release/wfs-experiments quickbench 1 \
   --out "$FAULTS_TMP/bench-smoke.json" --gate BENCH_sched_time.json 2>&1 | tail -n 5
 test -s "$FAULTS_TMP/bench-smoke.json"
 

@@ -22,6 +22,9 @@
 //! the paper's Table II platform as a starting point for edits.
 
 use budget_sched::prelude::*;
+use budget_sched::workflow::gen::{
+    CYBERSHAKE_MIN_TASKS, EPIGENOMICS_MIN_TASKS, LIGO_MIN_TASKS, MONTAGE_MIN_TASKS, SIPHT_MIN_TASKS,
+};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -71,6 +74,23 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid {what}: `{s}`"))
 }
 
+/// Parse a flag value and check it against `ok`; `range` names the
+/// accepted values in the error. The fault models' and task weights'
+/// constructors assert these ranges, so a bad flag must stop here rather
+/// than panic there.
+fn parse_checked(s: &str, what: &str, range: &str, ok: impl Fn(f64) -> bool) -> Result<f64, String> {
+    let v: f64 = parse(s, what)?;
+    if ok(v) {
+        Ok(v)
+    } else {
+        Err(format!("{what} must be {range}, got `{s}`"))
+    }
+}
+
+fn parse_budget(s: &str) -> Result<f64, String> {
+    parse_checked(s, "budget", "a finite non-negative amount", |v| v.is_finite() && v >= 0.0)
+}
+
 fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
@@ -104,12 +124,18 @@ fn load_workflow(path: &str) -> Result<Workflow, String> {
     }
 }
 
+/// The `--platform` file, or the paper's platform. A file is checked once
+/// here with the simulator's own rate check: the planners divide by the
+/// same bandwidth and speeds, and index the first category.
 fn load_platform(args: &[String]) -> Result<Platform, String> {
-    match opt(args, "--platform") {
-        Some(path) => serde_json::from_str(&read_file(path)?)
-            .map_err(|e| format!("bad platform {path}: {e}")),
-        None => Ok(Platform::paper_default()),
-    }
+    let Some(path) = opt(args, "--platform") else {
+        return Ok(Platform::paper_default());
+    };
+    let platform: Platform =
+        serde_json::from_str(&read_file(path)?).map_err(|e| format!("bad platform {path}: {e}"))?;
+    budget_sched::simulator::check_rates(&platform, &SimConfig::planning())
+        .map_err(|e| format!("bad platform {path}: {e}"))?;
+    Ok(platform)
 }
 
 fn run(args: &[String]) -> CliResult {
@@ -138,13 +164,22 @@ fn cmd_gen(args: &[String]) -> CliResult {
     let ty = args.first().ok_or("gen: missing workflow type")?;
     let tasks: usize = parse(args.get(1).ok_or("gen: missing task count")?, "task count")?;
     let seed: u64 = opt(args, "--seed").map_or(Ok(1), |s| parse(s, "seed"))?;
-    let sigma: f64 = opt(args, "--sigma").map_or(Ok(0.5), |s| parse(s, "sigma ratio"))?;
-    let cfg = GenConfig::new(tasks, seed).with_sigma_ratio(sigma);
-    let wf = match ty.as_str() {
-        "epigenomics" => epigenomics(cfg),
-        "sipht" => sipht(cfg),
-        other => parse::<BenchmarkType>(other, "workflow type")?.generate(cfg),
+    let sigma = opt(args, "--sigma").map_or(Ok(0.5), |s| {
+        parse_checked(s, "sigma ratio", "in [0, 100]", |v| (0.0..=100.0).contains(&v))
+    })?;
+    let (min_tasks, generate): (usize, fn(GenConfig) -> Workflow) = match ty.as_str() {
+        "epigenomics" => (EPIGENOMICS_MIN_TASKS, epigenomics),
+        "sipht" => (SIPHT_MIN_TASKS, sipht),
+        other => match parse::<BenchmarkType>(other, "workflow type")? {
+            BenchmarkType::CyberShake => (CYBERSHAKE_MIN_TASKS, cybershake),
+            BenchmarkType::Ligo => (LIGO_MIN_TASKS, ligo),
+            BenchmarkType::Montage => (MONTAGE_MIN_TASKS, montage),
+        },
     };
+    if tasks < min_tasks {
+        return Err(format!("gen: {ty} needs at least {min_tasks} tasks, got {tasks}"));
+    }
+    let wf = generate(GenConfig::new(tasks, seed).with_sigma_ratio(sigma));
     // Emit DAX when the output file asks for it, JSON otherwise.
     let out = opt(args, "-o");
     if has_flag(args, "--dax") || out.is_some_and(|p| p.ends_with(".dax") || p.ends_with(".xml")) {
@@ -176,10 +211,7 @@ fn cmd_dot(args: &[String]) -> CliResult {
 fn cmd_schedule(args: &[String]) -> CliResult {
     let wf = load_workflow(args.first().ok_or("schedule: missing workflow file")?)?;
     let alg: Algorithm = parse(opt(args, "--alg").ok_or("schedule: missing --alg")?, "algorithm")?;
-    let budget: f64 = parse(opt(args, "--budget").ok_or("schedule: missing --budget")?, "budget")?;
-    if !budget.is_finite() || budget < 0.0 {
-        return Err(format!("budget must be a finite non-negative amount, got {budget}"));
-    }
+    let budget = parse_budget(opt(args, "--budget").ok_or("schedule: missing --budget")?)?;
     let platform = load_platform(args)?;
     let t0 = std::time::Instant::now();
     let sched = alg.run(&wf, &platform, budget);
@@ -256,10 +288,7 @@ fn cmd_deadline(args: &[String]) -> CliResult {
 fn cmd_trace(args: &[String]) -> CliResult {
     let wf_path = args.first().ok_or("trace: missing workflow file")?;
     let wf = load_workflow(wf_path)?;
-    let budget: f64 = parse(opt(args, "--budget").ok_or("trace: missing --budget")?, "budget")?;
-    if !budget.is_finite() || budget < 0.0 {
-        return Err(format!("budget must be a finite non-negative amount, got {budget}"));
-    }
+    let budget = parse_budget(opt(args, "--budget").ok_or("trace: missing --budget")?)?;
     let alg: Algorithm =
         opt(args, "--alg").map_or(Ok(Algorithm::HeftBudg), |s| parse(s, "algorithm"))?;
     let platform = load_platform(args)?;
@@ -324,10 +353,7 @@ fn default_trace_path(input: &str) -> String {
 /// per the chosen policy, and print the per-epoch breakdown.
 fn cmd_faults(args: &[String]) -> CliResult {
     let wf = load_workflow(args.first().ok_or("faults: missing workflow file")?)?;
-    let budget: f64 = parse(opt(args, "--budget").ok_or("faults: missing --budget")?, "budget")?;
-    if !budget.is_finite() || budget < 0.0 {
-        return Err(format!("budget must be a finite non-negative amount, got {budget}"));
-    }
+    let budget = parse_budget(opt(args, "--budget").ok_or("faults: missing --budget")?)?;
     let alg: Algorithm = opt(args, "--alg").map_or(Ok(Algorithm::HeftBudg), |s| parse(s, "algorithm"))?;
     let policy: RecoveryPolicy =
         opt(args, "--policy").map_or(Ok(RecoveryPolicy::RescheduleBudgetAware), |s| parse(s, "policy"))?;
@@ -335,16 +361,18 @@ fn cmd_faults(args: &[String]) -> CliResult {
     let seed: u64 = opt(args, "--seed").map_or(Ok(0), |s| parse(s, "seed"))?;
 
     let mut faults = FaultConfig::new(seed);
+    let positive = |v: f64| v.is_finite() && v > 0.0;
     if let Some(m) = opt(args, "--mtbf") {
-        let mtbf: f64 = parse(m, "mtbf")?;
+        let mtbf = parse_checked(m, "mtbf", "> 0", |v| v > 0.0)?;
         let crash = match opt(args, "--shape") {
-            Some(k) => CrashModel::weibull(mtbf, parse(k, "shape")?),
+            Some(k) => CrashModel::weibull(mtbf, parse_checked(k, "shape", "finite and > 0", positive)?),
             None => CrashModel::exponential(mtbf),
         };
         faults = faults.with_crash(crash);
     }
     if let Some(p) = opt(args, "--boot-fail") {
-        faults = faults.with_boot(BootFaultModel::new(parse(p, "boot-fail probability")?, 3));
+        let prob = parse_checked(p, "boot-fail probability", "in [0, 1)", |v| (0.0..1.0).contains(&v))?;
+        faults = faults.with_boot(BootFaultModel::new(prob, 3));
     }
     if let Some(spec) = opt(args, "--degrade") {
         let parts: Vec<&str> = spec.split(':').collect();
@@ -352,9 +380,9 @@ fn cmd_faults(args: &[String]) -> CliResult {
             return Err(format!("--degrade wants FACTOR:GAP:DURATION, got `{spec}`"));
         }
         faults = faults.with_degradation(DegradationModel::new(
-            parse(parts[0], "degrade factor")?,
-            parse(parts[1], "degrade gap")?,
-            parse(parts[2], "degrade duration")?,
+            parse_checked(parts[0], "degrade factor", "in (0, 1]", |v| v > 0.0 && v <= 1.0)?,
+            parse_checked(parts[1], "degrade gap", "finite and > 0", positive)?,
+            parse_checked(parts[2], "degrade duration", "finite and > 0", positive)?,
         ));
     }
 
@@ -363,7 +391,11 @@ fn cmd_faults(args: &[String]) -> CliResult {
         cfg = cfg.with_weights(WeightModel::Stochastic { seed: parse(s, "stochastic seed")? });
     }
     if let Some(n) = opt(args, "--max-epochs") {
-        cfg = cfg.with_max_epochs(parse(n, "max epochs")?);
+        let n: usize = parse(n, "max epochs")?;
+        if n == 0 {
+            return Err("max epochs must be at least 1".to_string());
+        }
+        cfg = cfg.with_max_epochs(n);
     }
     if has_flag(args, "--lint") {
         cfg = cfg.with_lint();
@@ -431,7 +463,7 @@ fn cmd_sweep(args: &[String]) -> CliResult {
     let budgets: Vec<f64> = opt(args, "--budgets")
         .ok_or("sweep: missing --budgets")?
         .split(',')
-        .map(|s| parse(s.trim(), "budget"))
+        .map(|s| parse_budget(s.trim()))
         .collect::<Result<_, _>>()?;
     let algs: Vec<Algorithm> = match opt(args, "--algs") {
         Some(list) => list

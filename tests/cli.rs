@@ -387,3 +387,67 @@ fn simulate_rejects_bad_datacenter_bandwidth() {
         assert!(err.contains("datacenter bandwidth must be finite and > 0"), "{err}");
     }
 }
+
+/// A `--platform` file the planners cannot divide by is a usage error
+/// (exit 2, named field), for every algorithm, not a panic.
+#[test]
+fn schedule_rejects_unusable_platform_files() {
+    let wf = tmp("plat30.json");
+    assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
+    let dump = String::from_utf8(wfs(&["platform"]).stdout).unwrap();
+    let mut empty: serde_json::Value = serde_json::from_str(&dump).unwrap();
+    empty["categories"] = serde_json::Value::Array(Vec::new());
+    let cases = [
+        ("bw0", dump.replace("\"bandwidth\": 125000000", "\"bandwidth\": 0"), "datacenter bandwidth"),
+        ("speed0", dump.replacen("\"speed\": 20", "\"speed\": 0", 1), "speed of VM category 1"),
+        ("empty", empty.to_json(), "no VM categories"),
+    ];
+    for (name, json, expect) in cases {
+        assert_ne!(json, dump, "{name}: platform dump format changed");
+        let pfile = tmp(&format!("platform-{name}.json"));
+        std::fs::write(&pfile, json).unwrap();
+        for alg in ["HEFTBUDG", "CG", "HEFTBUDG+", "MIN-MIN"] {
+            let out = wfs(&[
+                "schedule",
+                wf.to_str().unwrap(),
+                "--alg",
+                alg,
+                "--budget",
+                "2",
+                "--platform",
+                pfile.to_str().unwrap(),
+            ]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name}/{alg}: {err}");
+            assert!(err.contains(expect), "{name}/{alg}: {err}");
+        }
+    }
+}
+
+/// Out-of-range fault and generator flags are usage errors (exit 2), not
+/// assertion panics inside the fault models' or generators' constructors.
+#[test]
+fn out_of_range_flags_are_usage_errors() {
+    let wf = tmp("flags30.json");
+    assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
+    let wf = wf.to_str().unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (&["faults", wf, "--budget", "2", "--mtbf", "0"], "mtbf must be > 0"),
+        (&["faults", wf, "--budget", "2", "--mtbf", "600", "--shape", "0"], "shape must be"),
+        (&["faults", wf, "--budget", "2", "--boot-fail", "1"], "boot-fail probability must be"),
+        (&["faults", wf, "--budget", "2", "--degrade", "0:0:0"], "degrade factor must be"),
+        (&["faults", wf, "--budget", "2", "--degrade", "0.5:0:10"], "degrade gap must be"),
+        (&["faults", wf, "--budget", "2", "--max-epochs", "0"], "max epochs must be at least 1"),
+        (&["sweep", wf, "--budgets", "1,inf"], "budget must be a finite non-negative amount"),
+        (&["gen", "montage", "0"], "montage needs at least 11 tasks"),
+        (&["gen", "sipht", "5"], "sipht needs at least 6 tasks"),
+        (&["gen", "ligo", "30", "--sigma", "-1"], "sigma ratio must be in [0, 100]"),
+    ];
+    for (args, expect) in cases {
+        let out = wfs(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(expect), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
