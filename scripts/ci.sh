@@ -43,6 +43,15 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$FAULTS_TMP/montage3
 test -s "$FAULTS_TMP/ligo30.trace.json"
 echo "  trace exports written, ledgers reconcile exactly"
 
+echo "== DAX ingest smoke (2000-task DAX files parse to the JSON export's shape)"
+dax_counts() { "$WFS" stats "$1" | grep -E '^(tasks|edges) '; }
+for ty in montage cybershake ligo; do
+  "$WFS" gen "$ty" 2000 -o "$FAULTS_TMP/$ty.dax" 2>/dev/null
+  "$WFS" gen "$ty" 2000 -o "$FAULTS_TMP/$ty.json" 2>/dev/null
+  diff <(dax_counts "$FAULTS_TMP/$ty.dax") <(dax_counts "$FAULTS_TMP/$ty.json")
+  echo "  $ty: $(dax_counts "$FAULTS_TMP/$ty.dax" | tr -s ' ' | paste -sd ' ' -)"
+done
+
 echo "== results/ tables regenerate byte-identical"
 # Every deterministic table is pinned: a change that moves a schedule shows
 # up here as a diff against results/. The CSVs end in two scheduling-time

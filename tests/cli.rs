@@ -451,3 +451,34 @@ fn out_of_range_flags_are_usage_errors() {
         assert!(err.contains("usage:"), "{args:?}: {err}");
     }
 }
+
+/// A DAX file with an out-of-range number or a repeated job id is an input
+/// error (exit 2) naming the job and the field, not an assertion panic
+/// inside the workflow builder.
+#[test]
+fn stats_rejects_hostile_dax_files() {
+    let doc = |a_attrs: &str, size: &str, b_id: &str| {
+        format!(
+            r#"<adag name="hostile">
+  <job id="A" {a_attrs}><uses file="f" link="output" size="{size}"/></job>
+  <job id="{b_id}" runtime="1"><uses file="f" link="input" size="1"/></job>
+  <child ref="{b_id}"><parent ref="A"/></child>
+</adag>"#
+        )
+    };
+    let cases = [
+        ("size-nan", doc(r#"runtime="1""#, "NaN", "B"), r#"job `A`: size="NaN""#),
+        ("size-neg", doc(r#"runtime="1""#, "-5", "B"), r#"job `A`: size="-5""#),
+        ("runtime-inf", doc(r#"runtime="inf""#, "1", "B"), r#"job `A`: runtime="inf""#),
+        ("sigma-inf", doc(r#"runtime="1" sigma="inf""#, "1", "B"), r#"job `A`: sigma="inf""#),
+        ("dup-id", doc(r#"runtime="1""#, "1", "A"), "declares job `A` twice"),
+    ];
+    for (name, content, expect) in cases {
+        let file = tmp(&format!("hostile-{name}.dax"));
+        std::fs::write(&file, content).unwrap();
+        let out = wfs(&["stats", file.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert!(err.contains(expect), "{name}: {err}");
+    }
+}
