@@ -144,3 +144,55 @@ fn engine_outputs_are_bit_identical_to_the_pinned_golden_hash() {
     assert!(fired.degradation_windows > 0, "no degradation window: {fired:?}");
     assert_eq!(hash, 2_660_102_784_510_985_066, "engine outputs moved: some report bit changed");
 }
+
+impl Fnv {
+    fn schedule(&mut self, s: &Schedule) {
+        self.n(s.vm_count());
+        for vm in s.vm_ids() {
+            self.word(u64::from(s.vm_category(vm).0));
+            self.n(s.order(vm).len());
+            for t in s.order(vm) {
+                self.word(u64::from(t.0));
+            }
+        }
+    }
+}
+
+/// MIN-MINBUDG+ schedules (both orders) and the HEFTBUDG+/INV refinement
+/// counters on 3 generators × 2 budgets. MIN-MINBUDG+ is not an
+/// [`Algorithm`], so the engine golden grid above does not cover it; the
+/// counters pin how many trial moves Alg. 5 simulates and keeps, which a
+/// schedule-only check cannot see.
+#[test]
+fn refinement_schedules_and_trial_counts_are_pinned() {
+    use budget_sched::scheduler::{min_cost_floor, min_min_budg_plus};
+    let p = Platform::paper_default();
+    let mut h = Fnv::new();
+    let mut counts = Vec::new();
+    for wf in [
+        montage(GenConfig::new(30, 21)),
+        cybershake(GenConfig::new(30, 22)),
+        ligo(GenConfig::new(30, 23)),
+    ] {
+        let floor = min_cost_floor(&wf, &p);
+        for budget in [1.2 * floor, 2.0 * floor] {
+            for order in [RefineOrder::Forward, RefineOrder::Reverse] {
+                h.schedule(&min_min_budg_plus(&wf, &p, budget, order));
+            }
+            for alg in [Algorithm::HeftBudgPlus, Algorithm::HeftBudgPlusInv] {
+                let mut c = Counters::new();
+                let s = alg.run_observed(&wf, &p, budget, &mut c);
+                assert_eq!(s, alg.run(&wf, &p, budget), "{alg}: observed run differs");
+                counts.push((c.get("refine_trials"), c.get("refine_accepted")));
+            }
+        }
+    }
+    assert_eq!(h.0, 771_301_676_871_404_074, "MIN-MINBUDG+ schedules moved");
+    #[rustfmt::skip]
+    let pinned = [
+        (144, 13), (155, 7), (300, 4), (300, 3),  // montage
+        (480, 4), (480, 3), (480, 0), (480, 0),   // cybershake
+        (450, 1), (450, 1), (450, 1), (450, 1),   // ligo
+    ];
+    assert_eq!(counts, pinned, "refinement trial/accept counts moved");
+}
