@@ -6,7 +6,7 @@ use crate::common::{results_dir, stats_of, write_text};
 use std::fmt::Write as _;
 use wfs_platform::Platform;
 use wfs_scheduler::{min_cost_floor, run_online, Algorithm, OnlineConfig};
-use wfs_simulator::{simulate, SimConfig};
+use wfs_simulator::{simulate, SimConfig, WeightModel};
 use wfs_workflow::gen::{layered_random, BenchmarkType, GenConfig, LayeredParams};
 
 /// σ sweep: for σ ∈ {25, 50, 75, 100}% of the mean, measure HEFTBUDG's and
@@ -208,13 +208,15 @@ pub fn online_study(reps: u64) {
             let mut ok = 0usize;
             let mut migs = 0usize;
             for seed in 0..reps {
-                let mut cfg = match k {
-                    Some(k) => OnlineConfig::with_watchdog(seed, budget, k),
-                    None => OnlineConfig::static_run(seed, budget),
+                let weights = if heavy {
+                    WeightModel::HeavyTail { seed }
+                } else {
+                    WeightModel::Stochastic { seed }
                 };
-                if heavy {
-                    cfg = cfg.with_heavy_tail();
-                }
+                let cfg = match k {
+                    Some(k) => OnlineConfig::with_watchdog(weights, k),
+                    None => OnlineConfig::static_run(weights),
+                };
                 let out = run_online(&wf, &platform, budget, cfg);
                 mks.push(out.makespan);
                 costs.push(out.total_cost);

@@ -5,7 +5,7 @@
 //! simulator in the dependency graph, so it cannot name their id newtypes.
 //! Producers widen `TaskId(u32)`/`VmId(u32)`/`CategoryId(u32)` to bare `u32`
 //! at the emission site; `edge` uses `i64` with `-1` meaning "external input"
-//! (staged at the datacenter before the run, no [`wfs_workflow`] edge id).
+//! (staged at the datacenter before the run, no `wfs_workflow` edge id).
 //!
 //! Simulation timestamps `t` are seconds on the engine clock of the current
 //! epoch; [`Event::EpochStarted`] carries the cumulative wall-clock offset so

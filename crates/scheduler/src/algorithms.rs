@@ -6,10 +6,10 @@ use crate::budget::Pot;
 use crate::cg::{cg, cg_plus};
 use crate::heft::heft_inner;
 use crate::minmin::{ready_set, Rule};
-use crate::refine::{refine_schedule_observed, RefineOrder};
+use crate::refine::{planned, refine_schedule_observed, RefineOrder};
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_platform::Platform;
-use wfs_simulator::{simulate, Schedule, SimConfig};
+use wfs_simulator::Schedule;
 use wfs_workflow::Workflow;
 
 /// Every algorithm evaluated in the paper (§V).
@@ -27,11 +27,11 @@ pub enum Algorithm {
     HeftBudgPlus,
     /// HEFTBUDG+INV (Algorithm 5, reverse order).
     HeftBudgPlusInv,
-    /// BDT, All-in trickling (competitor [3]).
+    /// BDT, All-in trickling (competitor \[3\]).
     Bdt,
-    /// CG (competitor [25]).
+    /// CG (competitor \[25\]).
     Cg,
-    /// CG+ (competitor [25], refined).
+    /// CG+ (competitor \[25\], refined).
     CgPlus,
     /// MAX-MIN baseline (extension: classic list heuristic).
     MaxMin,
@@ -237,10 +237,7 @@ pub fn min_cost_schedule(wf: &Workflow, platform: &Platform) -> Schedule {
 /// The `min_cost` floor of Fig. 1: the planning cost of
 /// [`min_cost_schedule`], the least budget that affords the workflow.
 pub fn min_cost_floor(wf: &Workflow, platform: &Platform) -> f64 {
-    #[allow(clippy::expect_used)] // min_cost_schedule is valid by construction
-    let planned = simulate(wf, platform, &min_cost_schedule(wf, platform), &SimConfig::planning())
-        .expect("min-cost schedule is valid");
-    planned.total_cost
+    planned(wf, platform, &min_cost_schedule(wf, platform)).total_cost
 }
 
 #[cfg(test)]

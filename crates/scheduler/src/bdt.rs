@@ -23,7 +23,7 @@ use wfs_workflow::{TaskId, Workflow};
 const DENOM_EPS: f64 = 1e-12;
 
 /// Run BDT with the All-in trickling strategy.
-pub fn bdt(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
+pub(crate) fn bdt(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
     let mut plan = PlanState::new(wf, platform);
     let mut remaining = b_ini;
 

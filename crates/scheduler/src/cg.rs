@@ -18,9 +18,9 @@
 
 use crate::heft::priority_list;
 use crate::plan::{Candidate, PlanState};
-use crate::refine::{for_each_move, rank_positions};
+use crate::refine::{planned, TrialEvaluator};
 use wfs_platform::{CategoryId, Platform};
-use wfs_simulator::{simulate, Schedule, SimConfig, SimulationReport};
+use wfs_simulator::{Schedule, SimulationReport};
 use wfs_workflow::{TaskId, Workflow};
 
 /// Cost of the whole workflow executed sequentially on one VM of `cat`
@@ -43,7 +43,7 @@ fn task_cost_on(wf: &Workflow, platform: &Platform, t: TaskId, cat: CategoryId) 
 }
 
 /// Run CG: category per task via the global budget ratio, instance via EFT.
-pub fn cg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
+pub(crate) fn cg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
     // [25] assumes the most expensive category also costs the most for the
     // whole workflow; with cost linear in speed the *cheapest* category can
     // cost more overall (longer rental + longer datacenter span), so order
@@ -109,36 +109,31 @@ pub fn cg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
 }
 
 /// Run CG, then the CG+ critical-path refinement.
-pub fn cg_plus(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
+pub(crate) fn cg_plus(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
     let mut sched = cg(wf, platform, b_ini);
-    let cfg = SimConfig::planning();
-    // Rank positions keep per-VM orders executable after moves.
-    let pos = rank_positions(wf, &priority_list(wf, platform));
-
-    #[allow(clippy::expect_used)] // CG emits a complete, validated schedule
-    let mut report = simulate(wf, platform, &sched, &cfg).expect("CG emits a valid schedule");
+    let mut trials = TrialEvaluator::new(wf, platform, &priority_list(wf, platform));
+    let mut report = planned(wf, platform, &sched);
     // Bounded loop: each accepted move strictly decreases the makespan;
-    // n*vm_count is a generous cap against float-cycling.
+    // 4·n rounds is a generous cap against float-cycling.
     for _ in 0..wf.task_count() * 4 {
         let path = critical_path_tasks(wf, &report);
-        let mut best: Option<(Schedule, SimulationReport, f64)> = None;
-        for &t in &path {
-            for_each_move(&sched, platform, t, &pos, |s| {
-                let Ok(r) = simulate(wf, platform, &s, &cfg) else { return };
-                let dt = report.makespan - r.makespan;
-                let dc = r.total_cost - report.total_cost;
-                // Faithful to [25]: only time-decreasing, cost-increasing
-                // moves within budget qualify; the ratio ΔT/Δc is maximized.
-                if dt > 1e-9 && dc > 1e-9 && r.total_cost <= b_ini {
-                    let ratio = dt / dc;
-                    if best.as_ref().is_none_or(|(_, _, b)| ratio > *b) {
-                        best = Some((s, r, ratio));
-                    }
-                }
-            });
-        }
-        match best {
-            Some((s, r, _)) => {
+        // Faithful to [25]: only time-decreasing, cost-increasing moves
+        // within budget qualify; the ratio ΔT/Δc is maximized.
+        let gain = |r: &SimulationReport| {
+            (report.makespan - r.makespan, r.total_cost - report.total_cost)
+        };
+        let accept = |r: &SimulationReport, best: Option<&SimulationReport>| {
+            let (dt, dc) = gain(r);
+            dt > 1e-9
+                && dc > 1e-9
+                && r.total_cost <= b_ini
+                && best.is_none_or(|b| {
+                    let (bt, bc) = gain(b);
+                    dt / dc > bt / bc
+                })
+        };
+        match trials.best_move(&sched, &path, accept) {
+            Some((s, r)) => {
                 sched = s;
                 report = r;
             }
@@ -192,6 +187,7 @@ fn critical_path_tasks(wf: &Workflow, report: &SimulationReport) -> Vec<TaskId> 
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
+    use wfs_simulator::{simulate, SimConfig};
     use wfs_workflow::gen::{cybershake, ligo, montage, GenConfig};
 
     fn paper() -> Platform {

@@ -9,8 +9,9 @@
 //! pair, reporting which constraint fails.
 
 use crate::heft::heft_budg;
+use crate::refine::planned;
 use wfs_platform::Platform;
-use wfs_simulator::{simulate, Schedule, SimConfig, SimulationReport};
+use wfs_simulator::{Schedule, SimulationReport};
 use wfs_workflow::Workflow;
 
 /// Outcome of a bi-criteria `(deadline, budget)` feasibility check.
@@ -47,9 +48,7 @@ pub fn plan_bicriteria(
         return Bicriteria::BudgetInfeasible { min_cost: floor };
     }
     let (schedule, _) = heft_budg(wf, platform, budget);
-    #[allow(clippy::expect_used)] // HEFTBUDG emits a complete, validated schedule
-    let planned = simulate(wf, platform, &schedule, &SimConfig::planning())
-        .expect("HEFTBUDG schedule is valid");
+    let planned = planned(wf, platform, &schedule);
     if planned.makespan <= deadline && planned.total_cost <= budget {
         Bicriteria::Feasible { schedule, planned }
     } else {
@@ -74,12 +73,9 @@ pub fn min_budget_for_deadline(
     platform: &Platform,
     deadline: f64,
 ) -> Option<(f64, Schedule)> {
-    let cfg = SimConfig::planning();
-    #[allow(clippy::expect_used)] // HEFTBUDG emits a complete, validated schedule
     let makespan_at = |b: f64| -> (f64, Schedule) {
         let (s, _) = heft_budg(wf, platform, b);
-        let r = simulate(wf, platform, &s, &cfg).expect("valid");
-        (r.makespan, s)
+        (planned(wf, platform, &s).makespan, s)
     };
     let floor = crate::min_cost_floor(wf, platform);
 

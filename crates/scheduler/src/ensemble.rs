@@ -11,12 +11,13 @@
 //! and is then scheduled internally with HEFTBUDG (Alg. 1–4).
 
 use crate::heft::heft_budg;
+use crate::refine::planned;
 use wfs_platform::Platform;
-use wfs_simulator::{simulate, Schedule, SimConfig};
+use wfs_simulator::Schedule;
 use wfs_workflow::Workflow;
 
 /// One workflow of the ensemble, with its priority (higher = more
-/// important, [19] maximizes cumulated priority of completed workflows).
+/// important, \[19\] maximizes cumulated priority of completed workflows).
 #[derive(Debug, Clone)]
 pub struct EnsembleMember {
     /// The workflow.
@@ -67,7 +68,6 @@ pub fn schedule_ensemble(
     global_budget: f64,
 ) -> EnsembleResult {
     assert!(global_budget >= 0.0 && global_budget.is_finite());
-    let cfg = SimConfig::planning();
     // Estimate each member's cost chunk.
     let mut order: Vec<(usize, f64)> = members
         .iter()
@@ -96,8 +96,7 @@ pub fn schedule_ensemble(
         }
         let wf = &members[idx].workflow;
         let (schedule, _) = heft_budg(wf, platform, chunk);
-        #[allow(clippy::expect_used)] // HEFTBUDG emits a complete, validated schedule
-        let planned = simulate(wf, platform, &schedule, &cfg).expect("HEFTBUDG is valid");
+        let planned = planned(wf, platform, &schedule);
         if planned.total_cost > remaining {
             // Conservative estimate was too low for this one: reject
             // rather than overdraw the global budget.

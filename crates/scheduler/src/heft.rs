@@ -21,11 +21,6 @@ pub fn priority_list(wf: &Workflow, platform: &Platform) -> Vec<TaskId> {
     heft_order(wf, WeightMode::Conservative, platform.mean_speed(), platform.datacenter.bandwidth)
 }
 
-/// Run HEFT (unbounded budget) — the baseline of §V-B.
-pub fn heft(wf: &Workflow, platform: &Platform) -> Schedule {
-    heft_inner(wf, platform, None, Pot::new(), &mut NoopSink).0
-}
-
 /// Run HEFTBUDG with initial budget `b_ini` (Algorithm 4). Returns the
 /// schedule and the priority list (the refinement algorithms reuse it).
 pub fn heft_budg(wf: &Workflow, platform: &Platform, b_ini: f64) -> (Schedule, Vec<TaskId>) {
@@ -85,7 +80,12 @@ pub(crate) fn heft_inner<S: EventSink>(
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
+    use crate::Algorithm;
     use wfs_simulator::{simulate, SimConfig};
+
+    fn heft(wf: &Workflow, p: &Platform) -> Schedule {
+        Algorithm::Heft.run(wf, p, f64::INFINITY)
+    }
     use wfs_workflow::gen::{cybershake, ligo, montage, GenConfig};
 
     fn paper() -> Platform {

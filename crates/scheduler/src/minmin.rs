@@ -19,40 +19,10 @@ use crate::best_host::{select_best, BestHostCache, COST_EPS};
 use crate::budget::{Placement, Pot};
 use crate::plan::{HostEval, PlanState};
 use std::cmp::Ordering;
-use wfs_observe::{Event as Obs, EventSink, NoopSink};
+use wfs_observe::{Event as Obs, EventSink};
 use wfs_platform::Platform;
 use wfs_simulator::{Schedule, VmId};
 use wfs_workflow::{OrdF64, TaskId, Workflow};
-
-/// Run MIN-MIN (unbounded budget) — the baseline of §V-B.
-pub fn min_min(wf: &Workflow, platform: &Platform) -> Schedule {
-    ready_set(wf, platform, None, Rule::MinMin, &mut NoopSink)
-}
-
-/// Run MIN-MINBUDG with initial budget `b_ini` (Algorithm 3).
-pub fn min_min_budg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
-    ready_set(wf, platform, Some(b_ini), Rule::MinMin, &mut NoopSink)
-}
-
-/// Run MAX-MIN (unbounded budget).
-pub fn max_min(wf: &Workflow, platform: &Platform) -> Schedule {
-    ready_set(wf, platform, None, Rule::MaxMin, &mut NoopSink)
-}
-
-/// Run the budget-aware MAX-MINBUDG.
-pub fn max_min_budg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
-    ready_set(wf, platform, Some(b_ini), Rule::MaxMin, &mut NoopSink)
-}
-
-/// Run SUFFERAGE (unbounded budget).
-pub fn sufferage(wf: &Workflow, platform: &Platform) -> Schedule {
-    ready_set(wf, platform, None, Rule::Sufferage, &mut NoopSink)
-}
-
-/// Run the budget-aware SUFFERAGEBUDG.
-pub fn sufferage_budg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
-    ready_set(wf, platform, Some(b_ini), Rule::Sufferage, &mut NoopSink)
-}
 
 /// Task-selection rule within the ready set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,6 +158,7 @@ pub(crate) fn ready_set<S: EventSink>(
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
+    use crate::Algorithm;
     use wfs_simulator::{simulate, SimConfig};
     use wfs_workflow::gen::{bag_of_tasks, cybershake, montage, GenConfig};
 
@@ -199,7 +170,7 @@ mod tests {
     fn baseline_schedules_everything() {
         let wf = montage(GenConfig::new(30, 1));
         let p = paper();
-        let s = min_min(&wf, &p);
+        let s = Algorithm::MinMin.run(&wf, &p, f64::INFINITY);
         s.validate(&wf).unwrap();
         assert!(s.used_vm_count() >= 1);
     }
@@ -208,7 +179,7 @@ mod tests {
     fn baseline_parallelizes_a_bag() {
         let wf = bag_of_tasks(8, 2000.0, 0.0);
         let p = paper();
-        let s = min_min(&wf, &p);
+        let s = Algorithm::MinMin.run(&wf, &p, f64::INFINITY);
         // EFT-greedy with free budget: every independent task gets its own
         // (fast) VM since sharing delays the EFT.
         assert!(s.used_vm_count() >= 7, "used {}", s.used_vm_count());
@@ -218,8 +189,8 @@ mod tests {
     fn budget_constrains_vm_enrollment() {
         let wf = montage(GenConfig::new(60, 1));
         let p = paper();
-        let rich = min_min_budg(&wf, &p, 1000.0);
-        let poor = min_min_budg(&wf, &p, 0.2);
+        let rich = Algorithm::MinMinBudg.run(&wf, &p, 1000.0);
+        let poor = Algorithm::MinMinBudg.run(&wf, &p, 0.2);
         rich.validate(&wf).unwrap();
         poor.validate(&wf).unwrap();
         assert!(poor.used_vm_count() <= rich.used_vm_count());
@@ -231,8 +202,8 @@ mod tests {
         // gives the same schedule as MIN-MINBUDG".
         let wf = montage(GenConfig::new(30, 2));
         let p = paper();
-        let base = min_min(&wf, &p);
-        let budg = min_min_budg(&wf, &p, 1e9);
+        let base = Algorithm::MinMin.run(&wf, &p, f64::INFINITY);
+        let budg = Algorithm::MinMinBudg.run(&wf, &p, 1e9);
         let cfg = SimConfig::planning();
         let rb = simulate(&wf, &p, &base, &cfg).unwrap();
         let rr = simulate(&wf, &p, &budg, &cfg).unwrap();
@@ -244,7 +215,7 @@ mod tests {
         let wf = montage(GenConfig::new(30, 1));
         let p = paper();
         let budget = 1.0;
-        let s = min_min_budg(&wf, &p, budget);
+        let s = Algorithm::MinMinBudg.run(&wf, &p, budget);
         // Conservative planning: the planned execution fits the budget.
         let r = simulate(&wf, &p, &s, &SimConfig::planning()).unwrap();
         assert!(
@@ -258,7 +229,8 @@ mod tests {
     fn deterministic() {
         let wf = montage(GenConfig::new(60, 3));
         let p = paper();
-        assert_eq!(min_min_budg(&wf, &p, 5.0), min_min_budg(&wf, &p, 5.0));
+        let run = || Algorithm::MinMinBudg.run(&wf, &p, 5.0);
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -266,10 +238,10 @@ mod tests {
         let wf = montage(GenConfig::new(30, 1));
         let p = paper();
         for s in [
-            max_min(&wf, &p),
-            max_min_budg(&wf, &p, 1.0),
-            sufferage(&wf, &p),
-            sufferage_budg(&wf, &p, 1.0),
+            Algorithm::MaxMin.run(&wf, &p, f64::INFINITY),
+            Algorithm::MaxMinBudg.run(&wf, &p, 1.0),
+            Algorithm::Sufferage.run(&wf, &p, f64::INFINITY),
+            Algorithm::SufferageBudg.run(&wf, &p, 1.0),
         ] {
             s.validate(&wf).unwrap();
         }
@@ -282,7 +254,8 @@ mod tests {
         let floor = crate::min_cost_floor(&wf, &p);
         for mult in [1.2, 2.0] {
             let budget = floor * mult;
-            for s in [max_min_budg(&wf, &p, budget), sufferage_budg(&wf, &p, budget)] {
+            for alg in [Algorithm::MaxMinBudg, Algorithm::SufferageBudg] {
+                let s = alg.run(&wf, &p, budget);
                 let r = simulate(&wf, &p, &s, &SimConfig::planning()).unwrap();
                 assert!(
                     r.total_cost <= budget * 1.1,
@@ -305,8 +278,8 @@ mod tests {
         }
         let wf = b.build().unwrap();
         let p = paper();
-        let s_max = max_min(&wf, &p);
-        let s_min = min_min(&wf, &p);
+        let s_max = Algorithm::MaxMin.run(&wf, &p, f64::INFINITY);
+        let s_min = Algorithm::MinMin.run(&wf, &p, f64::INFINITY);
         let cfg = SimConfig::planning();
         let r_max = simulate(&wf, &p, &s_max, &cfg).unwrap();
         let r_min = simulate(&wf, &p, &s_min, &cfg).unwrap();
@@ -320,7 +293,7 @@ mod tests {
     fn sufferage_handles_bags() {
         let wf = bag_of_tasks(10, 500.0, 0.0);
         let p = paper();
-        let s = sufferage(&wf, &p);
+        let s = Algorithm::Sufferage.run(&wf, &p, f64::INFINITY);
         s.validate(&wf).unwrap();
         assert!(s.used_vm_count() >= 1);
     }
@@ -329,7 +302,8 @@ mod tests {
     fn extension_variants_deterministic() {
         let wf = montage(GenConfig::new(60, 2));
         let p = paper();
-        assert_eq!(max_min_budg(&wf, &p, 2.0), max_min_budg(&wf, &p, 2.0));
-        assert_eq!(sufferage_budg(&wf, &p, 2.0), sufferage_budg(&wf, &p, 2.0));
+        for alg in [Algorithm::MaxMinBudg, Algorithm::SufferageBudg] {
+            assert_eq!(alg.run(&wf, &p, 2.0), alg.run(&wf, &p, 2.0), "{alg}");
+        }
     }
 }

@@ -27,40 +27,30 @@ use wfs_workflow::{TaskId, Workflow};
 /// Configuration of an online run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineConfig {
-    /// Seed for the realized task weights.
-    pub seed: u64,
+    /// How the realized task weights are drawn: the paper's Gaussian
+    /// ([`WeightModel::Stochastic`]) or a heavy-tailed log-normal
+    /// ([`WeightModel::HeavyTail`]). Interrupting stragglers only pays when
+    /// long elapsed time signals *more* remaining work — true for heavy
+    /// tails, false for Gaussians (whose conditional remainder shrinks),
+    /// which is exactly the risk §VI warns about.
+    pub weights: WeightModel,
     /// Interrupt a task once its elapsed time exceeds
     /// `(w̄ + timeout_sigmas·σ) / speed`. The paper plans with one σ of
     /// margin; 2–3 σ make interruptions rare-but-useful. `None` disables
     /// the watchdog (the static baseline under the same timing model).
     pub timeout_sigmas: Option<f64>,
-    /// When re-dispatching an interrupted task, only moves whose marginal
-    /// cost fits the remaining budget are taken.
-    pub budget: f64,
-    /// Draw realized weights from the heavy-tailed log-normal instead of
-    /// the paper's Gaussian. Interrupting stragglers only pays when long
-    /// elapsed time signals *more* remaining work — true for heavy tails,
-    /// false for Gaussians (whose conditional remainder shrinks), which is
-    /// exactly the risk §VI warns about.
-    pub heavy_tail: bool,
 }
 
 impl OnlineConfig {
-    /// Watchdog at `k` sigmas within `budget`, Gaussian weights.
-    pub fn with_watchdog(seed: u64, budget: f64, k: f64) -> Self {
+    /// Watchdog at `k` sigmas under realized `weights`.
+    pub fn with_watchdog(weights: WeightModel, k: f64) -> Self {
         assert!(k >= 0.0 && k.is_finite());
-        Self { seed, timeout_sigmas: Some(k), budget, heavy_tail: false }
+        Self { weights, timeout_sigmas: Some(k) }
     }
 
     /// Static execution (no interruptions) — the comparison baseline.
-    pub fn static_run(seed: u64, budget: f64) -> Self {
-        Self { seed, timeout_sigmas: None, budget, heavy_tail: false }
-    }
-
-    /// Switch to heavy-tailed (log-normal) realized weights.
-    pub fn with_heavy_tail(mut self) -> Self {
-        self.heavy_tail = true;
-        self
+    pub fn static_run(weights: WeightModel) -> Self {
+        Self { weights, timeout_sigmas: None }
     }
 }
 
@@ -75,7 +65,7 @@ pub struct OnlineOutcome {
     pub interruptions: usize,
     /// Interrupted tasks that moved to a *different* VM.
     pub migrations: usize,
-    /// True if `total_cost <= budget`.
+    /// True if `total_cost <= b_ini`.
     pub within_budget: bool,
     /// Per-VM `(category index, charged seconds)` for booked VMs.
     pub vm_usage: Vec<(u32, f64)>,
@@ -98,19 +88,16 @@ struct OnlineVm {
 /// task restarts. Migrate only with real headroom.
 const TAIL_SAFETY: f64 = 3.0;
 
-/// Execute `wf` online: HEFTBUDG plans, the watchdog adapts.
+/// Execute `wf` online: HEFTBUDG plans within `b_ini`, the watchdog
+/// adapts. Re-dispatching an interrupted task takes only moves whose
+/// marginal cost fits what is left of `b_ini`.
 pub fn run_online(
     wf: &Workflow,
     platform: &Platform,
     b_ini: f64,
     cfg: OnlineConfig,
 ) -> OnlineOutcome {
-    let model = if cfg.heavy_tail {
-        WeightModel::HeavyTail { seed: cfg.seed }
-    } else {
-        WeightModel::Stochastic { seed: cfg.seed }
-    };
-    let realized = realize_weights(wf, model);
+    let realized = realize_weights(wf, cfg.weights);
     let (schedule, _list) = heft_budg(wf, platform, b_ini);
     let bw = platform.datacenter.bandwidth;
 
@@ -241,7 +228,7 @@ pub fn run_online(
                 })
                 .sum();
             let headroom =
-                cfg.budget - projected_cost(&vms, interrupt_at) - future_reserve;
+                b_ini - projected_cost(&vms, interrupt_at) - future_reserve;
             let in_bytes_full = wf.task(t).external_input
                 + wf.in_edges(t).iter().map(|&e| wf.edge(e).size).sum::<f64>();
 
@@ -357,7 +344,7 @@ pub fn run_online(
         total_cost,
         interruptions,
         migrations,
-        within_budget: total_cost <= cfg.budget,
+        within_budget: total_cost <= b_ini,
         vm_usage,
     }
 }
@@ -372,11 +359,31 @@ mod tests {
         Platform::paper_default()
     }
 
+    fn gaussian(seed: u64) -> WeightModel {
+        WeightModel::Stochastic { seed }
+    }
+
+    /// Realized weights of run `seed`, heavy-tailed or Gaussian.
+    fn weights(seed: u64, heavy: bool) -> WeightModel {
+        if heavy {
+            WeightModel::HeavyTail { seed }
+        } else {
+            gaussian(seed)
+        }
+    }
+
+    fn config(seed: u64, heavy: bool, k: Option<f64>) -> OnlineConfig {
+        match k {
+            Some(k) => OnlineConfig::with_watchdog(weights(seed, heavy), k),
+            None => OnlineConfig::static_run(weights(seed, heavy)),
+        }
+    }
+
     #[test]
     fn static_run_has_no_interruptions() {
         let wf = montage(GenConfig::new(30, 1));
         let p = paper();
-        let out = run_online(&wf, &p, 2.0, OnlineConfig::static_run(7, 2.0));
+        let out = run_online(&wf, &p, 2.0, OnlineConfig::static_run(gaussian(7)));
         assert_eq!(out.interruptions, 0);
         assert_eq!(out.migrations, 0);
         assert!(out.makespan > 0.0 && out.total_cost > 0.0);
@@ -387,7 +394,7 @@ mod tests {
         // σ = 100 % of the mean: many tasks exceed w̄ + 1σ.
         let wf = montage(GenConfig::new(60, 1).with_sigma_ratio(1.0));
         let p = paper();
-        let out = run_online(&wf, &p, 5.0, OnlineConfig::with_watchdog(3, 5.0, 1.0));
+        let out = run_online(&wf, &p, 5.0, OnlineConfig::with_watchdog(gaussian(3), 1.0));
         assert!(out.interruptions > 0, "no interruption at sigma=100%");
     }
 
@@ -395,7 +402,7 @@ mod tests {
     fn deterministic_given_seed() {
         let wf = cybershake(GenConfig::new(30, 2));
         let p = paper();
-        let cfg = OnlineConfig::with_watchdog(11, 3.0, 2.0);
+        let cfg = OnlineConfig::with_watchdog(gaussian(11), 2.0);
         assert_eq!(run_online(&wf, &p, 3.0, cfg), run_online(&wf, &p, 3.0, cfg));
     }
 
@@ -404,7 +411,7 @@ mod tests {
         // Deterministic weights: realized == mean <= timeout threshold.
         let wf = montage(GenConfig::new(30, 1).with_sigma_ratio(0.0));
         let p = paper();
-        let out = run_online(&wf, &p, 2.0, OnlineConfig::with_watchdog(5, 2.0, 0.0));
+        let out = run_online(&wf, &p, 2.0, OnlineConfig::with_watchdog(gaussian(5), 0.0));
         assert_eq!(out.interruptions, 0);
     }
 
@@ -432,16 +439,7 @@ mod tests {
         reps: u64,
     ) -> f64 {
         (0..reps)
-            .map(|seed| {
-                let mut cfg = match k {
-                    Some(k) => OnlineConfig::with_watchdog(seed, budget, k),
-                    None => OnlineConfig::static_run(seed, budget),
-                };
-                if heavy {
-                    cfg = cfg.with_heavy_tail();
-                }
-                run_online(wf, p, budget, cfg).makespan
-            })
+            .map(|seed| run_online(wf, p, budget, config(seed, heavy, k)).makespan)
             .sum::<f64>()
             / reps as f64
     }
@@ -484,15 +482,7 @@ mod tests {
     fn migrations_happen_in_the_straggler_regime() {
         let (wf, p, budget) = straggler_setup();
         let total: usize = (0..10)
-            .map(|seed| {
-                run_online(
-                    &wf,
-                    &p,
-                    budget,
-                    OnlineConfig::with_watchdog(seed, budget, 1.0).with_heavy_tail(),
-                )
-                .migrations
-            })
+            .map(|seed| run_online(&wf, &p, budget, config(seed, true, Some(1.0))).migrations)
             .sum();
         assert!(total > 0, "no migration ever happened");
     }
@@ -506,13 +496,7 @@ mod tests {
         let reps = 20u64;
         let count_ok = |k: Option<f64>| -> u64 {
             (0..reps)
-                .filter(|&seed| {
-                    let cfg = match k {
-                        Some(k) => OnlineConfig::with_watchdog(seed, budget, k).with_heavy_tail(),
-                        None => OnlineConfig::static_run(seed, budget).with_heavy_tail(),
-                    };
-                    run_online(&wf, &p, budget, cfg).within_budget
-                })
+                .filter(|&seed| run_online(&wf, &p, budget, config(seed, true, k)).within_budget)
                 .count() as u64
         };
         let static_ok = count_ok(None);

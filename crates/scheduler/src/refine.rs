@@ -8,11 +8,16 @@
 //! the move with the shortest makespan that still respects the budget is
 //! kept. This is an order of magnitude more CPU-demanding than HEFTBUDG
 //! (§IV-B) — the trade-off the paper quantifies in Table III.
+//!
+//! The trial loop is [`TrialEvaluator`], shared with CG+ (`cg.rs`), which
+//! differs only in its accept rule; [`planned`] is the crate's one replay
+//! of a finished plan under the planning model.
 
-use crate::heft::heft_budg;
+use crate::minmin::{ready_set, Rule};
+use crate::plan::Candidate;
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
 use wfs_platform::Platform;
-use wfs_simulator::{simulate, Schedule, SimConfig};
+use wfs_simulator::{simulate, Schedule, SimConfig, SimulationReport};
 use wfs_workflow::{TaskId, Workflow};
 
 /// Processing order of the refinement pass.
@@ -27,17 +32,6 @@ pub enum RefineOrder {
 /// Makespan must improve by more than this to accept a move (seconds).
 const IMPROVE_EPS: f64 = 1e-9;
 
-/// Run HEFTBUDG followed by the re-mapping refinement.
-pub fn heft_budg_plus(
-    wf: &Workflow,
-    platform: &Platform,
-    b_ini: f64,
-    order: RefineOrder,
-) -> Schedule {
-    let (sched, list) = heft_budg(wf, platform, b_ini);
-    refine_schedule(wf, platform, b_ini, sched, &list, order)
-}
-
 /// MIN-MINBUDG followed by the same refinement pass — the variant the
 /// paper points out "could be designed for MIN-MINBUDG" (§V-B closing
 /// remark) but does not evaluate. The HEFT priority list orders the
@@ -48,13 +42,12 @@ pub fn min_min_budg_plus(
     b_ini: f64,
     order: RefineOrder,
 ) -> Schedule {
-    let sched = crate::min_min_budg(wf, platform, b_ini);
+    let mut sched = ready_set(wf, platform, Some(b_ini), Rule::MinMin, &mut NoopSink);
     let list = crate::priority_list(wf, platform);
     // MIN-MIN's per-VM orders follow its own commit sequence, which is a
     // valid linear extension but not necessarily rank-sorted; normalize to
     // rank order first so single-task moves stay executable.
     let pos = rank_positions(wf, &list);
-    let mut sched = sched;
     sched.sort_orders_by(|x| pos[x.index()]);
     refine_schedule(wf, platform, b_ini, sched, &list, order)
 }
@@ -83,50 +76,55 @@ pub fn refine_schedule_observed<S: EventSink>(
     order: RefineOrder,
     sink: &mut S,
 ) -> Schedule {
-    let cfg = SimConfig::planning();
-    let pos = rank_positions(wf, list);
-    #[allow(clippy::expect_used)] // HEFTBUDG emits a complete, validated schedule
-    let mut best_time = simulate(wf, platform, &sched, &cfg)
-        .expect("HEFTBUDG emits a valid schedule")
-        .makespan;
+    let mut trials = TrialEvaluator::new(wf, platform, list);
+    let mut best_time = planned(wf, platform, &sched).makespan;
 
     let tasks: Vec<TaskId> = match order {
         RefineOrder::Forward => list.to_vec(),
         RefineOrder::Reverse => list.iter().rev().copied().collect(),
     };
-    let mut trials: u64 = 0;
     let mut accepted: u64 = 0;
     for &t in &tasks {
-        let mut best_alt: Option<(Schedule, f64)> = None;
-        for_each_move(&sched, platform, t, &pos, |trial| {
-            trials += 1;
-            consider(wf, platform, b_ini, &cfg, trial, best_time, &mut best_alt);
-        });
-        if let Some((s, time)) = best_alt {
+        // Alg. 5 line 10: the shortest makespan that respects the budget.
+        let incumbent = best_time;
+        let accept = |r: &SimulationReport, best: Option<&SimulationReport>| {
+            if r.total_cost > b_ini {
+                return false;
+            }
+            r.makespan < best.map_or(incumbent, |b| b.makespan) - IMPROVE_EPS
+        };
+        if let Some((s, report)) = trials.best_move(&sched, &[t], accept) {
             if S::ENABLED {
                 sink.record(&Obs::RefineMove {
                     task: t.0,
                     makespan_before: best_time,
-                    makespan_after: time,
+                    makespan_after: report.makespan,
                 });
             }
             accepted += 1;
             sched = s;
-            best_time = time;
+            best_time = report.makespan;
         }
     }
     if S::ENABLED {
-        sink.record(&Obs::Counter { name: "refine_trials", delta: trials });
+        sink.record(&Obs::Counter { name: "refine_trials", delta: trials.count });
         sink.record(&Obs::Counter { name: "refine_accepted", delta: accepted });
     }
     sched.prune_empty_vms();
     sched
 }
 
+/// The planned execution of a schedule built by this crate: a replay under
+/// the planning model (conservative weights, Eq. 7).
+pub(crate) fn planned(wf: &Workflow, platform: &Platform, sched: &Schedule) -> SimulationReport {
+    #[allow(clippy::expect_used)] // every planner emits a complete, valid schedule
+    simulate(wf, platform, sched, &SimConfig::planning()).expect("planned schedules are valid")
+}
+
 /// Rank position of each task in `list`. Per-VM orders kept sorted by it
 /// stay executable under any single-task move (rank order is a linear
 /// extension of the DAG).
-pub(crate) fn rank_positions(wf: &Workflow, list: &[TaskId]) -> Vec<usize> {
+fn rank_positions(wf: &Workflow, list: &[TaskId]) -> Vec<usize> {
     let mut pos = vec![0usize; wf.task_count()];
     for (i, &t) in list.iter().enumerate() {
         pos[t.index()] = i;
@@ -134,53 +132,61 @@ pub(crate) fn rank_positions(wf: &Workflow, list: &[TaskId]) -> Vec<usize> {
     pos
 }
 
-/// The single-task moves of `t` that Alg. 5 and CG+ try, in order: onto
-/// every other used VM, then onto a fresh VM of each category. Each trial
-/// is a copy of `sched` with per-VM orders re-sorted by `pos`.
-pub(crate) fn for_each_move(
-    sched: &Schedule,
-    platform: &Platform,
-    t: TaskId,
-    pos: &[usize],
-    mut visit: impl FnMut(Schedule),
-) {
-    #[allow(clippy::expect_used)] // both planners refine complete schedules
-    let cur = sched.assignment(t).expect("complete schedule");
-    let mut try_on = |mut trial: Schedule, vm| {
-        trial.reassign(t, vm);
-        trial.sort_orders_by(|x| pos[x.index()]);
-        visit(trial);
-    };
-    for vm in sched.vm_ids().filter(|&v| v != cur) {
-        try_on(sched.clone(), vm);
-    }
-    for cat in platform.category_ids() {
-        let mut trial = sched.clone();
-        let vm = trial.add_vm(cat);
-        try_on(trial, vm);
-    }
+/// The one trial loop of every refinement (Alg. 5 and CG+): it tries
+/// single-task moves, replays each under the planning model and keeps the
+/// best one under the caller's accept rule.
+pub(crate) struct TrialEvaluator<'a> {
+    wf: &'a Workflow,
+    platform: &'a Platform,
+    /// Rank position of each task; trials keep per-VM orders sorted by it.
+    pos: Vec<usize>,
+    /// Trial moves tried so far, one per move (simulated or not).
+    pub(crate) count: u64,
 }
 
-/// Evaluate a tentative schedule; record it if it beats the incumbent and
-/// respects the budget (Alg. 5 line 10).
-fn consider(
-    wf: &Workflow,
-    platform: &Platform,
-    b_ini: f64,
-    cfg: &SimConfig,
-    trial: Schedule,
-    incumbent_time: f64,
-    best_alt: &mut Option<(Schedule, f64)>,
-) {
-    let Ok(report) = simulate(wf, platform, &trial, cfg) else {
-        return; // defensive: skip non-executable tentatives
-    };
-    if report.total_cost > b_ini {
-        return;
+impl<'a> TrialEvaluator<'a> {
+    /// An evaluator whose trials follow the rank order of `list`.
+    pub(crate) fn new(wf: &'a Workflow, platform: &'a Platform, list: &[TaskId]) -> Self {
+        Self { wf, platform, pos: rank_positions(wf, list), count: 0 }
     }
-    let current_best = best_alt.as_ref().map_or(incumbent_time, |(_, t)| *t);
-    if report.makespan < current_best - IMPROVE_EPS {
-        *best_alt = Some((trial, report.makespan));
+
+    /// Try every single-task move of each task of `tasks` on `sched`, in
+    /// order: onto every other used VM by id, then onto a fresh VM of each
+    /// category. Each trial is a copy of `sched` with per-VM orders
+    /// re-sorted by rank position, simulated under the planning model; a
+    /// trial that fails to simulate is skipped. `keep(trial, best)` says
+    /// whether a trial replaces the best one kept so far (`None` before
+    /// the first); the last one kept is returned.
+    pub(crate) fn best_move(
+        &mut self,
+        sched: &Schedule,
+        tasks: &[TaskId],
+        mut keep: impl FnMut(&SimulationReport, Option<&SimulationReport>) -> bool,
+    ) -> Option<(Schedule, SimulationReport)> {
+        let (wf, platform, pos) = (self.wf, self.platform, &self.pos);
+        let mut best: Option<(Schedule, SimulationReport)> = None;
+        for &t in tasks {
+            #[allow(clippy::expect_used)] // refinement starts from complete schedules
+            let cur = sched.assignment(t).expect("complete schedule");
+            let used = sched.vm_ids().filter(|&v| v != cur).map(Candidate::Used);
+            for target in used.chain(platform.category_ids().map(Candidate::New)) {
+                let mut trial = sched.clone();
+                let vm = match target {
+                    Candidate::Used(vm) => vm,
+                    Candidate::New(cat) => trial.add_vm(cat),
+                };
+                trial.reassign(t, vm);
+                trial.sort_orders_by(|x| pos[x.index()]);
+                self.count += 1;
+                let Ok(report) = simulate(wf, platform, &trial, &SimConfig::planning()) else {
+                    continue; // defensive: skip non-executable tentatives
+                };
+                if keep(&report, best.as_ref().map(|(_, r)| r)) {
+                    best = Some((trial, report));
+                }
+            }
+        }
+        best
     }
 }
 
@@ -188,16 +194,25 @@ fn consider(
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
-    use wfs_simulator::SimConfig;
+    use crate::heft::heft_budg;
+    use crate::Algorithm;
     use wfs_workflow::gen::{cybershake, montage, GenConfig};
 
     fn paper() -> Platform {
         Platform::paper_default()
     }
 
-    fn planned(wf: &Workflow, p: &Platform, s: &Schedule) -> (f64, f64) {
-        let r = simulate(wf, p, s, &SimConfig::planning()).unwrap();
+    fn time_cost(wf: &Workflow, p: &Platform, s: &Schedule) -> (f64, f64) {
+        let r = planned(wf, p, s);
         (r.makespan, r.total_cost)
+    }
+
+    fn heft_budg_plus(wf: &Workflow, p: &Platform, budget: f64, order: RefineOrder) -> Schedule {
+        let alg = match order {
+            RefineOrder::Forward => Algorithm::HeftBudgPlus,
+            RefineOrder::Reverse => Algorithm::HeftBudgPlusInv,
+        };
+        alg.run(wf, p, budget)
     }
 
     #[test]
@@ -206,11 +221,11 @@ mod tests {
         let p = paper();
         for budget in [1.0, 2.0, 4.0] {
             let (base, _) = heft_budg(&wf, &p, budget);
-            let (t0, _) = planned(&wf, &p, &base);
+            let (t0, _) = time_cost(&wf, &p, &base);
             for order in [RefineOrder::Forward, RefineOrder::Reverse] {
                 let refined = heft_budg_plus(&wf, &p, budget, order);
                 refined.validate(&wf).unwrap();
-                let (t1, c1) = planned(&wf, &p, &refined);
+                let (t1, c1) = time_cost(&wf, &p, &refined);
                 assert!(t1 <= t0 + 1e-6, "refined {t1} worse than base {t0} ({order:?})");
                 assert!(c1 <= budget * 1.0 + 1e-9, "cost {c1} busts budget {budget}");
             }
@@ -232,9 +247,9 @@ mod tests {
             for mult in [1.3, 1.8, 2.5] {
                 let budget = floor * mult;
                 let (base, _) = heft_budg(&wf, &p, budget);
-                let (t0, _) = planned(&wf, &p, &base);
+                let (t0, _) = time_cost(&wf, &p, &base);
                 let refined = heft_budg_plus(&wf, &p, budget, RefineOrder::Forward);
-                let (t1, _) = planned(&wf, &p, &refined);
+                let (t1, _) = time_cost(&wf, &p, &refined);
                 cases += 1;
                 if t1 < t0 - 1e-6 {
                     improved += 1;
@@ -268,11 +283,11 @@ mod tests {
             let wf = montage(GenConfig::new(30, seed));
             let floor = crate::min_cost_floor(&wf, &p);
             let budget = floor * 1.5;
-            let base = crate::min_min_budg(&wf, &p, budget);
-            let (t0, _) = planned(&wf, &p, &base);
+            let base = Algorithm::MinMinBudg.run(&wf, &p, budget);
+            let (t0, _) = time_cost(&wf, &p, &base);
             let refined = min_min_budg_plus(&wf, &p, budget, RefineOrder::Forward);
             refined.validate(&wf).unwrap();
-            let (t1, c1) = planned(&wf, &p, &refined);
+            let (t1, c1) = time_cost(&wf, &p, &refined);
             assert!(t1 <= t0 + 1e-6, "refined {t1} worse than base {t0}");
             assert!(c1 <= budget + 1e-9, "cost {c1} busts budget {budget}");
         }
@@ -288,5 +303,38 @@ mod tests {
             assert_eq!(a, b);
             a.validate(&wf).unwrap();
         }
+    }
+
+    #[test]
+    fn best_move_tries_used_vms_by_id_then_one_fresh_vm_per_category() {
+        let wf = montage(GenConfig::new(30, 1));
+        let p = paper();
+        let (sched, list) = heft_budg(&wf, &p, 2.0);
+        let cats: Vec<_> = p.category_ids().collect();
+        let fresh = wfs_simulator::VmId(u32::try_from(sched.vm_count()).unwrap());
+        let tasks = [list[3], list[7]];
+        let mut expected = Vec::new();
+        for &t in &tasks {
+            let cur = sched.assignment(t).unwrap();
+            for vm in sched.vm_ids().filter(|&v| v != cur) {
+                expected.push((t, vm, sched.vm_category(vm)));
+            }
+            expected.extend(cats.iter().map(|&c| (t, fresh, c)));
+        }
+        assert!(expected.len() > cats.len() * 2, "needs several used VMs");
+
+        let mut trials = TrialEvaluator::new(&wf, &p, &list);
+        let mut seen = Vec::new();
+        let kept = trials.best_move(&sched, &tasks, |r, _| {
+            let moved = |t: &&TaskId| r.task(**t).vm != sched.assignment(**t).unwrap();
+            let t = *tasks.iter().find(moved).unwrap();
+            let vm = r.task(t).vm;
+            let cat = r.vms.iter().find(|u| u.vm == vm).unwrap().category;
+            seen.push((t, vm, cat));
+            false
+        });
+        assert!(kept.is_none(), "a rule that keeps nothing returns nothing");
+        assert_eq!(seen, expected, "moves out of the documented order");
+        assert_eq!(trials.count, expected.len() as u64, "one trial per move");
     }
 }

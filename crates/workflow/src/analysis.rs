@@ -61,7 +61,7 @@ pub fn level_of(wf: &Workflow) -> Vec<usize> {
 ///
 /// `speed` is the mean VM speed `s̄` and `bw` the datacenter bandwidth, so
 /// ranks are in seconds. HEFT and HEFTBUDG schedule tasks by non-increasing
-/// rank (paper §IV, [24]).
+/// rank (paper §IV, \[24\]).
 pub fn bottom_levels(wf: &Workflow, mode: WeightMode, speed: f64, bw: f64) -> Vec<f64> {
     assert!(speed > 0.0 && bw > 0.0, "speed and bandwidth must be positive");
     let mut rank = vec![0.0f64; wf.task_count()];

@@ -81,7 +81,7 @@ fn main() {
     }
 
     // Drill into the refined schedule.
-    let refined = heft_budg_plus(&wf, &platform, budget, RefineOrder::Forward);
+    let refined = Algorithm::HeftBudgPlus.run(&wf, &platform, budget);
     let r = simulate(&wf, &platform, &refined, &SimConfig::planning()).unwrap();
     println!("\nHEFTBUDG+ planned execution:\n{}", r.gantt(70));
 }

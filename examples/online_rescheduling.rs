@@ -54,12 +54,13 @@ fn main() {
         let mut migs = 0;
         let mut fires = 0;
         for seed in 0..REPS {
-            let mut sc = OnlineConfig::static_run(seed, budget);
-            let mut oc = OnlineConfig::with_watchdog(seed, budget, 1.0);
-            if heavy {
-                sc = sc.with_heavy_tail();
-                oc = oc.with_heavy_tail();
-            }
+            let weights = if heavy {
+                WeightModel::HeavyTail { seed }
+            } else {
+                WeightModel::Stochastic { seed }
+            };
+            let sc = OnlineConfig::static_run(weights);
+            let oc = OnlineConfig::with_watchdog(weights, 1.0);
             static_mk += run_online(&wf, &platform, budget, sc).makespan;
             let o = run_online(&wf, &platform, budget, oc);
             online_mk += o.makespan;

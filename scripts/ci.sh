@@ -14,6 +14,9 @@ cargo test -q --release --workspace
 echo "== cargo clippy -- -D warnings (workspace, all targets)"
 cargo clippy --release --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings (workspace; broken intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== wfs-analyze (banned-pattern scan vs analyze-allow.txt)"
 cargo run --release -p wfs-analyze -- --workspace
 

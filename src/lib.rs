@@ -46,11 +46,9 @@ pub mod prelude {
     };
     pub use wfs_platform::{BillingPolicy, CategoryId, Datacenter, Platform, VmCategory};
     pub use wfs_scheduler::{
-        bdt, cg, cg_plus, divide_budget, heft, heft_budg, heft_budg_plus, max_min, max_min_budg,
-        min_budget_for_deadline, min_cost_schedule, min_min, min_min_budg, plan_bicriteria,
-        run_online, run_with_recovery, run_with_recovery_observed, sufferage, sufferage_budg,
-        Algorithm, Bicriteria, OnlineConfig, RecoveryConfig, RecoveryOutcome, RecoveryPolicy,
-        RefineOrder,
+        divide_budget, heft_budg, min_budget_for_deadline, min_cost_schedule, plan_bicriteria,
+        run_online, run_with_recovery, run_with_recovery_observed, Algorithm, Bicriteria,
+        OnlineConfig, RecoveryConfig, RecoveryOutcome, RecoveryPolicy, RefineOrder,
     };
     pub use wfs_simulator::{
         simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed,

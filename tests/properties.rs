@@ -215,8 +215,9 @@ fn online_none_watchdog_matches_static_run() {
         let wf = random_workflow(&mut rng);
         let b = floor(&wf, &p) * rng.gen_range(1.5..6.0f64);
         let seed = rng.gen_range(0..100u64);
-        let stat = run_online(&wf, &p, b, OnlineConfig::static_run(seed, b));
-        let never = run_online(&wf, &p, b, OnlineConfig::with_watchdog(seed, b, 1e9));
+        let weights = WeightModel::Stochastic { seed };
+        let stat = run_online(&wf, &p, b, OnlineConfig::static_run(weights));
+        let never = run_online(&wf, &p, b, OnlineConfig::with_watchdog(weights, 1e9));
         assert_eq!(stat, never, "case {case}");
         assert_eq!(never.interruptions, 0, "case {case}");
     }
@@ -235,7 +236,8 @@ fn online_interruptions_never_double_bill() {
         let b = floor(&wf, &p) * rng.gen_range(1.5..6.0f64);
         let seed = rng.gen_range(0..100u64);
         // k = 0.5σ fires often on high-sigma instances.
-        let out = run_online(&wf, &p, b, OnlineConfig::with_watchdog(seed, b, 0.5));
+        let weights = WeightModel::Stochastic { seed };
+        let out = run_online(&wf, &p, b, OnlineConfig::with_watchdog(weights, 0.5));
         let vm_total: f64 = out
             .vm_usage
             .iter()
