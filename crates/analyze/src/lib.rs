@@ -36,6 +36,7 @@ pub const LIBRARY_ROOTS: &[&str] = &[
     "crates/platform/src",
     "crates/simulator/src",
     "crates/scheduler/src",
+    "crates/observe/src",
     "crates/analyze/src",
     "src/lib.rs",
 ];
@@ -88,4 +89,20 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         findings.extend(scan_source(&display, &src));
     }
     Ok(findings)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn workspace_scan_covers_the_observe_hot_path_files() {
+        // `rules` holds observe's event.rs/sink.rs to the hot-path-alloc
+        // rule; that only bites if the workspace scan reaches them.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = workspace_sources(&root).unwrap();
+        for f in ["crates/observe/src/event.rs", "crates/observe/src/sink.rs"] {
+            assert!(files.contains(&PathBuf::from(f)), "{f} is not scanned");
+        }
+    }
 }

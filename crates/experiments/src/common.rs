@@ -7,7 +7,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use wfs_platform::Platform;
 use wfs_scheduler::{min_cost_floor, Algorithm};
-use wfs_simulator::{simulate, Schedule, SimConfig};
+use wfs_simulator::{simulate, Schedule, SimConfig, WeightModel};
 use wfs_workflow::gen::{BenchmarkType, GenConfig};
 use wfs_workflow::Workflow;
 
@@ -95,10 +95,7 @@ struct JobResult {
     wf_name: &'static str,
     alg: &'static str,
     budget_mult: f64,
-    makespans: Vec<f64>,
-    costs: Vec<f64>,
-    vms: Vec<f64>,
-    valid: Vec<bool>,
+    replays: Replays,
     sched_secs: f64,
 }
 
@@ -146,15 +143,13 @@ pub fn sweep(
                 let t0 = std::time::Instant::now();
                 let schedule = job.alg.run(&wf, &platform, budget);
                 let sched_secs = t0.elapsed().as_secs_f64();
-                let r = replay(&wf, &platform, &schedule, budget, scale.reps);
+                let mut replays = Replays::default();
+                replay(&wf, &platform, &schedule, budget, scale.reps, gaussian, &mut replays);
                 results.lock().unwrap().push(JobResult {
                     wf_name: job.wf_ty.name(),
                     alg: job.alg.name(),
                     budget_mult: *mult,
-                    makespans: r.0,
-                    costs: r.1,
-                    vms: r.2,
-                    valid: r.3,
+                    replays,
                     sched_secs,
                 });
             });
@@ -164,28 +159,49 @@ pub fn sweep(
     aggregate(results.into_inner().expect("worker threads do not panic"))
 }
 
-/// Replay a schedule `reps` times; returns (makespans, costs, vms, valid).
-#[allow(clippy::type_complexity)]
-fn replay(
+/// Per-replay samples, in replay order.
+#[derive(Debug, Default)]
+pub struct Replays {
+    /// Makespan of each replay.
+    pub makespans: Vec<f64>,
+    /// Total cost of each replay.
+    pub costs: Vec<f64>,
+    /// VMs used by each replay.
+    pub vms: Vec<f64>,
+    /// Whether each replay's cost fit its budget.
+    pub valid: Vec<bool>,
+}
+
+/// Percentage of `true` entries (of replays whose cost fit the budget).
+pub fn valid_pct(valid: &[bool]) -> f64 {
+    100.0 * valid.iter().filter(|&&v| v).count() as f64 / valid.len().max(1) as f64
+}
+
+/// The paper's Gaussian replay weights for seed `seed`.
+pub fn gaussian(seed: u64) -> WeightModel {
+    WeightModel::Stochastic { seed }
+}
+
+/// Replay `schedule` once per seed in `0..reps` under the weights
+/// `weights(seed)`, appending every run's samples (validity against
+/// `budget`) to `out`.
+pub fn replay(
     wf: &Workflow,
     platform: &Platform,
     schedule: &Schedule,
     budget: f64,
     reps: u64,
-) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<bool>) {
-    let mut mk = Vec::with_capacity(reps as usize);
-    let mut cost = Vec::with_capacity(reps as usize);
-    let mut vms = Vec::with_capacity(reps as usize);
-    let mut valid = Vec::with_capacity(reps as usize);
+    weights: impl Fn(u64) -> WeightModel,
+    out: &mut Replays,
+) {
     for seed in 0..reps {
-        let r = simulate(wf, platform, schedule, &SimConfig::stochastic(seed))
+        let r = simulate(wf, platform, schedule, &SimConfig::new(weights(seed)))
             .expect("schedules from the algorithms are valid");
-        mk.push(r.makespan);
-        cost.push(r.total_cost);
-        vms.push(r.vms_used as f64);
-        valid.push(r.within_budget(budget));
+        out.makespans.push(r.makespan);
+        out.costs.push(r.total_cost);
+        out.vms.push(r.vms_used as f64);
+        out.valid.push(r.within_budget(budget));
     }
-    (mk, cost, vms, valid)
 }
 
 fn aggregate(raw: Vec<JobResult>) -> Vec<Cell> {
@@ -201,13 +217,14 @@ fn aggregate(raw: Vec<JobResult>) -> Vec<Cell> {
     groups
         .into_iter()
         .map(|((wf, alg, mult_bits), rs)| {
-            let gather = |f: fn(&JobResult) -> &Vec<f64>| -> Vec<f64> {
-                rs.iter().flat_map(|r| f(r).iter().copied()).collect()
+            let gather = |f: fn(&Replays) -> &Vec<f64>| -> Vec<f64> {
+                rs.iter().flat_map(|r| f(&r.replays).iter().copied()).collect()
             };
             let mk = gather(|r| &r.makespans);
             let cost = gather(|r| &r.costs);
             let vms = gather(|r| &r.vms);
-            let valid: Vec<bool> = rs.iter().flat_map(|r| r.valid.iter().copied()).collect();
+            let valid: Vec<bool> =
+                rs.iter().flat_map(|r| r.replays.valid.iter().copied()).collect();
             let sched: Vec<f64> = rs.iter().map(|r| r.sched_secs).collect();
             Cell {
                 workflow: wf,
@@ -216,8 +233,7 @@ fn aggregate(raw: Vec<JobResult>) -> Vec<Cell> {
                 makespan: stats_of(&mk),
                 cost: stats_of(&cost),
                 vms: stats_of(&vms),
-                valid_pct: 100.0 * valid.iter().filter(|&&v| v).count() as f64
-                    / valid.len().max(1) as f64,
+                valid_pct: valid_pct(&valid),
                 sched_time: stats_of(&sched),
             }
         })

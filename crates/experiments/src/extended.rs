@@ -2,7 +2,7 @@
 //! of the uncertainty level σ, and of the workflow size, on budget
 //! compliance and the budget needed to match the baseline makespan.
 
-use crate::common::{results_dir, stats_of, write_text};
+use crate::common::{gaussian, replay, results_dir, stats_of, valid_pct, write_text, Replays};
 use std::fmt::Write as _;
 use wfs_platform::Platform;
 use wfs_scheduler::{min_cost_floor, run_online, Algorithm, OnlineConfig};
@@ -21,36 +21,24 @@ pub fn sigma_sweep(instances: u64, reps: u64) {
     for ty in BenchmarkType::ALL {
         for sigma in [0.25, 0.5, 0.75, 1.0] {
             for alg in [Algorithm::MinMinBudg, Algorithm::HeftBudg] {
-                let mut mks = Vec::new();
-                let mut costs = Vec::new();
-                let mut valid = 0usize;
-                let mut total = 0usize;
+                let mut r = Replays::default();
                 for inst in 0..instances {
                     let wf = ty
                         .generate(GenConfig::new(90, inst).with_sigma_ratio(sigma));
                     let floor = min_cost_floor(&wf, &platform);
                     let budget = floor * 2.0;
                     let sched = alg.run(&wf, &platform, budget);
-                    for seed in 0..reps {
-                        let r = simulate(&wf, &platform, &sched, &SimConfig::stochastic(seed))
-                            .expect("valid schedule");
-                        mks.push(r.makespan);
-                        costs.push(r.total_cost);
-                        total += 1;
-                        if r.within_budget(budget) {
-                            valid += 1;
-                        }
-                    }
+                    replay(&wf, &platform, &sched, budget, reps, gaussian, &mut r);
                 }
-                let mk = stats_of(&mks);
-                let c = stats_of(&costs);
+                let mk = stats_of(&r.makespans);
+                let c = stats_of(&r.costs);
                 writeln!(
                     md,
                     "| {} | {:.0}% | {} | {:.0} | {:.0} ± {:.0} | {:.3} ± {:.3} |",
                     ty.name(),
                     sigma * 100.0,
                     alg.name(),
-                    100.0 * valid as f64 / total as f64,
+                    valid_pct(&r.valid),
                     mk.mean,
                     mk.std,
                     c.mean,
@@ -69,7 +57,6 @@ pub fn sigma_sweep(instances: u64, reps: u64) {
 /// heavy-tailed (log-normal with the same two moments)? Measures budget
 /// compliance and makespan inflation per benchmark type.
 pub fn robustness(instances: u64, reps: u64) {
-    use wfs_simulator::WeightModel;
     let platform = Platform::paper_default();
     let mut md = String::from(
         "## Extended experiment — robustness to weight-model misspecification\n\n\
@@ -79,37 +66,29 @@ pub fn robustness(instances: u64, reps: u64) {
     );
     for ty in BenchmarkType::ALL {
         for (label, heavy) in [("gaussian", false), ("log-normal", true)] {
-            let mut mks = Vec::new();
-            let mut costs = Vec::new();
-            let mut valid = 0usize;
-            let mut total = 0usize;
+            let weights = |seed| {
+                if heavy {
+                    WeightModel::HeavyTail { seed }
+                } else {
+                    WeightModel::Stochastic { seed }
+                }
+            };
+            let mut r = Replays::default();
             for inst in 0..instances {
                 let wf = ty.generate(GenConfig::new(90, inst));
                 let floor = min_cost_floor(&wf, &platform);
                 let budget = floor * 2.0;
                 let (sched, _) = wfs_scheduler::heft_budg(&wf, &platform, budget);
-                for seed in 0..reps {
-                    let model = if heavy {
-                        WeightModel::HeavyTail { seed }
-                    } else {
-                        WeightModel::Stochastic { seed }
-                    };
-                    let r = simulate(&wf, &platform, &sched, &SimConfig::new(model))
-                        .expect("valid schedule");
-                    mks.push(r.makespan);
-                    costs.push(r.total_cost);
-                    total += 1;
-                    valid += r.within_budget(budget) as usize;
-                }
+                replay(&wf, &platform, &sched, budget, reps, weights, &mut r);
             }
-            let mk = stats_of(&mks);
-            let c = stats_of(&costs);
+            let mk = stats_of(&r.makespans);
+            let c = stats_of(&r.costs);
             writeln!(
                 md,
                 "| {} | {} | {:.0} | {:.0} ± {:.0} | {:.3} ± {:.3} |",
                 ty.name(),
                 label,
-                100.0 * valid as f64 / total as f64,
+                valid_pct(&r.valid),
                 mk.mean,
                 mk.std,
                 c.mean,
@@ -357,7 +336,8 @@ pub fn counters_study() {
 /// the table, RETRY and RESCHEDULE pick up — the latter while still
 /// honoring Eq. 3 on the residual budget.
 pub fn fault_study(instances: u64, reps: u64) {
-    use wfs_scheduler::{run_with_recovery, RecoveryConfig, RecoveryPolicy};
+    use wfs_observe::NoopSink;
+    use wfs_scheduler::{run_with_recovery_observed, RecoveryConfig, RecoveryPolicy};
     use wfs_simulator::{BootFaultModel, CrashModel, FaultConfig};
     let platform = Platform::paper_default();
     let mut md = String::from(
@@ -395,8 +375,9 @@ pub fn fault_study(instances: u64, reps: u64) {
                                 faults,
                             )
                             .with_max_epochs(24);
-                            let out = run_with_recovery(&wf, &platform, &cfg)
-                                .expect("recovery never hits a hard SimError");
+                            let out =
+                                run_with_recovery_observed(&wf, &platform, &cfg, &mut NoopSink)
+                                    .expect("recovery never hits a hard SimError");
                             costs.push(out.total_cost);
                             wasted.push(out.stats.wasted_billed_seconds);
                             replans.push(out.replans as f64);
@@ -449,23 +430,15 @@ pub fn ablations(instances: u64, reps: u64) {
     for ty in BenchmarkType::ALL {
         for mult in [1.2, 1.5, 2.0, 3.0] {
             for (label, pot) in [("on", Pot::new()), ("off", Pot::disabled())] {
-                let mut mks = Vec::new();
-                let mut costs = Vec::new();
-                let mut valid = 0usize;
+                let mut r = Replays::default();
                 for inst in 0..instances {
                     let wf = ty.generate(GenConfig::new(90, inst));
                     let budget = min_cost_floor(&wf, &platform) * mult;
                     let (sched, _) = heft_budg_carry(&wf, &platform, budget, pot, &mut NoopSink);
-                    for seed in 0..reps {
-                        let r = simulate(&wf, &platform, &sched, &SimConfig::stochastic(seed))
-                            .expect("valid schedule");
-                        mks.push(r.makespan);
-                        costs.push(r.total_cost);
-                        valid += usize::from(r.within_budget(budget));
-                    }
+                    replay(&wf, &platform, &sched, budget, reps, gaussian, &mut r);
                 }
-                let mk = stats_of(&mks);
-                let c = stats_of(&costs);
+                let mk = stats_of(&r.makespans);
+                let c = stats_of(&r.costs);
                 writeln!(
                     md,
                     "| {} | {mult:.1} | {label} | {:.0} ± {:.0} | {:.3} ± {:.3} | {:.0} |",
@@ -474,7 +447,7 @@ pub fn ablations(instances: u64, reps: u64) {
                     mk.std,
                     c.mean,
                     c.std,
-                    100.0 * valid as f64 / mks.len() as f64
+                    valid_pct(&r.valid)
                 )
                 .unwrap();
             }

@@ -120,16 +120,12 @@ pub(crate) fn select_best(evals: &[HostEval], limit: f64) -> HostEval {
 ///   candidate (the schedule must still complete; the paper notes that
 ///   `getBestHost` then "will not return the host with the smallest EFT").
 ///
-/// `limit = ∞` recovers the baseline MIN-MIN/HEFT behaviour.
-pub fn get_best_host(plan: &PlanState<'_>, t: TaskId, limit: f64) -> HostEval {
-    get_best_host_observed(plan, t, limit, &mut NoopSink)
-}
-
-/// [`get_best_host`] with an event sink: every candidate considered is
-/// reported as an [`Obs::CandidateEvaluated`] (with its EFT, cost and
-/// whether it fit the limit) before the selection is returned. With
-/// `NoopSink` this is exactly [`get_best_host`].
-pub(crate) fn get_best_host_observed<S: EventSink>(
+/// `limit = ∞` recovers the baseline MIN-MIN/HEFT behaviour. Every
+/// candidate considered is reported to `sink` as an
+/// [`Obs::CandidateEvaluated`] (with its EFT, cost and whether it fit the
+/// limit) before the selection is returned; pass [`NoopSink`] when nothing
+/// listens.
+pub fn get_best_host<S: EventSink>(
     plan: &PlanState<'_>,
     t: TaskId,
     limit: f64,
@@ -154,11 +150,6 @@ pub(crate) fn get_best_host_observed<S: EventSink>(
         }
         select_best(evals, limit)
     })
-}
-
-/// Full selection (with cache metadata) for `t`.
-pub(crate) fn select_for(plan: &PlanState<'_>, t: TaskId, limit: f64) -> Selection {
-    plan.with_candidate_evals(t, |evals| select(evals, limit))
 }
 
 /// Cached best-host result for one ready task.
@@ -244,7 +235,7 @@ impl BestHostCache {
         last_commit: Option<VmId>,
     ) -> HostEval {
         if plan.is_naive() {
-            return get_best_host(plan, t, limit);
+            return get_best_host(plan, t, limit, &mut NoopSink);
         }
         let vm_count = plan.schedule().vm_count();
         if let (Some(entry), Some(w)) = (&mut self.entries[t.index()], last_commit) {
@@ -279,7 +270,7 @@ impl BestHostCache {
             }
         }
         self.misses += 1;
-        let sel = select_for(plan, t, limit);
+        let sel = plan.with_candidate_evals(t, |evals| select(evals, limit));
         self.entries[t.index()] = Some(Entry { sel, limit, vm_count });
         sel.best
     }
@@ -311,7 +302,7 @@ mod tests {
         let wf = chain(1, 100.0, 0.0);
         let p = p2();
         let plan = PlanState::new(&wf, &p);
-        let best = get_best_host(&plan, wfs_workflow::TaskId(0), f64::INFINITY);
+        let best = get_best_host(&plan, wfs_workflow::TaskId(0), f64::INFINITY, &mut NoopSink);
         // fast: 25 s at $0.01 = $0.25; slow: 100 s at $0.001 = $0.10.
         assert_eq!(best.candidate, Candidate::New(CategoryId(1)));
         assert!((best.eft - 25.0).abs() < 1e-9);
@@ -323,7 +314,7 @@ mod tests {
         let p = p2();
         let plan = PlanState::new(&wf, &p);
         // $0.25 needed for fast; give only $0.15.
-        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.15);
+        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.15, &mut NoopSink);
         assert_eq!(best.candidate, Candidate::New(CategoryId(0)));
         assert!((best.cost - 0.10).abs() < 1e-9);
     }
@@ -333,7 +324,7 @@ mod tests {
         let wf = chain(1, 100.0, 0.0);
         let p = p2();
         let plan = PlanState::new(&wf, &p);
-        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.0);
+        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.0, &mut NoopSink);
         // Nothing is affordable; still returns the cheapest option.
         assert_eq!(best.candidate, Candidate::New(CategoryId(0)));
     }
@@ -343,7 +334,7 @@ mod tests {
         let wf = chain(1, 100.0, 0.0);
         let p = p2();
         let plan = PlanState::new(&wf, &p);
-        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.25);
+        let best = get_best_host(&plan, wfs_workflow::TaskId(0), 0.25, &mut NoopSink);
         assert_eq!(best.candidate, Candidate::New(CategoryId(1)), "exact budget must qualify");
     }
 
@@ -359,7 +350,7 @@ mod tests {
         plan.commit(wfs_workflow::TaskId(0), Candidate::New(CategoryId(0)));
         // Chain: task 1 on the used VM starts at 100 (no transfer) vs a new
         // VM also possible; used wins on EFT (no data transfer + no boot).
-        let best = get_best_host(&plan, wfs_workflow::TaskId(1), f64::INFINITY);
+        let best = get_best_host(&plan, wfs_workflow::TaskId(1), f64::INFINITY, &mut NoopSink);
         assert!(matches!(best.candidate, Candidate::Used(_)));
     }
 
@@ -369,14 +360,15 @@ mod tests {
         let p = p2();
         let plan = PlanState::new(&wf, &p);
         let t = wfs_workflow::TaskId(0);
+        let selection = |limit| plan.with_candidate_evals(t, |evals| select(evals, limit));
         // Rich: fast is both the affordable and the unconstrained best.
-        let rich = select_for(&plan, t, f64::INFINITY);
+        let rich = selection(f64::INFINITY);
         assert!(rich.affordable && rich.unconstrained_same);
         // Tight: slow wins on budget while fast stays better on EFT.
-        let tight = select_for(&plan, t, 0.15);
+        let tight = selection(0.15);
         assert!(tight.affordable && !tight.unconstrained_same);
         // Broke: nothing affordable, fall-back to cheapest.
-        let broke = select_for(&plan, t, 0.0);
+        let broke = selection(0.0);
         assert!(!broke.affordable);
     }
 
@@ -392,7 +384,7 @@ mod tests {
         for &t in wf.topological_order() {
             for limit in [0.0, 0.05, 0.2, 1.0, f64::INFINITY] {
                 let cached = cache.best(&plan, t, limit, last);
-                let fresh = get_best_host(&plan, t, limit);
+                let fresh = get_best_host(&plan, t, limit, &mut NoopSink);
                 assert_eq!(cached, fresh, "task {t:?} limit {limit}");
             }
             let best = cache.best(&plan, t, 0.2, last);

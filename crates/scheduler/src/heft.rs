@@ -5,7 +5,7 @@
 //! the ordering but restricts each task's host choice to those respecting
 //! its budget share plus the pot (Algorithm 2).
 
-use crate::best_host::get_best_host_observed;
+use crate::best_host::get_best_host;
 use crate::budget::{Placement, Pot};
 use crate::plan::PlanState;
 use wfs_observe::{EventSink, NoopSink};
@@ -69,7 +69,7 @@ pub(crate) fn heft_inner<S: EventSink>(
     let mut plan = PlanState::new(wf, platform);
     for &t in &list {
         placement.place(&mut plan, t, sink, |plan, limit, sink| {
-            get_best_host_observed(plan, t, limit, sink)
+            get_best_host(plan, t, limit, sink)
         });
     }
     let pot = placement.finish(&plan, sink);

@@ -28,6 +28,10 @@
 //! an extension). Every refinement, Alg. 5 and CG+ alike, evaluates its
 //! tentative moves through one trial evaluator (`DESIGN.md` §2).
 //!
+//! Alg. 2 alone ([`get_best_host`]) and fault recovery
+//! ([`run_with_recovery_observed`]) take an event sink (`NoopSink` when
+//! nothing listens); [`run_online`] keeps its own model (`DESIGN.md` §11).
+//!
 //! ```
 //! use wfs_scheduler::Algorithm;
 //! use wfs_platform::Platform;
@@ -70,7 +74,6 @@ pub use heft::{heft_budg, heft_budg_carry, heft_budg_observed, priority_list};
 pub use online::{run_online, OnlineConfig, OnlineOutcome};
 pub use plan::{Candidate, HostEval, PlanState};
 pub use recovery::{
-    run_with_recovery, run_with_recovery_observed, EpochRecord, RecoveryConfig, RecoveryOutcome,
-    RecoveryPolicy,
+    run_with_recovery_observed, EpochRecord, RecoveryConfig, RecoveryOutcome, RecoveryPolicy,
 };
 pub use refine::{min_min_budg_plus, refine_schedule, refine_schedule_observed, RefineOrder};

@@ -115,29 +115,24 @@ pub fn run_online(
         schedule.vm_ids().map(|v| schedule.order(v).iter().copied().collect()).collect();
 
     let n = wf.task_count();
-    let mut done = vec![false; n];
-    let mut finish = vec![f64::NAN; n];
     // Conservative data-at-DC time per edge (producers always upload).
     let mut at_dc = vec![f64::INFINITY; wf.edge_count()];
-    // VM each task actually ran on (for input-locality of re-dispatches).
+    // VM each finished task ran on (`None` = not done yet; also gives the
+    // input locality of re-dispatches).
     let mut ran_on: Vec<Option<usize>> = vec![None; n];
     let mut interruptions = 0usize;
     let mut migrations = 0usize;
-    let mut completed = 0usize;
 
     // A task at the head of its queue is startable once its predecessors
     // are done. Returns (start_time, duration_secs_of_transfers).
     let startable =
         |wf: &Workflow, vm_idx: usize, t: TaskId, vms: &[OnlineVm], at_dc: &[f64],
-         ran_on: &[Option<usize>], done: &[bool]| -> Option<(f64, f64)> {
+         ran_on: &[Option<usize>]| -> Option<(f64, f64)> {
             let mut data_ready: f64 = 0.0;
             let mut in_bytes = wf.task(t).external_input;
             for &e in wf.in_edges(t) {
                 let edge = wf.edge(e);
-                if !done[edge.from.index()] {
-                    return None;
-                }
-                if ran_on[edge.from.index()] == Some(vm_idx) {
+                if ran_on[edge.from.index()]? == vm_idx {
                     continue; // local data
                 }
                 data_ready = data_ready.max(at_dc[e.index()]);
@@ -165,12 +160,13 @@ pub fn run_online(
         c + platform.datacenter.cost(span, external)
     };
 
-    while completed < n {
+    // Each round runs one task to completion.
+    for _ in 0..n {
         // Pick the queue head with the earliest possible start.
         let mut best: Option<(usize, TaskId, f64, f64)> = None;
         for (v, q) in queues.iter().enumerate() {
             let Some(&t) = q.front() else { continue };
-            if let Some((begin, xfer)) = startable(wf, v, t, &vms, &at_dc, &ran_on, &done) {
+            if let Some((begin, xfer)) = startable(wf, v, t, &vms, &at_dc, &ran_on) {
                 if best.is_none_or(|(_, _, b, _)| begin < b) {
                     best = Some((v, t, begin, xfer));
                 }
@@ -182,9 +178,7 @@ pub fn run_online(
         queues[v].pop_front();
 
         let cat = platform.category(vms[v].category);
-        if vms[v].charge_start.is_none() {
-            vms[v].charge_start = Some(begin); // boot already added, uncharged
-        }
+        vms[v].charge_start.get_or_insert(begin); // boot already added, uncharged
         let exec_start = begin + xfer;
         let real_dur = realized[t.index()] / cat.speed;
         let est = wf.task(t).weight;
@@ -193,7 +187,11 @@ pub fn run_online(
             .map(|k| (est.mean + k * est.std_dev) / cat.speed)
             .unwrap_or(f64::INFINITY);
 
-        let end = if real_dur > timeout {
+        // Where the task finishes, and when: in place unless the watchdog
+        // fires and a migration pays.
+        let mut host = v;
+        let mut end = exec_start + real_dur;
+        if real_dur > timeout {
             // Watchdog fires. The controller does NOT know the realized
             // duration; it estimates the remaining work as one full mean
             // weight (`w̄`) and decides: migrate only if the estimated
@@ -202,14 +200,13 @@ pub fn run_online(
             // finish of simply letting the task run.
             interruptions += 1;
             let interrupt_at = exec_start + timeout;
-            let cur_speed = cat.speed;
             // Conservative remaining estimate (w̄ + σ, like the planner):
             // under-estimating it would green-light marginal migrations
             // whose realized cost busts the budget.
             let est_remaining_work = est.conservative();
-            let cont_est = interrupt_at + est_remaining_work / cur_speed;
+            let cont_est = interrupt_at + est_remaining_work / cat.speed;
             // Restarting elsewhere must redo the work done so far too.
-            let est_total_work = timeout * cur_speed + est_remaining_work;
+            let est_total_work = timeout * cat.speed + est_remaining_work;
 
             // Budget headroom at the interrupt instant, after reserving
             // the conservative cost of every task still to run *on the VM
@@ -217,7 +214,7 @@ pub fn run_online(
             // the remaining workload.
             let future_reserve: f64 = wf
                 .task_ids()
-                .filter(|&u| !done[u.index()] && u != t)
+                .filter(|&u| ran_on[u.index()].is_none() && u != t)
                 .map(|u| {
                     let cat_id = schedule
                         .assignment(u)
@@ -227,95 +224,64 @@ pub fn run_online(
                     wf.task(u).weight.conservative() / c.speed * c.cost_per_second()
                 })
                 .sum();
-            let headroom =
-                b_ini - projected_cost(&vms, interrupt_at) - future_reserve;
+            let headroom = b_ini - projected_cost(&vms, interrupt_at) - future_reserve;
             let in_bytes_full = wf.task(t).external_input
                 + wf.in_edges(t).iter().map(|&e| wf.edge(e).size).sum::<f64>();
 
-            // Candidate moves, judged on ESTIMATED end time.
-            // (vm index or None=new, category, est_end, start, cost_est)
-            let mut choice: Option<(Option<usize>, CategoryId, f64, f64)> = None;
-            for (cv, cvm) in vms.iter().enumerate() {
-                if cv == v {
-                    continue;
-                }
-                let c = platform.category(cvm.category);
-                let occupied = in_bytes_full / bw + est_total_work / c.speed;
+            // Candidate moves, judged on ESTIMATED end time: every other
+            // rented VM, then a fresh VM per category, as (vm index or None,
+            // category, start, billed gap, init cost). Re-using an idle VM
+            // re-opens its continuous rental slot: the gap since its last
+            // activity is billed too. A fresh VM pays its init cost instead.
+            let used = vms.iter().enumerate().filter(|&(cv, _)| cv != v).map(|(cv, cvm)| {
                 let start = cvm.avail.max(interrupt_at);
-                let est_end = start + occupied;
-                // Re-using an idle VM re-opens its continuous rental slot:
-                // the gap since its last activity is billed too.
-                let reopen_gap = (start - cvm.avail).max(0.0);
-                let cost = (reopen_gap + occupied) * c.cost_per_second();
-                if cost * TAIL_SAFETY <= headroom && choice.is_none_or(|(_, _, e, _)| est_end < e) {
-                    choice = Some((Some(cv), cvm.category, est_end, start));
-                }
-            }
-            for cat_id in platform.category_ids() {
+                (Some(cv), cvm.category, start, (start - cvm.avail).max(0.0), 0.0)
+            });
+            let fresh = platform.category_ids().map(|cat_id| {
+                let c = platform.category(cat_id);
+                (None, cat_id, interrupt_at + c.boot_time, 0.0, c.init_cost)
+            });
+            // (vm index or None = fresh, category, est_end, start)
+            let mut choice: Option<(Option<usize>, CategoryId, f64, f64)> = None;
+            for (target, cat_id, start, gap, init) in used.chain(fresh) {
                 let c = platform.category(cat_id);
                 let occupied = in_bytes_full / bw + est_total_work / c.speed;
-                let est_end = interrupt_at + c.boot_time + occupied;
-                let cost = occupied * c.cost_per_second() + c.init_cost;
+                let est_end = start + occupied;
+                let cost = (gap + occupied) * c.cost_per_second() + init;
                 if cost * TAIL_SAFETY <= headroom && choice.is_none_or(|(_, _, e, _)| est_end < e) {
-                    choice = Some((None, cat_id, est_end, interrupt_at + c.boot_time));
+                    choice = Some((target, cat_id, est_end, start));
                 }
             }
 
-            match choice {
-                Some((target, cat_id, est_end, start)) if est_end < cont_est => {
-                    // Migrate: the elapsed timeout stays charged on `v`.
-                    migrations += 1;
-                    vms[v].avail = interrupt_at;
-                    vms[v].last_activity = interrupt_at;
-                    let c = platform.category(cat_id);
-                    let actual_end =
-                        start + in_bytes_full / bw + realized[t.index()] / c.speed;
-                    let host = match target {
-                        Some(cv) => {
-                            if vms[cv].charge_start.is_none() {
-                                vms[cv].charge_start = Some(start);
-                            }
-                            cv
-                        }
-                        None => {
-                            vms.push(OnlineVm {
-                                category: cat_id,
-                                avail: start,
-                                charge_start: Some(start),
-                                last_activity: start,
-                            });
-                            queues.push(std::collections::VecDeque::new());
-                            vms.len() - 1
-                        }
-                    };
-                    vms[host].avail = actual_end;
-                    vms[host].last_activity = actual_end;
-                    ran_on[t.index()] = Some(host);
-                    actual_end
-                }
-                _ => {
-                    // Continuing is (estimated) better or nothing is
-                    // affordable: let the task finish in place.
-                    let e = exec_start + real_dur;
-                    vms[v].avail = e;
-                    vms[v].last_activity = e;
-                    ran_on[t.index()] = Some(v);
-                    e
-                }
+            // Continuing is (estimated) better or nothing is affordable:
+            // let the task finish in place. Otherwise migrate; the elapsed
+            // timeout stays charged on `v`.
+            if let Some((target, cat_id, _, start)) = choice.filter(|c| c.2 < cont_est) {
+                migrations += 1;
+                vms[v].avail = interrupt_at;
+                vms[v].last_activity = interrupt_at;
+                let speed = platform.category(cat_id).speed;
+                end = start + in_bytes_full / bw + realized[t.index()] / speed;
+                host = match target {
+                    Some(cv) => {
+                        vms[cv].charge_start.get_or_insert(start);
+                        cv
+                    }
+                    None => {
+                        vms.push(OnlineVm {
+                            category: cat_id,
+                            avail: end,
+                            charge_start: Some(start),
+                            last_activity: end,
+                        });
+                        vms.len() - 1
+                    }
+                };
             }
-        } else {
-            let e = exec_start + real_dur;
-            vms[v].avail = e;
-            vms[v].last_activity = e;
-            ran_on[t.index()] = Some(v);
-            e
-        };
-
-        done[t.index()] = true;
-        finish[t.index()] = end;
-        completed += 1;
-        #[allow(clippy::expect_used)] // both branches above record the host
-        let host = ran_on[t.index()].expect("just set");
+        }
+        vms[host].avail = end;
+        vms[host].last_activity = end;
+        ran_on[t.index()] = Some(host);
         // Conservative uploads of every output (+ external output).
         let mut upload_end = end;
         for &e in wf.out_edges(t) {
@@ -334,10 +300,7 @@ pub fn run_online(
     let total_cost = projected_cost(&vms, makespan);
     let vm_usage = vms
         .iter()
-        .filter_map(|v| {
-            v.charge_start
-                .map(|s| (v.category.0, (v.last_activity - s).max(0.0)))
-        })
+        .filter_map(|v| v.charge_start.map(|s| (v.category.0, (v.last_activity - s).max(0.0))))
         .collect();
     OnlineOutcome {
         makespan,

@@ -27,10 +27,10 @@ use crate::algorithms::{min_cost_schedule, Algorithm};
 use crate::budget::{datacenter_reservation, Pot};
 use crate::heft::heft_budg_carry;
 use serde::{Deserialize, Serialize};
-use wfs_observe::{Event as Obs, EventSink, NoopSink};
+use wfs_observe::{Event as Obs, EventSink};
 use wfs_platform::{CategoryId, Platform};
 use wfs_simulator::{
-    plan_lint_faulted, simulate_with_faults_observed, stream_seed, FaultConfig, FaultStats,
+    plan_lint_faulted, simulate_with_faults, stream_seed, FaultConfig, FaultStats,
     Schedule, SimConfig, SimError, VmId, WeightModel,
 };
 use wfs_workflow::{TaskId, Workflow, WorkflowBuilder};
@@ -329,20 +329,14 @@ fn budget_clause(cfg: &RecoveryConfig, epoch: usize, remaining: f64, degraded: b
 /// Run `wf` to durable completion under fault injection, recovering per
 /// `cfg.policy`. Loops plan → inject → recover until every task is
 /// durably complete, the budget is exhausted, or `max_epochs` is hit.
-pub fn run_with_recovery(
-    wf: &Workflow,
-    platform: &Platform,
-    cfg: &RecoveryConfig,
-) -> Result<RecoveryOutcome, SimError> {
-    run_with_recovery_observed(wf, platform, cfg, &mut NoopSink)
-}
-
-/// [`run_with_recovery`] with an event sink: each epoch is announced with
+///
+/// Each epoch is announced to `sink` with
 /// [`Event::EpochStarted`](wfs_observe::Event::EpochStarted) (carrying the
 /// wall-clock offset of the epoch's run), planning decisions and simulator
 /// execution stream through, and an
 /// [`Event::RecoveryEpoch`](wfs_observe::Event::RecoveryEpoch) summary
-/// closes each epoch.
+/// closes each epoch. Pass [`NoopSink`](wfs_observe::NoopSink) when nothing
+/// listens.
 pub fn run_with_recovery_observed<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
@@ -416,13 +410,11 @@ pub fn run_with_recovery_observed<S: EventSink>(
 
         let faults = epoch_faults(cfg.faults, epoch);
         let sim_cfg = SimConfig::new(epoch_weights(cfg.weights, epoch));
-        let run =
-            simulate_with_faults_observed(sub_ref, platform, &schedule, &sim_cfg, &faults, sink)?;
+        let run = simulate_with_faults(sub_ref, platform, &schedule, &sim_cfg, &faults, sink)?;
 
         if cfg.lint {
             let clause = budget_clause(cfg, epoch, if epoch == 0 { cfg.budget } else { remaining }, degraded_this);
-            let ctx = run.lint_context();
-            for v in plan_lint_faulted(sub_ref, platform, &schedule, &run.report, clause, &ctx) {
+            for v in plan_lint_faulted(sub_ref, platform, &schedule, &run, clause) {
                 lint_violations.push(format!("epoch {epoch}: {v}"));
             }
         }
@@ -482,6 +474,7 @@ pub fn run_with_recovery_observed<S: EventSink>(
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
+    use wfs_observe::NoopSink;
     use wfs_simulator::{BootFaultModel, CrashModel, DegradationModel};
     use wfs_workflow::gen::{fork_join, montage, GenConfig};
 
@@ -507,7 +500,7 @@ mod tests {
             FaultConfig::none(),
         )
         .with_lint();
-        let out = run_with_recovery(&wf, &p, &cfg).unwrap();
+        let out = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
         assert!(out.completed);
         assert_eq!(out.epochs.len(), 1);
         assert_eq!(out.replans, 0);
@@ -522,7 +515,7 @@ mod tests {
         let p = paper();
         let cfg =
             RecoveryConfig::new(Algorithm::HeftBudg, RecoveryPolicy::FailStop, 2.0, stormy(11));
-        let out = run_with_recovery(&wf, &p, &cfg).unwrap();
+        let out = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
         assert_eq!(out.epochs.len(), 1);
         assert_eq!(out.replans, 0);
         assert!(out.total_cost > 0.0);
@@ -539,8 +532,8 @@ mod tests {
         for policy in [RecoveryPolicy::RetrySameCategory, RecoveryPolicy::RescheduleBudgetAware] {
             let cfg = RecoveryConfig::new(Algorithm::HeftBudg, policy, 3.0, stormy(7))
                 .with_weights(WeightModel::Stochastic { seed: 5 });
-            let a = run_with_recovery(&wf, &p, &cfg).unwrap();
-            let b = run_with_recovery(&wf, &p, &cfg).unwrap();
+            let a = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
+            let b = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
             assert_eq!(a, b);
         }
     }
@@ -558,7 +551,7 @@ mod tests {
             )
             .with_max_epochs(40)
             .with_lint();
-            let out = run_with_recovery(&wf, &p, &cfg).unwrap();
+            let out = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
             assert!(out.completed, "seed {seed}: incomplete after {} epochs", out.epochs.len());
             assert!(out.within_budget(), "seed {seed}: cost {} > 6.0", out.total_cost);
             assert!(out.lint_violations.is_empty(), "seed {seed}: {:?}", out.lint_violations);
@@ -576,7 +569,7 @@ mod tests {
             FaultConfig::new(3).with_crash(CrashModel::exponential(1200.0)),
         )
         .with_max_epochs(60);
-        let out = run_with_recovery(&wf, &p, &cfg).unwrap();
+        let out = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
         assert!(out.completed, "incomplete after {} epochs", out.epochs.len());
         // Epochs shrink: each retry schedules only the residual DAG.
         for w in out.epochs.windows(2) {
@@ -620,7 +613,7 @@ mod tests {
             faults,
         )
         .with_max_epochs(50);
-        let out = run_with_recovery(&wf, &p, &cfg).unwrap();
+        let out = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
         assert!(out.epochs.len() < 50, "ran all {} epochs", out.epochs.len());
         if !out.completed {
             assert!(out.total_cost >= out.budget, "stopped but budget not exhausted");

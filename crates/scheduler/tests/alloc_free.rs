@@ -11,6 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use wfs_observe::NoopSink;
 use wfs_platform::Platform;
 use wfs_scheduler::get_best_host;
 use wfs_scheduler::PlanState;
@@ -55,18 +56,18 @@ fn steady_state_sweep_allocates_nothing() {
     let order: Vec<_> = wf.topological_order().to_vec();
     let half = order.len() / 2;
     for &t in &order[..half] {
-        let best = get_best_host(&plan, t, f64::INFINITY);
+        let best = get_best_host(&plan, t, f64::INFINITY, &mut NoopSink);
         plan.commit(t, best.candidate);
     }
 
     let probe = order[half];
     // Warm-up: the scratch buffers may still grow on this first sweep.
-    let warm = get_best_host(&plan, probe, f64::INFINITY);
+    let warm = get_best_host(&plan, probe, f64::INFINITY, &mut NoopSink);
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut check = warm;
     for _ in 0..256 {
-        check = get_best_host(&plan, probe, f64::INFINITY);
+        check = get_best_host(&plan, probe, f64::INFINITY, &mut NoopSink);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 

@@ -64,7 +64,7 @@ fn assert_sweeps_bitwise_identical(name: &str, wf: &Workflow, platform: &Platfor
             1 => 0.05,
             _ => 0.0,
         };
-        let best = get_best_host(&plan, t, limit);
+        let best = get_best_host(&plan, t, limit, &mut NoopSink);
         plan.commit(t, best.candidate);
     }
 }

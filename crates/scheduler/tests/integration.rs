@@ -4,6 +4,7 @@
 // Helper fns in integration-test files miss the tests-only exemption.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use wfs_observe::NoopSink;
 use wfs_platform::{BillingPolicy, Datacenter, Platform, VmCategory};
 use wfs_scheduler::{
     divide_budget, get_best_host, heft_budg, min_cost_floor, priority_list, Algorithm,
@@ -54,7 +55,7 @@ fn get_best_host_degrades_gracefully_with_shrinking_limit() {
     let mut last_cost = f64::INFINITY;
     let mut last_eft = 0.0f64;
     for limit in [1.0, 0.01, 0.001, 0.0001, 0.0] {
-        let e = get_best_host(&plan, t, limit);
+        let e = get_best_host(&plan, t, limit, &mut NoopSink);
         assert!(e.cost <= last_cost + 1e-12, "cost rose as limit shrank");
         assert!(e.eft >= last_eft - 1e-12, "eft improved as limit shrank");
         last_cost = e.cost;

@@ -1043,7 +1043,7 @@ pub fn simulate(
 /// final Eq. 1–2 bill are reported to `sink`. With [`NoopSink`] this is
 /// the same code path as [`simulate`] (the emissions compile away).
 ///
-/// It runs the same event loop as [`simulate_with_faults_observed`] under
+/// It runs the same event loop as [`simulate_with_faults`] under
 /// [`FaultConfig::none`], but skips the durability pass and the
 /// [`FaultRun`] bookkeeping that a fault-free run has no use for.
 pub fn simulate_observed<S: EventSink>(
@@ -1063,22 +1063,11 @@ pub fn simulate_observed<S: EventSink>(
 /// Validate `schedule` and simulate with fault injection. With faults the
 /// run cannot "stall": tasks stranded by crashed or abandoned VMs simply
 /// stay unfinished and the returned [`FaultRun`] reports `complete =
-/// false` with the partial cost billed so far.
-pub fn simulate_with_faults(
-    wf: &Workflow,
-    platform: &Platform,
-    schedule: &Schedule,
-    config: &SimConfig,
-    faults: &FaultConfig,
-) -> Result<FaultRun, SimError> {
-    let mut sink = NoopSink;
-    simulate_with_faults_observed(wf, platform, schedule, config, faults, &mut sink)
-}
-
-/// [`simulate_with_faults`] with an event sink; fault injections (crashes,
+/// false` with the partial cost billed so far. Fault injections (crashes,
 /// abandoned boots, degradation windows) and the work they abort are
-/// reported alongside the regular execution events.
-pub fn simulate_with_faults_observed<S: EventSink>(
+/// reported to `sink` alongside the regular execution events; pass
+/// [`NoopSink`] when nothing listens.
+pub fn simulate_with_faults<S: EventSink>(
     wf: &Workflow,
     platform: &Platform,
     schedule: &Schedule,

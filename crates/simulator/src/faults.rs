@@ -23,7 +23,6 @@
 //! zero — the engine's behavior is bit-identical to the fault-free
 //! simulator: no events are injected and no arithmetic changes.
 
-use crate::lint::FaultLintContext;
 use crate::report::SimulationReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -301,12 +300,6 @@ impl FaultRun {
             .enumerate()
             .filter(|(_, &d)| !d)
             .map(|(i, _)| TaskId(u32::try_from(i).unwrap_or(u32::MAX)))
-    }
-
-    /// The lint context describing which invariants were fault-truncated
-    /// (pass to [`crate::lint::plan_lint_faulted`]).
-    pub fn lint_context(&self) -> FaultLintContext<'_> {
-        FaultLintContext { finished: &self.finished, boot_delays: &self.boot_delays }
     }
 }
 

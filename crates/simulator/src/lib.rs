@@ -21,6 +21,10 @@
 //! assert!(report.makespan > 0.0);
 //! assert!(report.total_cost > 0.0);
 //! ```
+//!
+//! [`simulate_with_faults`] is the one faulted entry point: it reports the
+//! injected faults to an event sink (`NoopSink` when nothing listens) and
+//! returns a [`FaultRun`], which [`plan_lint_faulted`] checks.
 
 #![warn(missing_docs)]
 
@@ -36,13 +40,12 @@ mod weights;
 
 pub use config::{DcCapacity, SimConfig};
 pub use engine::{
-    check_rates, simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed,
-    RateField, SimError,
+    check_rates, simulate, simulate_observed, simulate_with_faults, RateField, SimError,
 };
 pub use faults::{
     stream_seed, BootFaultModel, CrashModel, DegradationModel, FaultConfig, FaultRun, FaultStats,
 };
-pub use lint::{plan_lint, plan_lint_faulted, FaultLintContext, PlanViolation};
+pub use lint::{plan_lint, plan_lint_faulted, PlanViolation};
 pub use report::{SimulationReport, TaskRecord, VmUsage};
 pub use schedule::{Schedule, ScheduleError, VmId};
 pub use weights::{realize_weights, sample_standard_normal, WeightModel};
@@ -51,6 +54,7 @@ pub use weights::{realize_weights, sample_standard_normal, WeightModel};
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod engine_tests {
     use super::*;
+    use wfs_observe::NoopSink;
     use wfs_platform::{BillingPolicy, CategoryId, Datacenter, Platform, VmCategory};
     use wfs_workflow::gen::{bag_of_tasks, chain, fork_join, montage, GenConfig};
     use wfs_workflow::{StochasticWeight, TaskId, WorkflowBuilder};
@@ -261,7 +265,8 @@ mod engine_tests {
         let check = |p: &Platform, cfg: &SimConfig, field: RateField, bad: f64| {
             let errs = [
                 simulate(&wf, p, &s, cfg).unwrap_err(),
-                simulate_with_faults(&wf, p, &s, cfg, &FaultConfig::none()).unwrap_err(),
+                simulate_with_faults(&wf, p, &s, cfg, &FaultConfig::none(), &mut NoopSink)
+                    .unwrap_err(),
             ];
             for e in errs {
                 match e {

@@ -27,6 +27,7 @@
 //! externally corrupted report or hand-built schedule that breaks the model
 //! is reported with the offending quantities.
 
+use crate::faults::FaultRun;
 use crate::report::SimulationReport;
 use crate::schedule::{Schedule, VmId};
 use wfs_platform::Platform;
@@ -220,18 +221,6 @@ fn effective_bytes(size: f64) -> f64 {
     (size - DRAIN_EPS).max(0.0)
 }
 
-/// What a fault-truncated run actually executed — lets the linter verify
-/// the same invariant families on the prefix that ran while skipping tasks
-/// that crashes or abandoned boots prevented from running at all.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultLintContext<'a> {
-    /// Per task: computation finished during the run.
-    pub finished: &'a [bool],
-    /// Per VM: actual boot delay including fault retries (`None` = the VM
-    /// was never booked, or its boot was abandoned).
-    pub boot_delays: &'a [Option<f64>],
-}
-
 /// Lint the executed plan; returns all violations found (empty = clean).
 ///
 /// `budget` enables the Eq. 3 budget clause; pass `None` for baselines or
@@ -246,18 +235,18 @@ pub fn plan_lint(
     lint_impl(wf, platform, schedule, report, budget, None)
 }
 
-/// Lint a fault-truncated execution (see [`FaultLintContext`]): every
-/// invariant family is checked on the tasks that ran; VMs whose boot
-/// faults cost extra delay are held to their *actual* boot delay.
+/// Lint a fault-truncated execution: every invariant family is checked on
+/// the tasks that ran (`run.finished`), skipping those that crashes or
+/// abandoned boots prevented from running; VMs whose boot faults cost
+/// extra delay are held to their *actual* boot delay (`run.boot_delays`).
 pub fn plan_lint_faulted(
     wf: &Workflow,
     platform: &Platform,
     schedule: &Schedule,
-    report: &SimulationReport,
+    run: &FaultRun,
     budget: Option<f64>,
-    ctx: &FaultLintContext<'_>,
 ) -> Vec<PlanViolation> {
-    lint_impl(wf, platform, schedule, report, budget, Some(ctx))
+    lint_impl(wf, platform, schedule, &run.report, budget, Some(run))
 }
 
 fn lint_impl(
@@ -266,11 +255,11 @@ fn lint_impl(
     schedule: &Schedule,
     report: &SimulationReport,
     budget: Option<f64>,
-    ctx: Option<&FaultLintContext<'_>>,
+    run: Option<&FaultRun>,
 ) -> Vec<PlanViolation> {
     let mut v = Vec::new();
     let bw = platform.datacenter.bandwidth;
-    let ran = |t: TaskId| ctx.is_none_or(|c| c.finished[t.index()]);
+    let ran = |t: TaskId| run.is_none_or(|r| r.finished[t.index()]);
 
     // Usage record per VM id (report.vms only holds booked VMs).
     let usage_of = |vm: VmId| report.vms.iter().find(|u| u.vm == vm);
@@ -318,9 +307,9 @@ fn lint_impl(
         };
 
         // Boot delay (invariant 3). Boot faults stretch the delay; the
-        // context carries the actual per-VM value.
-        let boot = ctx
-            .and_then(|c| c.boot_delays.get(vm.index()).copied().flatten())
+        // faulted run carries the actual per-VM value.
+        let boot = run
+            .and_then(|r| r.boot_delays.get(vm.index()).copied().flatten())
             .unwrap_or_else(|| platform.category(schedule.vm_category(vm)).boot_time);
         let expected_ready = usage.booked_at + boot;
         if (usage.ready_at - expected_ready).abs() > tol(expected_ready) {

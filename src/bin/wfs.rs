@@ -91,6 +91,19 @@ fn parse_budget(s: &str) -> Result<f64, String> {
     parse_checked(s, "budget", "a finite non-negative amount", |v| v.is_finite() && v >= 0.0)
 }
 
+/// The replay weights of `wfs simulate` and `wfs trace`: `--conservative`
+/// (planning), `--mean`, or Gaussian draws from `--seed N` (default 0).
+fn parse_weights(args: &[String]) -> Result<SimConfig, String> {
+    if has_flag(args, "--conservative") {
+        Ok(SimConfig::planning())
+    } else if has_flag(args, "--mean") {
+        Ok(SimConfig::new(WeightModel::Mean))
+    } else {
+        let seed: u64 = opt(args, "--seed").map_or(Ok(0), |s| parse(s, "seed"))?;
+        Ok(SimConfig::stochastic(seed))
+    }
+}
+
 fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
@@ -229,14 +242,7 @@ fn cmd_simulate(args: &[String]) -> CliResult {
         serde_json::from_str(&read_file(args.get(1).ok_or("simulate: missing schedule file")?)?)
             .map_err(|e| format!("bad schedule: {e}"))?;
     let platform = load_platform(args)?;
-    let cfg = if has_flag(args, "--conservative") {
-        SimConfig::planning()
-    } else if has_flag(args, "--mean") {
-        SimConfig::new(WeightModel::Mean)
-    } else {
-        let seed: u64 = opt(args, "--seed").map_or(Ok(0), |s| parse(s, "seed"))?;
-        SimConfig::stochastic(seed)
-    };
+    let cfg = parse_weights(args)?;
     let r = simulate(&wf, &platform, &sched, &cfg).map_err(|e| e.to_string())?;
     println!("makespan   {:.1} s", r.makespan);
     println!("vm cost    ${:.4}", r.vm_cost);
@@ -292,14 +298,7 @@ fn cmd_trace(args: &[String]) -> CliResult {
     let alg: Algorithm =
         opt(args, "--alg").map_or(Ok(Algorithm::HeftBudg), |s| parse(s, "algorithm"))?;
     let platform = load_platform(args)?;
-    let cfg = if has_flag(args, "--conservative") {
-        SimConfig::planning()
-    } else if has_flag(args, "--mean") {
-        SimConfig::new(WeightModel::Mean)
-    } else {
-        let seed: u64 = opt(args, "--seed").map_or(Ok(0), |s| parse(s, "seed"))?;
-        SimConfig::stochastic(seed)
-    };
+    let cfg = parse_weights(args)?;
 
     let mut rec = RecordingSink::new();
     let sched = alg.run_observed(&wf, &platform, budget, &mut rec);
@@ -401,15 +400,9 @@ fn cmd_faults(args: &[String]) -> CliResult {
         cfg = cfg.with_lint();
     }
 
-    let trace_path = opt(args, "--trace");
-    let want_ledger = has_flag(args, "--ledger");
     let mut rec = RecordingSink::new();
-    let out = if trace_path.is_some() || want_ledger {
-        run_with_recovery_observed(&wf, &platform, &cfg, &mut rec)
-    } else {
-        run_with_recovery(&wf, &platform, &cfg)
-    }
-    .map_err(|e| e.to_string())?;
+    let out =
+        run_with_recovery_observed(&wf, &platform, &cfg, &mut rec).map_err(|e| e.to_string())?;
     println!("{:<6} {:>6} {:>8} {:>10} {:>10} {:>8} {:>6} {:>6}",
         "epoch", "tasks", "durable", "cost $", "budget $", "span s", "crash", "retry");
     for e in &out.epochs {
@@ -433,12 +426,12 @@ fn cmd_faults(args: &[String]) -> CliResult {
     if out.degraded_to_cheapest {
         println!("degraded    fell back to cheapest-category VM (budget exhausted)");
     }
-    if let Some(tp) = trace_path {
+    if let Some(tp) = opt(args, "--trace") {
         let trace = ChromeTrace::from_events(&rec.events);
         std::fs::write(tp, trace.to_json()).map_err(|e| format!("cannot write {tp}: {e}"))?;
         eprintln!("wrote {tp}");
     }
-    if want_ledger {
+    if has_flag(args, "--ledger") {
         let ledger = BudgetLedger::from_events(&rec.events);
         println!();
         print!("{}", ledger.summary());

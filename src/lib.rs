@@ -47,13 +47,13 @@ pub mod prelude {
     pub use wfs_platform::{BillingPolicy, CategoryId, Datacenter, Platform, VmCategory};
     pub use wfs_scheduler::{
         divide_budget, heft_budg, min_budget_for_deadline, min_cost_schedule, plan_bicriteria,
-        run_online, run_with_recovery, run_with_recovery_observed, Algorithm, Bicriteria,
-        OnlineConfig, RecoveryConfig, RecoveryOutcome, RecoveryPolicy, RefineOrder,
+        run_online, run_with_recovery_observed, Algorithm, Bicriteria, OnlineConfig,
+        RecoveryConfig, RecoveryOutcome, RecoveryPolicy, RefineOrder,
     };
     pub use wfs_simulator::{
-        simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed,
-        BootFaultModel, CrashModel, DcCapacity, DegradationModel, FaultConfig, FaultRun,
-        FaultStats, Schedule, SimConfig, SimulationReport, VmId, WeightModel,
+        simulate, simulate_observed, simulate_with_faults, BootFaultModel, CrashModel, DcCapacity,
+        DegradationModel, FaultConfig, FaultRun, FaultStats, Schedule, SimConfig, SimulationReport,
+        VmId, WeightModel,
     };
     pub use wfs_workflow::gen::{
         bag_of_tasks, chain, cybershake, epigenomics, fork_join, layered_random, ligo, montage,

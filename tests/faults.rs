@@ -36,8 +36,8 @@ fn fault_injection_is_bit_deterministic() {
             let sched = alg.run(wf, &p, 2.0);
             for faults in [mild(9), storm(9)] {
                 let cfg = SimConfig::stochastic(5);
-                let a = simulate_with_faults(wf, &p, &sched, &cfg, &faults).unwrap();
-                let b = simulate_with_faults(wf, &p, &sched, &cfg, &faults).unwrap();
+                let a = simulate_with_faults(wf, &p, &sched, &cfg, &faults, &mut NoopSink).unwrap();
+                let b = simulate_with_faults(wf, &p, &sched, &cfg, &faults, &mut NoopSink).unwrap();
                 assert_eq!(a, b, "wf {wi} alg {alg} not reproducible");
             }
         }
@@ -52,7 +52,7 @@ fn fault_seeds_decorrelate() {
     let sched = Algorithm::HeftBudg.run(&wf, &p, 2.0);
     let cfg = SimConfig::planning();
     let runs: Vec<_> = (0..8u64)
-        .map(|s| simulate_with_faults(&wf, &p, &sched, &cfg, &storm(s)).unwrap())
+        .map(|s| simulate_with_faults(&wf, &p, &sched, &cfg, &storm(s), &mut NoopSink).unwrap())
         .collect();
     let distinct = runs
         .iter()
@@ -81,7 +81,8 @@ fn zero_fault_rate_is_bit_identical_to_plain_engine() {
             let sched = alg.run(&wf, &p, 2.0);
             for cfg in [SimConfig::planning(), SimConfig::stochastic(17)] {
                 let plain = simulate(&wf, &p, &sched, &cfg).unwrap();
-                let faulted = simulate_with_faults(&wf, &p, &sched, &cfg, &inert).unwrap();
+                let faulted =
+                    simulate_with_faults(&wf, &p, &sched, &cfg, &inert, &mut NoopSink).unwrap();
                 assert_eq!(plain, faulted.report, "{alg}: zero-fault run diverged");
                 assert!(faulted.complete);
                 assert_eq!(faulted.stats, FaultStats::default());
@@ -100,10 +101,44 @@ fn recovery_outcome_is_deterministic() {
     for policy in RecoveryPolicy::ALL {
         let cfg = RecoveryConfig::new(Algorithm::HeftBudg, policy, 3.0, storm(21))
             .with_weights(WeightModel::Stochastic { seed: 2 });
-        let a = run_with_recovery(&wf, &p, &cfg).unwrap();
-        let b = run_with_recovery(&wf, &p, &cfg).unwrap();
+        let a = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
+        let b = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
         assert_eq!(a, b, "{policy}: recovery not reproducible");
     }
+}
+
+/// Recording the event stream must not change what the faulted paths
+/// compute: the simulator's [`FaultRun`] and the recovery loop's outcome
+/// are equal under `NoopSink` and `RecordingSink`, for every fault seed
+/// and recovery policy.
+#[test]
+fn recording_sink_does_not_change_faulted_runs_or_recovery() {
+    let p = paper();
+    let mut fired = 0;
+    for wf in [montage(GenConfig::new(40, 3)), ligo(GenConfig::new(40, 5))] {
+        let sched = Algorithm::HeftBudg.run(&wf, &p, 3.0);
+        for seed in [1u64, 5, 21] {
+            let cfg = SimConfig::stochastic(seed);
+            let quiet =
+                simulate_with_faults(&wf, &p, &sched, &cfg, &storm(seed), &mut NoopSink).unwrap();
+            let mut rec = RecordingSink::new();
+            let loud = simulate_with_faults(&wf, &p, &sched, &cfg, &storm(seed), &mut rec).unwrap();
+            assert!(!rec.events.is_empty(), "seed {seed}: nothing recorded");
+            assert_eq!(quiet, loud, "seed {seed}: faulted run depends on the sink");
+            fired += quiet.stats.crashes + quiet.stats.boot_retries;
+            for policy in RecoveryPolicy::ALL {
+                let cfg = RecoveryConfig::new(Algorithm::HeftBudg, policy, 3.0, storm(seed))
+                    .with_weights(WeightModel::Stochastic { seed })
+                    .with_lint();
+                let quiet = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
+                let mut rec = RecordingSink::new();
+                let loud = run_with_recovery_observed(&wf, &p, &cfg, &mut rec).unwrap();
+                assert!(!rec.events.is_empty(), "seed {seed} {policy}: nothing recorded");
+                assert_eq!(quiet, loud, "seed {seed} {policy}: recovery depends on the sink");
+            }
+        }
+    }
+    assert!(fired > 0, "the storm injected no faults; the comparison would be vacuous");
 }
 
 /// Budget-aware rescheduling that completes must pass the fault-aware
@@ -122,7 +157,7 @@ fn reschedule_epochs_are_lint_clean() {
         )
         .with_max_epochs(40)
         .with_lint();
-        let out = run_with_recovery(&wf, &p, &cfg).unwrap();
+        let out = run_with_recovery_observed(&wf, &p, &cfg, &mut NoopSink).unwrap();
         assert!(out.lint_violations.is_empty(), "seed {seed}: {:?}", out.lint_violations);
         if out.completed {
             assert!(out.within_budget(), "seed {seed}: completed over budget");

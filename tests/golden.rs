@@ -126,7 +126,9 @@ fn golden_hash() -> (u64, FaultStats) {
             for cfg in
                 [SimConfig::stochastic(seed + 3), SimConfig::planning().with_dc_capacity(finite)]
             {
-                let run = simulate_with_faults(wf, &p, &sched, &cfg, &storm(seed + 4)).unwrap();
+                let run =
+                    simulate_with_faults(wf, &p, &sched, &cfg, &storm(seed + 4), &mut NoopSink)
+                        .unwrap();
                 fired.merge(&run.stats);
                 h.fault_run(&run);
             }
