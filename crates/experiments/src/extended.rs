@@ -270,8 +270,8 @@ pub fn size_sweep() {
 }
 
 /// Planner-work counter tables: per algorithm, the decision-event stream's
-/// structural counters (candidate evaluations, sweeps, cache hits, refine
-/// trials) plus a traced execution's simulator counters — the observability
+/// structural counters (candidate evaluations, pruned candidates, sweeps,
+/// cache hits, refine trials) plus a traced execution's simulator counters — the observability
 /// layer's answer to "where does each heuristic spend its work?".
 pub fn counters_study() {
     use wfs_observe::{Counters, RecordingSink};
@@ -282,8 +282,8 @@ pub fn counters_study() {
          One 90-task instance per benchmark, budget = 2 x min_cost; counters are\n\
          derived from the recorded decision-event stream of a single traced\n\
          plan + stochastic execution (seed 1).\n\n\
-         | workflow | algorithm | cand evals | sweeps | cache hit/miss | placed | new VMs | refine trials | moves | VM boots | transfers |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|\n",
+         | workflow | algorithm | cand evals | pruned | sweeps | cache hit/miss | placed | new VMs | refine trials | moves | VM boots | transfers |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for ty in BenchmarkType::ALL {
         let wf = ty.generate(GenConfig::new(90, 1));
@@ -308,10 +308,11 @@ pub fn counters_study() {
             let c = Counters::from_events(&rec.events);
             writeln!(
                 md,
-                "| {} | {} | {} | {} | {}/{} | {} | {} | {} | {} | {} | {} |",
+                "| {} | {} | {} | {} | {} | {}/{} | {} | {} | {} | {} | {} | {} |",
                 ty.name(),
                 alg.name(),
                 c.get("plan_candidate_evals"),
+                c.get("plan_candidates_pruned"),
                 c.get("plan_sweeps"),
                 c.get("best_host_cache_hits"),
                 c.get("best_host_cache_misses"),

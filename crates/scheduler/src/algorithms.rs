@@ -127,8 +127,8 @@ impl Algorithm {
     /// HEFT and their BUDG variants) and the HEFTBUDG+ refinements emit
     /// their full decision stream through the shared placement step; BDT,
     /// CG and CG+ emit only the `PlanStarted` header (their budget
-    /// accounting has no pot to replay). Either way the schedule is
-    /// identical to [`Self::run`]'s.
+    /// accounting has no pot to replay), CG followed by its sweep counters.
+    /// Either way the schedule is identical to [`Self::run`]'s.
     pub fn run_observed<S: EventSink>(
         self,
         wf: &Workflow,
@@ -167,7 +167,7 @@ impl Algorithm {
                 refine_schedule_observed(wf, platform, budget, sched, &list, order, sink)
             }
             Algorithm::Bdt => bdt(wf, platform, budget),
-            Algorithm::Cg => cg(wf, platform, budget),
+            Algorithm::Cg => cg(wf, platform, budget, sink),
             Algorithm::CgPlus => cg_plus(wf, platform, budget),
         };
         #[cfg(debug_assertions)]

@@ -120,18 +120,20 @@ pub(crate) fn select_best(evals: &[HostEval], limit: f64) -> HostEval {
 ///   candidate (the schedule must still complete; the paper notes that
 ///   `getBestHost` then "will not return the host with the smallest EFT").
 ///
-/// `limit = ∞` recovers the baseline MIN-MIN/HEFT behaviour. Every
-/// candidate considered is reported to `sink` as an
-/// [`Obs::CandidateEvaluated`] (with its EFT, cost and whether it fit the
-/// limit) before the selection is returned; pass [`NoopSink`] when nothing
-/// listens.
+/// `limit = ∞` recovers the baseline MIN-MIN/HEFT behaviour. Only the
+/// candidates that can win are evaluated
+/// ([`PlanState::with_pruned_candidate_evals`]); the result is the one a
+/// sweep over every candidate gives. Each evaluated candidate is reported
+/// to `sink` as an [`Obs::CandidateEvaluated`] (with its EFT, cost and
+/// whether it fit the limit) before the selection is returned; pass
+/// [`NoopSink`] when nothing listens.
 pub fn get_best_host<S: EventSink>(
     plan: &PlanState<'_>,
     t: TaskId,
     limit: f64,
     sink: &mut S,
 ) -> HostEval {
-    plan.with_candidate_evals(t, |evals| {
+    plan.with_pruned_candidate_evals(t, |evals| {
         if S::ENABLED {
             for e in evals {
                 let (used, host) = match e.candidate {
@@ -185,7 +187,7 @@ struct Entry {
 ///   matter because the naive fall-back keeps the *last* minimal).
 ///
 /// Whenever reuse is not provably exact, the entry is recomputed with a
-/// full sweep — the cache is an exactness-preserving memoization, and the
+/// (pruned) sweep — the cache is an exactness-preserving memoization, and the
 /// equivalence suite checks schedules stay bit-identical to naive runs.
 #[derive(Debug)]
 pub(crate) struct BestHostCache {
@@ -270,7 +272,7 @@ impl BestHostCache {
             }
         }
         self.misses += 1;
-        let sel = plan.with_candidate_evals(t, |evals| select(evals, limit));
+        let sel = plan.with_pruned_candidate_evals(t, |evals| select(evals, limit));
         self.entries[t.index()] = Some(Entry { sel, limit, vm_count });
         sel.best
     }
@@ -370,6 +372,81 @@ mod tests {
         // Broke: nothing affordable, fall-back to cheapest.
         let broke = selection(0.0);
         assert!(!broke.affordable);
+    }
+
+    /// Bit pattern of an evaluation, for exact comparisons.
+    fn bits(e: &HostEval) -> (Candidate, u64, u64, u64) {
+        (e.candidate, e.eft.to_bits(), e.begin.to_bits(), e.cost.to_bits())
+    }
+
+    /// At every step of a plan, the pruned sweep must make every selection
+    /// the full sweep makes, to the bit: `select` (with its cache
+    /// metadata) and `select_best` under no, a tight and an infinite
+    /// limit, and CG's per-category pick. The bag of identical tasks
+    /// enrolls many VMs with equal ready instants and equal costs, so the
+    /// tie runs are long and the fall-back's "last minimal wins" and the
+    /// affordable key's lowest id pick different ends of them.
+    #[test]
+    fn pruned_sweep_selects_like_the_full_sweep_under_ties() {
+        use crate::cg::pick_in_category;
+        use wfs_workflow::gen::{bag_of_tasks, montage, GenConfig};
+        let p = Platform::paper_default();
+        for (name, wf) in [
+            ("montage-400", montage(GenConfig::new(400, 1))),
+            ("bag-120", bag_of_tasks(120, 5000.0, 1e6)),
+        ] {
+            let mut plan = PlanState::new(&wf, &p);
+            let (mut affordable, mut fallback, mut constrained) = (0, 0, 0);
+            for (step, &t) in wf.topological_order().iter().enumerate() {
+                let full: Vec<HostEval> = plan.with_candidate_evals(t, <[HostEval]>::to_vec);
+                let free = select_best(&full, f64::INFINITY);
+                // Just below the unconstrained winner's cost: that winner
+                // is excluded and `unconstrained_same` turns false.
+                let tight = free.cost - 2.0 * COST_EPS;
+                for limit in [0.0, tight, f64::INFINITY] {
+                    let want = select(&full, limit);
+                    let got = plan.with_pruned_candidate_evals(t, |evals| select(evals, limit));
+                    let at = format!("{name} step {step} limit {limit}");
+                    assert_eq!(bits(&got.best), bits(&want.best), "{at}");
+                    assert_eq!(got.affordable, want.affordable, "{at}");
+                    assert_eq!(got.unconstrained_same, want.unconstrained_same, "{at}");
+                    let lean =
+                        plan.with_pruned_candidate_evals(t, |evals| select_best(evals, limit));
+                    assert_eq!(bits(&lean), bits(&want.best), "{at}");
+                    match (want.affordable, want.unconstrained_same) {
+                        (false, _) => fallback += 1,
+                        (true, false) => constrained += 1,
+                        (true, true) => affordable += 1,
+                    }
+                }
+                for cat in p.category_ids() {
+                    let want = pick_in_category(&plan, &full, cat);
+                    let got = plan
+                        .with_pruned_candidate_evals(t, |evals| pick_in_category(&plan, evals, cat));
+                    assert_eq!(bits(&got), bits(&want), "{name} step {step} CG category {cat:?}");
+                }
+                // Alternate EFT-greedy steps, steps capped at the cheapest
+                // fresh VM's cost and fall-back steps. On the bag, the
+                // capped steps enroll fresh cheap VMs that all become ready
+                // at the same instant, so every fall-back selection above
+                // faces a tie run and must take its highest id.
+                let cheapest_new = full
+                    .iter()
+                    .filter(|e| matches!(e.candidate, Candidate::New(_)))
+                    .map(|e| e.cost)
+                    .fold(f64::INFINITY, f64::min);
+                let drive = match step % 4 {
+                    0 => free,
+                    3 => select_best(&full, 0.0),
+                    _ => select_best(&full, cheapest_new),
+                };
+                plan.commit(t, drive.candidate);
+            }
+            assert!(
+                affordable > 0 && constrained > 0 && fallback > 0,
+                "{name}: every selection branch must run ({affordable}/{constrained}/{fallback})"
+            );
+        }
     }
 
     #[test]

@@ -218,13 +218,20 @@ impl Placement {
 
     /// Report the planner's sweep counters and hand back the final pot.
     pub(crate) fn finish<S: EventSink>(self, plan: &PlanState<'_>, sink: &mut S) -> Pot {
-        if S::ENABLED {
-            let (sweeps, cand_evals) = plan.sweep_stats();
-            sink.record(&Obs::Counter { name: "plan_sweeps", delta: sweeps });
-            sink.record(&Obs::Counter { name: "plan_candidate_evals", delta: cand_evals });
-        }
+        report_sweeps(plan, sink);
         debug_assert!(plan.is_complete(), "all tasks scheduled (DAG is acyclic)");
         self.pot
+    }
+}
+
+/// Flush `plan`'s sweep counters to `sink`: `plan_sweeps`,
+/// `plan_candidate_evals` and `plan_candidates_pruned`.
+pub(crate) fn report_sweeps<S: EventSink>(plan: &PlanState<'_>, sink: &mut S) {
+    if S::ENABLED {
+        let stats = plan.sweep_stats();
+        sink.record(&Obs::Counter { name: "plan_sweeps", delta: stats.sweeps });
+        sink.record(&Obs::Counter { name: "plan_candidate_evals", delta: stats.evals });
+        sink.record(&Obs::Counter { name: "plan_candidates_pruned", delta: stats.pruned });
     }
 }
 

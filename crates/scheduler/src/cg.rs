@@ -16,9 +16,11 @@
 //! the paper points out, requiring `Δc > 0` makes CG+ blind to moves that
 //! reduce both time and cost — we reproduce that behaviour faithfully.
 
+use crate::budget::report_sweeps;
 use crate::heft::priority_list;
-use crate::plan::{Candidate, PlanState};
+use crate::plan::{Candidate, HostEval, PlanState};
 use crate::refine::{planned, TrialEvaluator};
+use wfs_observe::{EventSink, NoopSink};
 use wfs_platform::{CategoryId, Platform};
 use wfs_simulator::{Schedule, SimulationReport};
 use wfs_workflow::{TaskId, Workflow};
@@ -43,7 +45,13 @@ fn task_cost_on(wf: &Workflow, platform: &Platform, t: TaskId, cat: CategoryId) 
 }
 
 /// Run CG: category per task via the global budget ratio, instance via EFT.
-pub(crate) fn cg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
+/// The planner's sweep counters are reported to `sink`.
+pub(crate) fn cg<S: EventSink>(
+    wf: &Workflow,
+    platform: &Platform,
+    b_ini: f64,
+    sink: &mut S,
+) -> Schedule {
     // [25] assumes the most expensive category also costs the most for the
     // whole workflow; with cost linear in speed the *cheapest* category can
     // cost more overall (longer rental + longer datacenter span), so order
@@ -90,27 +98,35 @@ pub(crate) fn cg(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
                 da.total_cmp(&db).then(tie).then(a.0.cmp(&b.0))
             })
             .expect("platform is non-empty");
-        // Instance: best EFT among used VMs of that category + a fresh one.
-        #[allow(clippy::expect_used)] // the fresh VM of `cat` is always a candidate
-        let best = plan.with_candidate_evals(t, |evals| {
-            evals
-                .iter()
-                .filter(|e| match e.candidate {
-                    Candidate::Used(vm) => plan.schedule().vm_category(vm) == cat,
-                    Candidate::New(c2) => c2 == cat,
-                })
-                .min_by(|a, b| a.eft.total_cmp(&b.eft).then(a.cost.total_cmp(&b.cost)))
-                .copied()
-                .expect("at least the fresh VM of `cat` is a candidate")
-        });
+        let best = plan.with_pruned_candidate_evals(t, |evals| pick_in_category(&plan, evals, cat));
         plan.commit(t, best.candidate);
     }
+    report_sweeps(&plan, sink);
     plan.into_schedule()
+}
+
+/// CG's instance choice: the first minimum of `(EFT, cost)` among the used
+/// VMs of `cat` and a fresh one.
+pub(crate) fn pick_in_category(
+    plan: &PlanState<'_>,
+    evals: &[HostEval],
+    cat: CategoryId,
+) -> HostEval {
+    #[allow(clippy::expect_used)] // the fresh VM of `cat` is always a candidate
+    evals
+        .iter()
+        .filter(|e| match e.candidate {
+            Candidate::Used(vm) => plan.schedule().vm_category(vm) == cat,
+            Candidate::New(c2) => c2 == cat,
+        })
+        .min_by(|a, b| a.eft.total_cmp(&b.eft).then(a.cost.total_cmp(&b.cost)))
+        .copied()
+        .expect("at least the fresh VM of `cat` is a candidate")
 }
 
 /// Run CG, then the CG+ critical-path refinement.
 pub(crate) fn cg_plus(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
-    let mut sched = cg(wf, platform, b_ini);
+    let mut sched = cg(wf, platform, b_ini, &mut NoopSink);
     let mut trials = TrialEvaluator::new(wf, platform, &priority_list(wf, platform));
     let mut report = planned(wf, platform, &sched);
     // Bounded loop: each accepted move strictly decreases the makespan;
@@ -199,7 +215,7 @@ mod tests {
         for n in [30, 60] {
             let wf = montage(GenConfig::new(n, 1));
             let p = paper();
-            cg(&wf, &p, 2.0).validate(&wf).unwrap();
+            cg(&wf, &p, 2.0, &mut NoopSink).validate(&wf).unwrap();
         }
     }
 
@@ -207,7 +223,7 @@ mod tests {
     fn cg_low_budget_uses_cheapest_category() {
         let wf = ligo(GenConfig::new(30, 1));
         let p = paper();
-        let s = cg(&wf, &p, 0.0);
+        let s = cg(&wf, &p, 0.0, &mut NoopSink);
         for vm in s.vm_ids() {
             assert_eq!(s.vm_category(vm), p.cheapest());
         }
@@ -217,7 +233,7 @@ mod tests {
     fn cg_high_budget_uses_expensive_category() {
         let wf = ligo(GenConfig::new(30, 1));
         let p = paper();
-        let s = cg(&wf, &p, 1e6);
+        let s = cg(&wf, &p, 1e6, &mut NoopSink);
         for vm in s.vm_ids() {
             assert_eq!(s.vm_category(vm), p.most_expensive());
         }
@@ -234,7 +250,7 @@ mod tests {
         let p = paper();
         let floor = crate::min_cost_floor(&wf, &p);
         let mean_cat = |b: f64| {
-            let s = cg(&wf, &p, b);
+            let s = cg(&wf, &p, b, &mut NoopSink);
             let total: u32 = s.vm_ids().map(|v| s.vm_category(v).0).sum();
             total as f64 / s.vm_count() as f64
         };
@@ -254,7 +270,7 @@ mod tests {
         let p = paper();
         let cfg = SimConfig::planning();
         for budget in [1.0, 3.0] {
-            let base = simulate(&wf, &p, &cg(&wf, &p, budget), &cfg).unwrap();
+            let base = simulate(&wf, &p, &cg(&wf, &p, budget, &mut NoopSink), &cfg).unwrap();
             let plus_sched = cg_plus(&wf, &p, budget);
             plus_sched.validate(&wf).unwrap();
             let plus = simulate(&wf, &p, &plus_sched, &cfg).unwrap();
@@ -274,7 +290,7 @@ mod tests {
     fn critical_path_walks_to_an_entryish_task() {
         let wf = montage(GenConfig::new(30, 1));
         let p = paper();
-        let s = cg(&wf, &p, 2.0);
+        let s = cg(&wf, &p, 2.0, &mut NoopSink);
         let r = simulate(&wf, &p, &s, &SimConfig::planning()).unwrap();
         let path = critical_path_tasks(&wf, &r);
         assert!(!path.is_empty());

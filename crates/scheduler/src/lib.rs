@@ -72,7 +72,7 @@ pub use deadline::{min_budget_for_deadline, plan_bicriteria, Bicriteria};
 pub use ensemble::{schedule_ensemble, AdmittedWorkflow, EnsembleMember, EnsembleResult};
 pub use heft::{heft_budg, heft_budg_carry, heft_budg_observed, priority_list};
 pub use online::{run_online, OnlineConfig, OnlineOutcome};
-pub use plan::{Candidate, HostEval, PlanState};
+pub use plan::{Candidate, HostEval, PlanState, SweepStats};
 pub use recovery::{
     run_with_recovery_observed, EpochRecord, RecoveryConfig, RecoveryOutcome, RecoveryPolicy,
 };

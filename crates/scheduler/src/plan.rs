@@ -17,7 +17,7 @@ use std::cell::RefCell;
 
 use wfs_platform::{CategoryId, Platform};
 use wfs_simulator::{Schedule, VmId};
-use wfs_workflow::{TaskId, Workflow};
+use wfs_workflow::{OrdF64, TaskId, Workflow};
 
 use crate::reference;
 
@@ -75,11 +75,46 @@ struct Scratch {
     cat_occupied: Vec<f64>,
     /// Per-category `cost_per_second()`.
     cat_rate: Vec<f64>,
-    /// Total sweeps performed since creation (fast or naive path).
+    /// Total sweeps performed since creation (full, pruned or naive).
     sweeps: u64,
     /// Total candidate evaluations produced across those sweeps.
     cand_evals: u64,
+    /// Candidates a pruned sweep skipped as provably unable to win:
+    /// `V + K` minus the evaluations it produced.
+    pruned: u64,
 }
+
+/// Work counters of the candidate sweeps of one [`PlanState`]; see
+/// [`PlanState::sweep_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SweepStats {
+    /// Sweeps performed (one per host selection that was not cache-served).
+    pub sweeps: u64,
+    /// Candidate evaluations produced across those sweeps.
+    pub evals: u64,
+    /// Candidates skipped by pruned sweeps. Zero in naive reference mode,
+    /// where every sweep evaluates all `V + K` candidates, so
+    /// `evals + pruned` equals the naive evaluation count.
+    pub pruned: u64,
+}
+
+/// Aggregates of one in-edge pass over the swept task (see
+/// [`PlanState::in_edge_pass`]).
+#[derive(Debug, Clone, Copy)]
+struct InEdges {
+    /// Remote bytes from a new VM or a VM hosting no predecessor.
+    total_bytes: f64,
+    /// Latest data-at-DC instant over all in-edges.
+    dready_all: f64,
+    /// The predecessor-hosting VM holding the largest local data-ready
+    /// maximum, and the two largest such maxima.
+    top_vm: VmId,
+    top: f64,
+    second: f64,
+}
+
+/// Per category, `(ready instant, id)` of its VMs in ascending order.
+type ReadyIndex = Vec<Vec<(OrdF64, VmId)>>;
 
 /// Incremental planning state over a partially built schedule.
 #[derive(Debug, Clone)]
@@ -90,6 +125,12 @@ pub struct PlanState<'a> {
     weights: Vec<f64>,
     /// Planned availability instant of each enrolled VM.
     vm_ready: Vec<f64>,
+    /// Per category, its VMs ordered by `(ready instant, id)`: the index
+    /// the pruned sweep walks (see [`Self::with_pruned_candidate_evals`]).
+    /// Built by the first pruned sweep and kept up to date by
+    /// [`Self::commit`] from then on, so planners that only sweep fully
+    /// (BDT, SUFFERAGE) never pay for it.
+    by_ready: RefCell<Option<ReadyIndex>>,
     /// Planned finish time of each scheduled task (`NAN` = unscheduled).
     finish: Vec<f64>,
     /// Planned instant each edge's data reaches the datacenter
@@ -111,6 +152,7 @@ impl<'a> PlanState<'a> {
             platform,
             weights: wf.tasks().iter().map(|t| t.weight.conservative()).collect(),
             vm_ready: Vec::new(),
+            by_ready: RefCell::new(None),
             finish: vec![f64::NAN; wf.task_count()],
             edge_at_dc: vec![f64::INFINITY; wf.edge_count()],
             schedule: Schedule::new(wf.task_count()),
@@ -221,9 +263,8 @@ impl<'a> PlanState<'a> {
     /// bit-identical arithmetic.
     #[inline]
     fn eval_used_with(&self, t: TaskId, vm: VmId, d_in: f64, data_ready: f64) -> HostEval {
-        let bw = self.platform.datacenter.bandwidth;
-        let w = self.weights[t.index()];
-        let cat = self.platform.category(self.schedule.vm_category(vm));
+        let cat_id = self.schedule.vm_category(vm);
+        let cat = self.platform.category(cat_id);
         let begin = self.vm_ready[vm.index()].max(data_ready);
         // The idle gap this assignment creates on the VM is billed
         // too — the machine stays rented while waiting for the
@@ -231,7 +272,7 @@ impl<'a> PlanState<'a> {
         // onto early VMs looks free and the planned cost can
         // undershoot the real bill badly on hub-join topologies.
         let gap = begin - self.vm_ready[vm.index()];
-        let occupied = d_in / bw + w / cat.speed;
+        let occupied = self.occupied(t, cat_id, d_in);
         HostEval {
             candidate: Candidate::Used(vm),
             eft: begin + occupied,
@@ -240,13 +281,11 @@ impl<'a> PlanState<'a> {
         }
     }
 
-    /// Evaluation of `t` on a fresh VM of `cat_id`; see [`Self::eval_used_with`].
+    /// Evaluation on a fresh VM of `cat_id` of a task that occupies it for
+    /// `occupied` seconds ([`Self::occupied`]); see [`Self::eval_used_with`].
     #[inline]
-    fn eval_new_with(&self, t: TaskId, cat_id: CategoryId, d_in: f64, data_ready: f64) -> HostEval {
-        let bw = self.platform.datacenter.bandwidth;
-        let w = self.weights[t.index()];
+    fn eval_new_with(&self, cat_id: CategoryId, occupied: f64, data_ready: f64) -> HostEval {
         let cat = self.platform.category(cat_id);
-        let occupied = d_in / bw + w / cat.speed;
         HostEval {
             candidate: Candidate::New(cat_id),
             eft: data_ready + cat.boot_time + occupied,
@@ -255,12 +294,24 @@ impl<'a> PlanState<'a> {
         }
     }
 
+    /// Seconds `t` occupies a VM of `cat_id` when `d_in` bytes must first be
+    /// pulled from the datacenter: `d_in / bw + w / speed`. Every sweep and
+    /// the naive path form it with this one expression, so they agree bit
+    /// for bit.
+    #[inline]
+    fn occupied(&self, t: TaskId, cat_id: CategoryId, d_in: f64) -> f64 {
+        let bw = self.platform.datacenter.bandwidth;
+        d_in / bw + self.weights[t.index()] / self.platform.category(cat_id).speed
+    }
+
     /// Evaluate `t` on `candidate`: EFT per Eq. 7 and cost `ct_{T,host}`.
     ///
     /// This is the naive per-candidate path — it re-walks `t`'s in-edges on
     /// every call. Hot loops should sweep all candidates at once through
     /// [`Self::with_candidate_evals`] instead, which produces bit-identical
-    /// results in O(V + K + deg) per sweep.
+    /// results in O(V + K + deg) per sweep, or through
+    /// [`Self::with_pruned_candidate_evals`] when only the winner of a
+    /// best-host selection matters.
     pub fn evaluate(&self, t: TaskId, candidate: Candidate) -> HostEval {
         match candidate {
             Candidate::Used(vm) => self.eval_used_with(
@@ -270,9 +321,8 @@ impl<'a> PlanState<'a> {
                 self.data_ready_at_dc(t, Some(vm)),
             ),
             Candidate::New(cat_id) => self.eval_new_with(
-                t,
                 cat_id,
-                self.input_bytes(t, None),
+                self.occupied(t, cat_id, self.input_bytes(t, None)),
                 self.data_ready_at_dc(t, None),
             ),
         }
@@ -291,15 +341,20 @@ impl<'a> PlanState<'a> {
     /// the evaluations to `f`. Candidate order matches [`Self::candidates`]:
     /// used VMs in enrollment order, then one `New` per category.
     ///
-    /// The sweep is O(V + K + deg): one pass over the in-edges computes the
-    /// task's base aggregates (total remote bytes, latest data-at-DC
-    /// instant) plus per-VM local sums/maxima for the ≤ deg VMs hosting a
-    /// predecessor, which are then folded into O(1) per-VM adjustments
-    /// (total-minus-local bytes, top-two exclusion for the data-ready
-    /// maximum). Evaluations are bit-identical to [`Self::evaluate`]: byte
-    /// sums run over the in-edges in the same order as [`Self::input_bytes`]
-    /// and `f64::max` is grouping-insensitive for the finite, non-NaN
-    /// values involved.
+    /// The sweep is O(V + K + deg): one pass over the in-edges
+    /// (`in_edge_pass`) computes the task's base aggregates (total
+    /// remote bytes, latest data-at-DC instant) plus per-VM local
+    /// sums/maxima for the ≤ deg VMs hosting a predecessor, which are then
+    /// folded into O(1) per-VM adjustments (total-minus-local bytes,
+    /// top-two exclusion for the data-ready maximum). Evaluations are
+    /// bit-identical to [`Self::evaluate`]: byte sums run over the in-edges
+    /// in the same order as [`Self::input_bytes`] and `f64::max` is
+    /// grouping-insensitive for the finite, non-NaN values involved.
+    ///
+    /// This full sweep serves the selections that need every candidate
+    /// (BDT's trade-off factor, SUFFERAGE's second-best EFT) and is the
+    /// naive reference; `getBestHost` and CG use
+    /// [`Self::with_pruned_candidate_evals`].
     ///
     /// No heap allocation occurs once the scratch buffers have grown to the
     /// current VM count. Do not call `with_candidate_evals` (or anything
@@ -316,11 +371,127 @@ impl<'a> PlanState<'a> {
             for cat in self.platform.category_ids() {
                 scratch.evals.push(self.evaluate(t, Candidate::New(cat)));
             }
-            scratch.sweeps += 1;
-            scratch.cand_evals += u64::try_from(scratch.evals.len()).unwrap_or(u64::MAX);
-            return f(&scratch.evals);
+        } else {
+            let agg = self.in_edge_pass(t, scratch);
+            // Base pass over all used VMs, branch-free: evals land at index
+            // `vm.index()`, so the ≤ deg predecessor-hosting entries can be
+            // patched in place afterwards.
+            let cat_occupied = &scratch.cat_occupied[..];
+            let cat_rate = &scratch.cat_rate[..];
+            scratch.evals.extend(
+                self.vm_ready
+                    .iter()
+                    .zip(self.schedule.vm_categories())
+                    .enumerate()
+                    .map(|(i, (&vm_ready, &cat))| {
+                        eval_remote(
+                            VmId(i as u32),
+                            vm_ready,
+                            agg.dready_all,
+                            cat_occupied[cat.index()],
+                            cat_rate[cat.index()],
+                        )
+                    }),
+            );
+            for &vm in &scratch.pred_vms {
+                let local_bytes = scratch.vm_bytes[vm.index()];
+                scratch.evals[vm.index()] = self.eval_pred(t, vm, local_bytes, &agg);
+            }
+            self.push_new_evals(&agg, scratch);
         }
+        self.count_sweep(scratch);
+        f(&scratch.evals)
+    }
 
+    /// [`Self::with_candidate_evals`] restricted to the candidates that can
+    /// win `getBestHost` (Alg. 2) or CG's per-category pick: O(K + deg)
+    /// evaluations (plus exact ties) in O(K log V + deg) time per sweep,
+    /// instead of V + K evaluations.
+    ///
+    /// A used VM `v` of category `k` hosting no predecessor of `t` is
+    /// evaluated from its ready instant `r_v`, the data-ready instant `dr`
+    /// and the category's occupied time `occ_k` alone:
+    ///
+    /// - `r_v ≤ dr`: EFT is `dr + occ_k` for all of them, and the cost
+    ///   `(dr − r_v + occ_k)·rate_k` does not rise as `r_v` rises (every
+    ///   IEEE operation involved is monotone), so the latest-ready one is
+    ///   cheapest;
+    /// - `r_v > dr`: the cost is `occ_k·rate_k` for all of them, and EFT
+    ///   does not fall as `r_v` rises, so the earliest-ready one finishes
+    ///   first.
+    ///
+    /// Walking each category's `(r, id)` index from those two ends keeps
+    /// the first VM plus every following one whose cost (resp. EFT) ties
+    /// it to the bit; everything further is beaten on cost or EFT with the
+    /// other key component equal. Predecessor hosts are skipped in the walk
+    /// and evaluated exactly as in the full sweep. The survivors are handed
+    /// to `f` in candidate order (used VMs by id, then one `New` per
+    /// category), so any selection that takes a minimum over `(EFT, cost)`,
+    /// `(cost, EFT)` or the Alg. 2 key and breaks remaining ties by
+    /// candidate order — first or last — picks the same candidate as over
+    /// the full sweep, with the same [`HostEval`] bits.
+    ///
+    /// In naive reference mode this is the full naive sweep.
+    pub fn with_pruned_candidate_evals<R>(
+        &self,
+        t: TaskId,
+        f: impl FnOnce(&[HostEval]) -> R,
+    ) -> R {
+        if self.naive {
+            return self.with_candidate_evals(t, f);
+        }
+        let mut by_ready = self.by_ready.borrow_mut();
+        let by_ready = by_ready.get_or_insert_with(|| self.ready_index());
+        let mut scratch = self.scratch.borrow_mut();
+        let scratch = &mut *scratch;
+        scratch.evals.clear();
+        let agg = self.in_edge_pass(t, scratch);
+        let dr = agg.dready_all;
+        for (k, index) in by_ready.iter().enumerate() {
+            let (occupied, rate) = (scratch.cat_occupied[k], scratch.cat_rate[k]);
+            let eval = |vm, r| eval_remote(vm, r, dr, occupied, rate);
+            let split = index.partition_point(|&(r, _)| r.0 <= dr);
+            // Ready by `dr`: equal EFT, the latest-ready is cheapest.
+            push_tie_run(scratch, index[..split].iter().rev(), eval, |e| e.cost);
+            // Ready after `dr`: equal cost, the earliest-ready finishes first.
+            push_tie_run(scratch, index[split..].iter(), eval, |e| e.eft);
+        }
+        for &vm in &scratch.pred_vms {
+            let e = self.eval_pred(t, vm, scratch.vm_bytes[vm.index()], &agg);
+            scratch.evals.push(e);
+        }
+        // Candidate order; only used VMs are in the buffer so far.
+        scratch.evals.sort_unstable_by_key(|e| match e.candidate {
+            Candidate::Used(vm) => vm,
+            Candidate::New(_) => VmId(u32::MAX),
+        });
+        self.push_new_evals(&agg, scratch);
+        self.count_sweep(scratch);
+        f(&scratch.evals)
+    }
+
+    /// The ready-instant index of the current plan, built from scratch.
+    fn ready_index(&self) -> ReadyIndex {
+        let mut index = vec![Vec::new(); self.platform.category_count()];
+        for vm in self.schedule.vm_ids() {
+            let cat = self.schedule.vm_category(vm).index();
+            index[cat].push((OrdF64(self.vm_ready[vm.index()]), vm));
+        }
+        for vms in &mut index {
+            vms.sort_unstable();
+        }
+        index
+    }
+
+    /// The in-edge pass shared by both sweeps, O(deg + K). Computes the
+    /// base aggregates (valid for every new VM and every used VM hosting no
+    /// predecessor of `t`), stamps the VMs hosting a predecessor into
+    /// `scratch.pred_vms` with their *local* byte sum and data-ready
+    /// maximum, and hoists the per-category occupied time and rate.
+    ///
+    /// # Panics
+    /// If a predecessor of `t` is unscheduled.
+    fn in_edge_pass(&self, t: TaskId, scratch: &mut Scratch) -> InEdges {
         let n_vms = self.vm_ready.len();
         if scratch.vm_stamp.len() < n_vms {
             scratch.vm_bytes.resize(n_vms, 0.0);
@@ -330,11 +501,8 @@ impl<'a> PlanState<'a> {
         scratch.stamp += 1;
         let stamp = scratch.stamp;
 
-        // Pass 1 over in-edges: the base aggregates (valid for every new VM
-        // and every used VM hosting no predecessor of `t`) plus, for each
-        // VM hosting a predecessor, the *local* byte sum and the local
-        // data-ready maximum. Byte totals are summed in edge order so they
-        // match `input_bytes` bit for bit.
+        // Byte totals are summed in edge order so they match `input_bytes`
+        // bit for bit.
         let mut total_bytes = self.wf.task(t).external_input;
         let mut dready_all: f64 = 0.0;
         scratch.pred_vms.clear();
@@ -358,12 +526,11 @@ impl<'a> PlanState<'a> {
             scratch.vm_dready[i] = scratch.vm_dready[i].max(self.edge_at_dc[e.index()]);
         }
 
-        // Pass 2, O(P): per-VM adjustments. Bytes follow `input_bytes`'
-        // total-minus-local formulation directly. The data-ready instant of
-        // a predecessor-hosting VM is the maximum over every *other* VM's
-        // local maximum (each in-edge lives on exactly one VM), which a
-        // top-two scan answers in O(1) per VM — exactly, because `f64::max`
-        // over these finite non-negative values is grouping-insensitive.
+        // The data-ready instant of a predecessor-hosting VM is the maximum
+        // over every *other* VM's local maximum (each in-edge lives on
+        // exactly one VM), which a top-two scan answers in O(1) per VM —
+        // exactly, because `f64::max` over these finite non-negative values
+        // is grouping-insensitive.
         let mut top_vm = VmId(u32::MAX);
         let (mut top, mut second) = (0.0f64, 0.0f64);
         for &v in &scratch.pred_vms {
@@ -379,70 +546,70 @@ impl<'a> PlanState<'a> {
         // Hoist the per-category base occupied time and rate out of the
         // per-VM loop: `total_bytes / bw + w / speed` only depends on the
         // category, and the two divisions dominate the loop body. Computing
-        // the identical expression once per category keeps the results bit
-        // for bit equal to `eval_used_with`.
-        let bw = self.platform.datacenter.bandwidth;
-        let w = self.weights[t.index()];
+        // it once per category with `occupied` keeps the results bit for
+        // bit equal to `eval_used_with`.
         scratch.cat_occupied.clear();
         scratch.cat_rate.clear();
         for cat_id in self.platform.category_ids() {
-            let cat = self.platform.category(cat_id);
-            scratch.cat_occupied.push(total_bytes / bw + w / cat.speed);
-            scratch.cat_rate.push(cat.cost_per_second());
+            scratch.cat_occupied.push(self.occupied(t, cat_id, total_bytes));
+            scratch.cat_rate.push(self.platform.category(cat_id).cost_per_second());
         }
+        InEdges { total_bytes, dready_all, top_vm, top, second }
+    }
 
-        // Base pass over all used VMs, branch-free: evals land at index
-        // `vm.index()`, so the ≤ deg predecessor-hosting entries can be
-        // patched in place afterwards.
-        let cat_occupied = &scratch.cat_occupied[..];
-        let cat_rate = &scratch.cat_rate[..];
-        scratch.evals.extend(
-            self.vm_ready
-                .iter()
-                .zip(self.schedule.vm_categories())
-                .enumerate()
-                .map(|(i, (&vm_ready, &cat))| {
-                    let begin = vm_ready.max(dready_all);
-                    let gap = begin - vm_ready;
-                    let occupied = cat_occupied[cat.index()];
-                    HostEval {
-                        candidate: Candidate::Used(VmId(i as u32)),
-                        eft: begin + occupied,
-                        begin,
-                        cost: (gap + occupied) * cat_rate[cat.index()],
-                    }
-                }),
-        );
-        for &vm in &scratch.pred_vms {
-            let i = vm.index();
-            let d_in = total_bytes - scratch.vm_bytes[i];
-            let dready = if vm == top_vm { second } else { top };
-            scratch.evals[i] = self.eval_used_with(t, vm, d_in, dready);
+    /// Evaluation of `t` on `vm`, a VM hosting a predecessor whose local
+    /// in-edges carry `local_bytes`: total-minus-local bytes and the
+    /// top-two data-ready exclusion.
+    #[inline]
+    fn eval_pred(&self, t: TaskId, vm: VmId, local_bytes: f64, agg: &InEdges) -> HostEval {
+        let dready = if vm == agg.top_vm { agg.second } else { agg.top };
+        self.eval_used_with(t, vm, agg.total_bytes - local_bytes, dready)
+    }
+
+    /// Append one fresh-VM evaluation per category, from the hoisted
+    /// occupied times.
+    fn push_new_evals(&self, agg: &InEdges, scratch: &mut Scratch) {
+        for (cat, &occupied) in self.platform.category_ids().zip(&scratch.cat_occupied) {
+            scratch.evals.push(self.eval_new_with(cat, occupied, agg.dready_all));
         }
-        for cat in self.platform.category_ids() {
-            scratch
-                .evals
-                .push(self.eval_new_with(t, cat, total_bytes, dready_all));
-        }
+    }
+
+    /// Account one sweep that produced `scratch.evals` out of `V + K`
+    /// candidates.
+    fn count_sweep(&self, scratch: &mut Scratch) {
+        let all = self.vm_ready.len() + self.platform.category_count();
+        let evals = scratch.evals.len();
         scratch.sweeps += 1;
-        scratch.cand_evals += u64::try_from(scratch.evals.len()).unwrap_or(u64::MAX);
-        f(&scratch.evals)
+        scratch.cand_evals += u64::try_from(evals).unwrap_or(u64::MAX);
+        scratch.pruned += u64::try_from(all.saturating_sub(evals)).unwrap_or(u64::MAX);
     }
 
     /// Commit the assignment of `t` to `candidate`, updating VM
-    /// availability and data-at-datacenter times. Returns the concrete VM.
+    /// availability, the ready-instant index and data-at-datacenter times.
+    /// Returns the concrete VM.
     pub fn commit(&mut self, t: TaskId, candidate: Candidate) -> VmId {
         let eval = self.evaluate(t, candidate);
-        let vm = match candidate {
-            Candidate::Used(vm) => vm,
+        let (vm, old) = match candidate {
+            Candidate::Used(vm) => (vm, Some(OrdF64(self.vm_ready[vm.index()]))),
             Candidate::New(cat) => {
                 let vm = self.schedule.add_vm(cat);
                 self.vm_ready.push(0.0);
-                vm
+                (vm, None)
             }
         };
         self.schedule.assign(t, vm);
         self.vm_ready[vm.index()] = eval.eft;
+        if let Some(by_ready) = self.by_ready.get_mut() {
+            let index = &mut by_ready[self.schedule.vm_category(vm).index()];
+            if let Some(old) = old {
+                let at = index.partition_point(|e| *e < (old, vm));
+                debug_assert_eq!(index.get(at), Some(&(old, vm)), "indexed by its ready instant");
+                index.remove(at);
+            }
+            let new = (OrdF64(eval.eft), vm);
+            let at = index.partition_point(|e| *e < new);
+            index.insert(at, new);
+        }
         self.finish[t.index()] = eval.eft;
         let bw = self.platform.datacenter.bandwidth;
         // Conservative: assume every output is uploaded (some will stay
@@ -453,12 +620,12 @@ impl<'a> PlanState<'a> {
         vm
     }
 
-    /// Work counters of the candidate sweep: `(sweeps, evaluations)`
-    /// accumulated since this state was created. Cache-served selections
-    /// (see `BestHostCache`) perform no sweep and are not counted here.
-    pub fn sweep_stats(&self) -> (u64, u64) {
+    /// Work counters of the candidate sweeps accumulated since this state
+    /// was created. Cache-served selections (see `BestHostCache`) perform
+    /// no sweep and are not counted here.
+    pub fn sweep_stats(&self) -> SweepStats {
         let s = self.scratch.borrow();
-        (s.sweeps, s.cand_evals)
+        SweepStats { sweeps: s.sweeps, evals: s.cand_evals, pruned: s.pruned }
     }
 
     /// Planned makespan so far: the largest committed EFT.
@@ -469,6 +636,47 @@ impl<'a> PlanState<'a> {
     /// Consume the state, returning the built schedule.
     pub fn into_schedule(self) -> Schedule {
         self.schedule
+    }
+}
+
+/// Evaluation of a task on used VM `vm`, ready at `vm_ready`, hosting no
+/// predecessor of the task: [`PlanState::eval_used_with`]'s arithmetic with
+/// the category's occupied time and rate hoisted.
+#[inline]
+fn eval_remote(vm: VmId, vm_ready: f64, dready: f64, occupied: f64, rate: f64) -> HostEval {
+    let begin = vm_ready.max(dready);
+    // The idle gap up to the data-ready instant is billed too (see
+    // `eval_used_with`).
+    let gap = begin - vm_ready;
+    HostEval {
+        candidate: Candidate::Used(vm),
+        eft: begin + occupied,
+        begin,
+        cost: (gap + occupied) * rate,
+    }
+}
+
+/// Push the evaluations of the leading entries of `walk` whose `key` ties
+/// the first one's to the bit, skipping the predecessor hosts stamped by
+/// the current sweep (the caller evaluates those separately).
+fn push_tie_run<'i>(
+    scratch: &mut Scratch,
+    walk: impl Iterator<Item = &'i (OrdF64, VmId)>,
+    eval: impl Fn(VmId, f64) -> HostEval,
+    key: fn(&HostEval) -> f64,
+) {
+    let mut run: Option<u64> = None;
+    for &(r, vm) in walk {
+        if scratch.vm_stamp[vm.index()] == scratch.stamp {
+            continue;
+        }
+        let e = eval(vm, r.0);
+        let bits = key(&e).to_bits();
+        if run.is_some_and(|b| b != bits) {
+            break;
+        }
+        run = Some(bits);
+        scratch.evals.push(e);
     }
 }
 

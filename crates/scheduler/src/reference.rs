@@ -1,11 +1,14 @@
 //! Naive reference mode for the planner fast path.
 //!
-//! The optimized candidate sweep ([`crate::PlanState::with_candidate_evals`])
-//! and the incremental MIN-MIN/MAX-MIN selection caches are designed to be
-//! *observationally identical* to the straightforward implementations they
-//! replaced. This module provides the switch that turns those optimizations
-//! off, so tests can run any algorithm twice —
-//! fast and naive — and assert the outputs match bit for bit.
+//! The optimized candidate sweep ([`crate::PlanState::with_candidate_evals`]),
+//! the dominance-pruned sweep behind `getBestHost` and CG
+//! ([`crate::PlanState::with_pruned_candidate_evals`]) and the incremental
+//! MIN-MIN/MAX-MIN selection caches are designed to be *observationally
+//! identical* to the straightforward implementations they replaced. This
+//! module provides the switch that turns those optimizations off — both
+//! sweeps then evaluate every candidate one by one, and nothing is pruned
+//! or cached — so tests can run any algorithm twice, fast and naive, and
+//! assert the outputs match bit for bit.
 //!
 //! The flag is thread-local and sampled when a [`crate::PlanState`] is
 //! constructed, so wrapping a whole algorithm run is enough:
@@ -29,8 +32,9 @@ thread_local! {
 }
 
 /// Run `f` with the naive reference mode enabled on this thread: every
-/// `PlanState` created inside uses per-candidate evaluation and the
-/// incremental selection caches are bypassed. Restores the previous mode
+/// `PlanState` created inside uses per-candidate evaluation of every
+/// candidate (no pruning) and the incremental selection caches are
+/// bypassed. Restores the previous mode
 /// on exit (also on panic).
 pub fn with_naive<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);

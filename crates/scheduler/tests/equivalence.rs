@@ -1,16 +1,26 @@
 //! Fast-path ⇔ naive-reference equivalence.
 //!
-//! The optimized candidate sweep ([`PlanState::with_candidate_evals`]) and
-//! the incremental MIN-MIN/MAX-MIN selection caches are pure optimizations:
-//! they must not change a single bit of any schedule. This suite checks
-//! that claim three ways:
+//! The optimized candidate sweep ([`PlanState::with_candidate_evals`]), the
+//! dominance-pruned sweep of `getBestHost` and CG
+//! ([`PlanState::with_pruned_candidate_evals`]) and the incremental
+//! MIN-MIN/MAX-MIN selection caches are pure optimizations: they must not
+//! change a single bit of any schedule. This suite checks that claim four
+//! ways:
 //!
-//! 1. bitwise: every sweep produces `HostEval`s whose `eft`/`begin`/`cost`
-//!    are bit-identical to the retained naive per-candidate evaluation;
+//! 1. bitwise: every full sweep produces `HostEval`s whose
+//!    `eft`/`begin`/`cost` are bit-identical to the retained naive
+//!    per-candidate evaluation;
 //! 2. end-to-end: every algorithm, on every generator and budget, returns
-//!    a schedule *equal* to the one produced in naive reference mode;
+//!    a schedule *equal* to the one produced in naive reference mode, where
+//!    nothing is pruned or cached;
 //! 3. regression: a hub-join workflow with very high fan-in (the worst
-//!    case for the per-predecessor aggregate adjustment) stays exact.
+//!    case for the per-predecessor aggregate adjustment) stays exact;
+//! 4. work accounting: fast and naive runs do the same refinement trials
+//!    and sweeps, and evaluated plus pruned candidates equal the naive
+//!    evaluations.
+//!
+//! The pruned sweep's selections are also compared step by step, ties
+//! included, in `best_host.rs`'s unit tests.
 
 // Helper fns in integration-test files miss the tests-only exemption.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -142,10 +152,12 @@ fn observed_runs_are_bit_identical_to_plain_runs() {
 /// than naive (e.g. montage-30 at 0.68x in one pin). The counters prove
 /// that is timing noise, not a fast-path hot spot: in both modes the
 /// refinement phase performs the *same* number of trials and acceptances
-/// and the planner does the same number of sweeps and candidate
-/// evaluations — HEFTBUDG+ time is dominated by whole-schedule
-/// re-simulations inside `refine_schedule`, which are mode-independent, so
-/// the planner fast path cannot regress it.
+/// and the planner does the same number of sweeps — HEFTBUDG+ time is
+/// dominated by whole-schedule re-simulations inside `refine_schedule`,
+/// which are mode-independent, so the planner fast path cannot regress it.
+/// Candidate work is accounted exactly: every candidate a naive sweep
+/// evaluates is either evaluated or pruned by the fast sweep, and naive
+/// sweeps prune nothing.
 #[test]
 fn refinement_work_is_identical_in_fast_and_naive_modes() {
     let p = Platform::paper_default();
@@ -162,16 +174,21 @@ fn refinement_work_is_identical_in_fast_and_naive_modes() {
             let _ = Algorithm::HeftBudgPlus.run_observed(&wf, &p, budget, &mut rec);
             let c = Counters::from_events(&rec.events);
             (
-                c.get("refine_trials"),
-                c.get("refine_accepted"),
-                c.get("plan_sweeps"),
+                (c.get("refine_trials"), c.get("refine_accepted"), c.get("plan_sweeps")),
                 c.get("plan_candidate_evals"),
+                c.get("plan_candidates_pruned"),
             )
         };
-        let fast = work();
-        let naive = reference::with_naive(work);
+        let (fast, fast_evals, fast_pruned) = work();
+        let (naive, naive_evals, naive_pruned) = reference::with_naive(work);
         assert!(fast.0 > 0, "{name}: refinement ran no trials");
         assert_eq!(fast, naive, "{name}: fast vs naive work counters diverge");
+        assert_eq!(naive_pruned, 0, "{name}: a naive sweep pruned candidates");
+        assert_eq!(
+            fast_evals + fast_pruned,
+            naive_evals,
+            "{name}: evaluated + pruned must cover every naive evaluation"
+        );
     }
 }
 

@@ -47,6 +47,17 @@ const T_EPS: f64 = 1e-9;
 /// Bytes below which a transfer is considered drained.
 const B_EPS: f64 = 1e-6;
 
+/// Event-loop iterations [`SimError::LivenessBound`] allows per task, edge
+/// and VM of a run, for each event stream in play. An iteration is a clock
+/// advance or an event pop; every clock advance completes a transfer or
+/// reaches an event, and a run has at most a few of those per item: a
+/// download and an upload per edge, external input and output transfers
+/// and one completion per task, one boot and one crash per VM. Degradation
+/// windows are the one stream not tied to an item, so enabling them
+/// doubles the allowance. Runs of the test suite, the `results/` tables and
+/// the benchmark stay more than 100x below the bound.
+const ITERATIONS_PER_ITEM: u64 = 1 << 10;
+
 /// A rate the engine divides by, named in [`SimError::InvalidRate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RateField {
@@ -94,6 +105,19 @@ pub enum SimError {
         /// Ids of the tasks that never completed, in id order.
         unfinished: Vec<TaskId>,
     },
+    /// The event loop ran past its liveness bound without draining: fault
+    /// events arrive faster than simulated time can advance (for example
+    /// degradation windows far shorter than the clock resolution at the
+    /// current instant). The bound is 1024 iterations per task, edge and
+    /// VM of the run, twice that with degradation windows enabled.
+    LivenessBound {
+        /// The bound that was exceeded (loop iterations).
+        iterations: u64,
+        /// Simulated instant reached (seconds).
+        now: f64,
+        /// Number of tasks that did complete.
+        completed: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -114,6 +138,12 @@ impl std::fmt::Display for SimError {
                 }
                 Ok(())
             }
+            SimError::LivenessBound { iterations, now, completed } => write!(
+                f,
+                "event loop exceeded its liveness bound of {iterations} iterations at \
+                 t = {now:?} s after {completed} tasks (fault events denser than the clock \
+                 can advance)"
+            ),
         }
     }
 }
@@ -838,7 +868,32 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.try_start_upload(v);
     }
 
-    /// Run the event loop to quiescence.
+    /// The liveness bound of [`Self::run`]: [`ITERATIONS_PER_ITEM`] loop
+    /// iterations per task, edge and VM (plus one), per event stream.
+    fn loop_bound(&self) -> u64 {
+        let items = self.wf.task_count() + self.wf.edge_count() + self.vms.len() + 1;
+        let streams = 1 + u64::from(self.faults.degradation.is_some());
+        u64::try_from(items)
+            .unwrap_or(u64::MAX)
+            .saturating_mul(ITERATIONS_PER_ITEM * streams)
+    }
+
+    /// The error [`Self::run`] returns past [`Self::loop_bound`]. Kept out
+    /// of line so the loop's per-iteration check stays a decrement and a
+    /// compare.
+    #[cold]
+    #[inline(never)]
+    fn liveness_error(&self) -> SimError {
+        SimError::LivenessBound {
+            iterations: self.loop_bound(),
+            now: self.now,
+            completed: self.completed,
+        }
+    }
+
+    /// Run the event loop to quiescence, or fail with
+    /// [`SimError::LivenessBound`] once its clock advances and event pops
+    /// together exceed [`Self::loop_bound`].
     fn run(&mut self) -> Result<(), SimError> {
         // Book every VM whose boot gate is already open (first task has no
         // cross-VM inputs: entry tasks, or tasks with same-VM-only preds
@@ -854,7 +909,14 @@ impl<'a, S: EventSink> Engine<'a, S> {
             self.push_event(self.now + gap, Event::DegradeStart);
         }
 
+        // Iterations left before the liveness bound: every clock advance
+        // and every event pop spends one.
+        let mut left = self.loop_bound();
         loop {
+            if left == 0 {
+                return Err(self.liveness_error());
+            }
+            left -= 1;
             // Next transfer completion, if any. All transfers share one
             // rate and `now + r / rate` is monotone in `r`, so the least
             // remaining volume finishes first.
@@ -911,6 +973,10 @@ impl<'a, S: EventSink> Engine<'a, S> {
             // Then discrete events scheduled at (or before) `now`.
             while let Some(Reverse(h)) = self.heap.peek().copied() {
                 if h.time <= self.now + T_EPS {
+                    if left == 0 {
+                        return Err(self.liveness_error());
+                    }
+                    left -= 1;
                     self.heap.pop();
                     if h.event.is_work() {
                         self.work_events -= 1;

@@ -452,6 +452,39 @@ fn out_of_range_flags_are_usage_errors() {
     }
 }
 
+/// Degradation windows far below the clock resolution used to spin the
+/// event loop forever. The engine's liveness bound turns them into a
+/// typed simulation error (exit 2) within seconds; the child is killed
+/// and the test fails should it ever hang again.
+#[test]
+fn degradation_windows_below_clock_resolution_exit_2() {
+    use std::time::{Duration, Instant};
+    let wf = tmp("degrade30.json");
+    assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
+    for spec in ["0.5:1e-300:1e-300", "0.5:1e-12:1e-12"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_wfs"))
+            .args(["faults", wf.to_str().unwrap(), "--budget", "5", "--degrade", spec])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("wfs binary runs");
+        let start = Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if start.elapsed() > Duration::from_secs(60) {
+                child.kill().unwrap();
+                panic!("--degrade {spec}: still running after 60 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let err = std::io::read_to_string(child.stderr.take().unwrap()).unwrap();
+        assert_eq!(status.code(), Some(2), "--degrade {spec}: {err}");
+        assert!(err.contains("liveness bound"), "--degrade {spec}: {err}");
+    }
+}
+
 /// A DAX file with an out-of-range number or a repeated job id is an input
 /// error (exit 2) naming the job and the field, not an assertion panic
 /// inside the workflow builder.
