@@ -198,3 +198,39 @@ fn refinement_schedules_and_trial_counts_are_pinned() {
     ];
     assert_eq!(counts, pinned, "refinement trial/accept counts moved");
 }
+
+/// The three Table III budget levels of `wf`: the min-cost floor ("low"),
+/// twice HEFT's planned cost ("high") and their midpoint ("medium").
+fn table3_budgets(wf: &Workflow, p: &Platform) -> [f64; 3] {
+    use budget_sched::scheduler::min_cost_floor;
+    let low = min_cost_floor(wf, p);
+    let heft = Algorithm::Heft.run(wf, p, f64::INFINITY);
+    let high = simulate(wf, p, &heft, &SimConfig::planning()).unwrap().total_cost * 2.0;
+    [low, (low + high) / 2.0, high]
+}
+
+/// HEFTBUDG+, HEFTBUDG+INV and CG+ schedules on 5 generators × 30/60 tasks
+/// × the three Table III budgets. Every refinement decision (which move a
+/// trial loop keeps) shows up in the schedule, so a change to how trials
+/// are evaluated that alters any decision moves this hash.
+#[test]
+fn refined_schedules_are_pinned_across_generators_and_budgets() {
+    let p = Platform::paper_default();
+    let mut h = Fnv::new();
+    for n in [30, 60] {
+        for wf in [
+            montage(GenConfig::new(n, 31)),
+            cybershake(GenConfig::new(n, 32)),
+            ligo(GenConfig::new(n, 33)),
+            epigenomics(GenConfig::new(n, 34)),
+            sipht(GenConfig::new(n, 35)),
+        ] {
+            for budget in table3_budgets(&wf, &p) {
+                for alg in [Algorithm::HeftBudgPlus, Algorithm::HeftBudgPlusInv, Algorithm::CgPlus] {
+                    h.schedule(&alg.run(&wf, &p, budget));
+                }
+            }
+        }
+    }
+    assert_eq!(h.0, 10_180_463_482_417_557_068, "refined schedules moved");
+}
