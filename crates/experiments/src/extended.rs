@@ -271,7 +271,8 @@ pub fn size_sweep() {
 
 /// Planner-work counter tables: per algorithm, the decision-event stream's
 /// structural counters (candidate evaluations, pruned candidates, sweeps,
-/// cache hits, refine trials) plus a traced execution's simulator counters — the observability
+/// cache hits, refine trials and the trials screened without a simulation)
+/// plus a traced execution's simulator counters — the observability
 /// layer's answer to "where does each heuristic spend its work?".
 pub fn counters_study() {
     use wfs_observe::{Counters, RecordingSink};
@@ -282,8 +283,8 @@ pub fn counters_study() {
          One 90-task instance per benchmark, budget = 2 x min_cost; counters are\n\
          derived from the recorded decision-event stream of a single traced\n\
          plan + stochastic execution (seed 1).\n\n\
-         | workflow | algorithm | cand evals | pruned | sweeps | cache hit/miss | placed | new VMs | refine trials | moves | VM boots | transfers |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|---|\n",
+         | workflow | algorithm | cand evals | pruned | sweeps | cache hit/miss | placed | new VMs | refine trials | screened | moves | VM boots | transfers |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for ty in BenchmarkType::ALL {
         let wf = ty.generate(GenConfig::new(90, 1));
@@ -308,7 +309,7 @@ pub fn counters_study() {
             let c = Counters::from_events(&rec.events);
             writeln!(
                 md,
-                "| {} | {} | {} | {} | {} | {}/{} | {} | {} | {} | {} | {} | {} |",
+                "| {} | {} | {} | {} | {} | {}/{} | {} | {} | {} | {} | {} | {} | {} |",
                 ty.name(),
                 alg.name(),
                 c.get("plan_candidate_evals"),
@@ -319,6 +320,7 @@ pub fn counters_study() {
                 c.get("tasks_placed"),
                 c.get("vms_provisioned"),
                 c.get("refine_trials"),
+                c.get("refine_screened"),
                 c.get("refine_moves"),
                 c.get("sim_vm_boots"),
                 c.get("sim_transfers"),

@@ -19,7 +19,7 @@
 use crate::budget::report_sweeps;
 use crate::heft::priority_list;
 use crate::plan::{Candidate, HostEval, PlanState};
-use crate::refine::{planned, TrialEvaluator};
+use crate::refine::{planned, AcceptRule, TrialEvaluator};
 use wfs_observe::{EventSink, NoopSink};
 use wfs_platform::{CategoryId, Platform};
 use wfs_simulator::{Schedule, SimulationReport};
@@ -133,22 +133,8 @@ pub(crate) fn cg_plus(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedul
     // 4·n rounds is a generous cap against float-cycling.
     for _ in 0..wf.task_count() * 4 {
         let path = critical_path_tasks(wf, &report);
-        // Faithful to [25]: only time-decreasing, cost-increasing moves
-        // within budget qualify; the ratio ΔT/Δc is maximized.
-        let gain = |r: &SimulationReport| {
-            (report.makespan - r.makespan, r.total_cost - report.total_cost)
-        };
-        let accept = |r: &SimulationReport, best: Option<&SimulationReport>| {
-            let (dt, dc) = gain(r);
-            dt > 1e-9
-                && dc > 1e-9
-                && r.total_cost <= b_ini
-                && best.is_none_or(|b| {
-                    let (bt, bc) = gain(b);
-                    dt / dc > bt / bc
-                })
-        };
-        match trials.best_move(&sched, &path, accept) {
+        let mut rule = BestRatio { incumbent: &report, budget: b_ini };
+        match trials.best_move(&sched, &path, &mut rule) {
             Some((s, r)) => {
                 sched = s;
                 report = r;
@@ -158,6 +144,44 @@ pub(crate) fn cg_plus(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedul
     }
     sched.prune_empty_vms();
     sched
+}
+
+/// CG+'s accept rule, faithful to [25]: only time-decreasing,
+/// cost-increasing moves within budget qualify, and the ratio ΔT/Δc is
+/// maximized.
+struct BestRatio<'r> {
+    /// Planned execution of the schedule the moves start from.
+    incumbent: &'r SimulationReport,
+    budget: f64,
+}
+
+impl BestRatio<'_> {
+    /// (ΔT, Δc) of `r` against the incumbent.
+    fn gain(&self, r: &SimulationReport) -> (f64, f64) {
+        (self.incumbent.makespan - r.makespan, r.total_cost - self.incumbent.total_cost)
+    }
+}
+
+impl AcceptRule for BestRatio<'_> {
+    fn budget(&self) -> f64 {
+        self.budget
+    }
+
+    /// ΔT > 0 needs a makespan below the incumbent's, whatever was kept.
+    fn makespan_cutoff(&self, _best: Option<&SimulationReport>) -> f64 {
+        self.incumbent.makespan
+    }
+
+    fn keeps(&mut self, trial: &SimulationReport, best: Option<&SimulationReport>) -> bool {
+        let (dt, dc) = self.gain(trial);
+        dt > 1e-9
+            && dc > 1e-9
+            && trial.total_cost <= self.budget
+            && best.is_none_or(|b| {
+                let (bt, bc) = self.gain(b);
+                dt / dc > bt / bc
+            })
+    }
 }
 
 /// Tasks on the critical path of a simulated execution: start from the task

@@ -1,10 +1,13 @@
-//! Exact planner work counts on the 400-task quickbench instances.
+//! Exact planner work counts on the 400-task quickbench instances, and
+//! refinement work counts at 60 tasks.
 //!
-//! Sweep and evaluation counts are deterministic, so they gate the planner's
-//! asymptotics without a wall clock: a regression from the dominance-pruned
-//! host selection back to a full O(V) sweep moves `plan_candidate_evals`
-//! and `plan_candidates_pruned` here, on every machine. A change that moves
-//! the work on purpose re-pins the table below and says why.
+//! Sweep, evaluation and trial counts are deterministic, so they gate the
+//! planner's asymptotics without a wall clock: a regression from the
+//! dominance-pruned host selection back to a full O(V) sweep moves
+//! `plan_candidate_evals` and `plan_candidates_pruned` here, and one from
+//! the screened trial loop back to simulating every move moves
+//! `refine_screened`, on every machine. A change that moves the work on
+//! purpose re-pins the tables below and says why.
 
 // Helper fns in integration-test files miss the tests-only exemption.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -62,4 +65,43 @@ fn planner_work_counts_are_pinned() {
         }
     }
     assert_eq!(got, PINNED, "planner work moved; re-pin only with a stated reason");
+}
+
+/// `(workflow, algorithm, refine_trials, refine_accepted, refine_screened)`
+/// at 60 tasks, seed 1, medium budget. Trials and accepts are the paper's
+/// Alg. 5 work; screened trials are the ones rejected from their lower
+/// bound without a simulation, so a weaker bound or a lost screen moves
+/// the last column while the first two stay put.
+const REFINE_PINNED: [(&str, &str, u64, u64, u64); 6] = [
+    ("montage", "HEFTBUDG+", 1200, 1, 1183),
+    ("montage", "HEFTBUDG+INV", 1200, 3, 1193),
+    ("ligo", "HEFTBUDG+", 1680, 0, 1258),
+    ("ligo", "HEFTBUDG+INV", 1680, 0, 1258),
+    ("cybershake", "HEFTBUDG+", 1860, 0, 1833),
+    ("cybershake", "HEFTBUDG+INV", 1860, 0, 1833),
+];
+
+#[test]
+fn refinement_work_counts_are_pinned() {
+    let p = Platform::paper_default();
+    let mut got = Vec::new();
+    for (name, wf) in [
+        ("montage", montage(GenConfig::new(60, 1))),
+        ("ligo", ligo(GenConfig::new(60, 1))),
+        ("cybershake", cybershake(GenConfig::new(60, 1))),
+    ] {
+        let budget = medium_budget(&wf, &p);
+        for alg in [Algorithm::HeftBudgPlus, Algorithm::HeftBudgPlusInv] {
+            let mut c = Counters::new();
+            alg.run_observed(&wf, &p, budget, &mut c);
+            got.push((
+                name,
+                alg.name(),
+                c.get("refine_trials"),
+                c.get("refine_accepted"),
+                c.get("refine_screened"),
+            ));
+        }
+    }
+    assert_eq!(got, REFINE_PINNED, "refinement work moved; re-pin only with a stated reason");
 }

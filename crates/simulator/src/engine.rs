@@ -42,10 +42,14 @@ fn vm_u32(v: usize) -> u32 {
     v as u32
 }
 
-/// Time comparison tolerance (seconds).
-const T_EPS: f64 = 1e-9;
-/// Bytes below which a transfer is considered drained.
-const B_EPS: f64 = 1e-6;
+/// Time comparison tolerance (seconds): a discrete event fires once the
+/// clock is within `T_EPS` of its time, and a transfer finishes once the
+/// time it still needs is below `max(T_EPS, now·ε)`. A run's event times
+/// can therefore lead exact arithmetic by up to `T_EPS` per event.
+pub const T_EPS: f64 = 1e-9;
+/// Bytes below which a transfer is considered drained; every transfer
+/// moves at least this many bytes.
+pub const B_EPS: f64 = 1e-6;
 
 /// Event-loop iterations [`SimError::LivenessBound`] allows per task, edge
 /// and VM of a run, for each event stream in play. An iteration is a clock
@@ -58,7 +62,9 @@ const B_EPS: f64 = 1e-6;
 /// the benchmark stay more than 100x below the bound.
 const ITERATIONS_PER_ITEM: u64 = 1 << 10;
 
-/// A rate the engine divides by, named in [`SimError::InvalidRate`].
+/// A platform or capacity value [`check_rates`] refused, named in
+/// [`SimError::InvalidRate`]: a rate the engine divides by, or a price or
+/// delay, which bills and times must not run backwards on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RateField {
     /// The datacenter bandwidth (`Platform::datacenter.bandwidth`).
@@ -67,6 +73,27 @@ pub enum RateField {
     CategorySpeed(CategoryId),
     /// The aggregate capacity of [`DcCapacity::Finite`].
     DcCapacity,
+    /// The hourly cost of one VM category.
+    CategoryCostPerHour(CategoryId),
+    /// The one-time init cost of one VM category.
+    CategoryInitCost(CategoryId),
+    /// The boot delay of one VM category.
+    CategoryBootTime(CategoryId),
+    /// The datacenter's hourly cost (`Platform::datacenter.cost_per_hour`).
+    DatacenterCostPerHour,
+    /// The datacenter's boundary transfer cost per byte.
+    DatacenterIoCost,
+}
+
+impl RateField {
+    /// Whether the field must be strictly positive (a divisor) rather than
+    /// merely non-negative (a price or a delay).
+    fn is_divisor(self) -> bool {
+        matches!(
+            self,
+            RateField::DatacenterBandwidth | RateField::CategorySpeed(_) | RateField::DcCapacity
+        )
+    }
 }
 
 impl std::fmt::Display for RateField {
@@ -75,6 +102,11 @@ impl std::fmt::Display for RateField {
             RateField::DatacenterBandwidth => write!(f, "datacenter bandwidth"),
             RateField::CategorySpeed(c) => write!(f, "speed of VM category {}", c.0),
             RateField::DcCapacity => write!(f, "datacenter capacity"),
+            RateField::CategoryCostPerHour(c) => write!(f, "cost_per_hour of VM category {}", c.0),
+            RateField::CategoryInitCost(c) => write!(f, "init_cost of VM category {}", c.0),
+            RateField::CategoryBootTime(c) => write!(f, "boot_time of VM category {}", c.0),
+            RateField::DatacenterCostPerHour => write!(f, "datacenter cost_per_hour"),
+            RateField::DatacenterIoCost => write!(f, "datacenter io_cost_per_byte"),
         }
     }
 }
@@ -84,10 +116,12 @@ impl std::fmt::Display for RateField {
 pub enum SimError {
     /// The schedule failed validation.
     Schedule(ScheduleError),
-    /// A bandwidth, speed or capacity is zero, negative, NaN or infinite.
-    /// Deserialized platforms and the public `datacenter` field bypass the
-    /// constructors' checks; without this one, a zero rate would make
-    /// every transfer or task take forever and the event loop never end.
+    /// A bandwidth, speed or capacity is zero, negative, NaN or infinite,
+    /// or a price or boot time is negative, NaN or infinite. Deserialized
+    /// platforms and the public `datacenter` field bypass the constructors'
+    /// checks; without this one, a zero rate would make every transfer or
+    /// task take forever and the event loop never end, and a negative
+    /// price or boot delay would bill or schedule backwards.
     InvalidRate {
         /// Which rate.
         field: RateField,
@@ -125,7 +159,8 @@ impl std::fmt::Display for SimError {
         match self {
             SimError::Schedule(e) => write!(f, "invalid schedule: {e}"),
             SimError::InvalidRate { field, value } => {
-                write!(f, "invalid rate: {field} must be finite and > 0, got {value}")
+                let least = if field.is_divisor() { "> 0" } else { ">= 0" };
+                write!(f, "invalid platform value: {field} must be finite and {least}, got {value}")
             }
             SimError::NoCategories => write!(f, "the platform has no VM categories"),
             SimError::Stalled { completed, unfinished } => {
@@ -156,29 +191,37 @@ impl From<ScheduleError> for SimError {
     }
 }
 
-/// Check every rate the engine divides by (finite and strictly positive)
-/// and that the platform has at least one VM category. [`simulate`] runs
-/// it first; callers that plan on a deserialized platform run it at load
-/// time, since the planners divide by the same rates.
+/// Check every rate the engine divides by (finite and strictly positive),
+/// every price and boot time (finite and non-negative), and that the
+/// platform has at least one VM category. [`simulate`] runs it first;
+/// callers that plan on a deserialized platform run it at load time, since
+/// the planners divide by the same rates and bill with the same prices.
 pub fn check_rates(platform: &Platform, config: &SimConfig) -> Result<(), SimError> {
     if platform.categories().is_empty() {
         return Err(SimError::NoCategories);
     }
-    let positive = |field, value: f64| {
-        if value.is_finite() && value > 0.0 {
+    let check = |field: RateField, value: f64| {
+        let least_ok = if field.is_divisor() { value > 0.0 } else { value >= 0.0 };
+        if value.is_finite() && least_ok {
             Ok(())
         } else {
             Err(SimError::InvalidRate { field, value })
         }
     };
-    positive(RateField::DatacenterBandwidth, platform.datacenter.bandwidth)?;
+    let dc = &platform.datacenter;
+    check(RateField::DatacenterBandwidth, dc.bandwidth)?;
+    check(RateField::DatacenterCostPerHour, dc.cost_per_hour)?;
+    check(RateField::DatacenterIoCost, dc.io_cost_per_byte)?;
     for (c, cat) in platform.categories().iter().enumerate() {
         let id = CategoryId(u32::try_from(c).unwrap_or(u32::MAX));
-        positive(RateField::CategorySpeed(id), cat.speed)?;
+        check(RateField::CategorySpeed(id), cat.speed)?;
+        check(RateField::CategoryCostPerHour(id), cat.cost_per_hour)?;
+        check(RateField::CategoryInitCost(id), cat.init_cost)?;
+        check(RateField::CategoryBootTime(id), cat.boot_time)?;
     }
     match config.dc_capacity {
         DcCapacity::Infinite => Ok(()),
-        DcCapacity::Finite(cap) => positive(RateField::DcCapacity, cap),
+        DcCapacity::Finite(cap) => check(RateField::DcCapacity, cap),
     }
 }
 

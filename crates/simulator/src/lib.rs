@@ -40,7 +40,8 @@ mod weights;
 
 pub use config::{DcCapacity, SimConfig};
 pub use engine::{
-    check_rates, simulate, simulate_observed, simulate_with_faults, RateField, SimError,
+    check_rates, simulate, simulate_observed, simulate_with_faults, RateField, SimError, B_EPS,
+    T_EPS,
 };
 pub use faults::{
     stream_seed, BootFaultModel, CrashModel, DegradationModel, FaultConfig, FaultRun, FaultStats,
@@ -291,6 +292,46 @@ mod engine_tests {
 
             let capped = SimConfig { dc_capacity: DcCapacity::Finite(bad), ..cfg };
             check(&unit_platform(), &capped, RateField::DcCapacity, bad);
+        }
+    }
+
+    /// Negative, NaN and infinite prices and boot times are refused; zero
+    /// is a valid price or delay.
+    #[test]
+    fn negative_or_non_finite_prices_and_boot_times_rejected() {
+        let wf = chain(2, 10.0, 5.0);
+        let s = single_vm_schedule(&wf);
+        let cfg = SimConfig::planning();
+        let c0 = CategoryId(0);
+        type Edit = fn(&mut VmCategory, &mut Datacenter, f64);
+        let edits: [(RateField, Edit); 5] = [
+            (RateField::CategoryCostPerHour(c0), |c, _, x| c.cost_per_hour = x),
+            (RateField::CategoryInitCost(c0), |c, _, x| c.init_cost = x),
+            (RateField::CategoryBootTime(c0), |c, _, x| c.boot_time = x),
+            (RateField::DatacenterCostPerHour, |_, dc, x| dc.cost_per_hour = x),
+            (RateField::DatacenterIoCost, |_, dc, x| dc.io_cost_per_byte = x),
+        ];
+        // `unit_platform` with one value edited past the constructors' checks.
+        let edited = |edit: Edit, x: f64| {
+            let mut cat = VmCategory::new("u", 1.0, 36.0, 0.0, 10.0);
+            let mut dc = Datacenter::new(10.0, 0.0, 0.0);
+            edit(&mut cat, &mut dc, x);
+            Platform::new(vec![cat], dc).with_billing(BillingPolicy::Continuous)
+        };
+        for (field, edit) in edits {
+            assert_eq!(check_rates(&edited(edit, 0.0), &cfg), Ok(()), "{field} = 0 is valid");
+            for bad in [-1.0, -1e-12, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let p = edited(edit, bad);
+                match simulate(&wf, &p, &s, &cfg).unwrap_err() {
+                    SimError::InvalidRate { field: f, value } => {
+                        assert_eq!(f, field);
+                        assert!(value.to_bits() == bad.to_bits(), "{value} != {bad}");
+                    }
+                    other => panic!("expected InvalidRate for {field}, got {other:?}"),
+                }
+                let msg = check_rates(&p, &cfg).unwrap_err().to_string();
+                assert!(msg.contains(&format!("{field} must be finite and >= 0")), "{msg}");
+            }
         }
     }
 

@@ -139,7 +139,8 @@ fn load_workflow(path: &str) -> Result<Workflow, String> {
 
 /// The `--platform` file, or the paper's platform. A file is checked once
 /// here with the simulator's own rate check: the planners divide by the
-/// same bandwidth and speeds, and index the first category.
+/// same bandwidth and speeds, bill with the same prices and boot times, and
+/// index the first category.
 fn load_platform(args: &[String]) -> Result<Platform, String> {
     let Some(path) = opt(args, "--platform") else {
         return Ok(Platform::paper_default());

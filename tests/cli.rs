@@ -424,6 +424,51 @@ fn schedule_rejects_unusable_platform_files() {
     }
 }
 
+/// Negative prices and boot times in a `--platform` file are usage errors
+/// (exit 2, named field) for `schedule` and `simulate`, not bills that run
+/// backwards.
+#[test]
+fn negative_prices_and_boot_times_are_usage_errors() {
+    let wf = tmp("price30.json");
+    assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
+    let sched = tmp("price30-sched.json");
+    let out = wfs(&[
+        "schedule",
+        wf.to_str().unwrap(),
+        "--alg",
+        "heftbudg",
+        "--budget",
+        "1.0",
+        "-o",
+        sched.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let dump = String::from_utf8(wfs(&["platform"]).stdout).unwrap();
+    let cases = [
+        ("boot", "\"boot_time\": 100", "\"boot_time\": -50", "boot_time of VM category 0"),
+        ("vm", "\"cost_per_hour\": 0.05", "\"cost_per_hour\": -1", "cost_per_hour of VM category 0"),
+        ("dc", "\"cost_per_hour\": 0.022", "\"cost_per_hour\": -1", "datacenter cost_per_hour"),
+        ("io", "\"io_cost_per_byte\": 0.000000000055", "\"io_cost_per_byte\": -1e-9", "io_cost_per_byte"),
+    ];
+    for (name, from, to, field) in cases {
+        let json = dump.replacen(from, to, 1);
+        assert_ne!(json, dump, "{name}: platform dump format changed");
+        let pfile = tmp(&format!("platform-{name}.json"));
+        std::fs::write(&pfile, json).unwrap();
+        let (wf, sched) = (wf.to_str().unwrap(), sched.to_str().unwrap());
+        let pfile = pfile.to_str().unwrap();
+        for args in [
+            &["schedule", wf, "--alg", "HEFTBUDG+", "--budget", "2", "--platform", pfile][..],
+            &["simulate", wf, sched, "--conservative", "--platform", pfile][..],
+        ] {
+            let out = wfs(args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name}/{}: {err}", args[0]);
+            assert!(err.contains(&format!("{field} must be finite and >= 0")), "{name}: {err}");
+        }
+    }
+}
+
 /// Out-of-range fault and generator flags are usage errors (exit 2), not
 /// assertion panics inside the fault models' or generators' constructors.
 #[test]
