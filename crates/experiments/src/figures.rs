@@ -5,12 +5,15 @@ use crate::common::{results_dir, sweep, to_markdown, write_csv, write_text, Scal
 use wfs_scheduler::Algorithm;
 use wfs_workflow::gen::BenchmarkType;
 
+/// Workflow size of every figure: the paper evaluates 90-task workflows.
+const TASKS: usize = 90;
+
 /// Figure 1: makespan / cost / #VMs vs initial budget for the baselines and
 /// the main budget-aware algorithms, 90-task workflows of all three types.
 pub fn fig1(scale: Scale) {
     let cells = sweep(
         &BenchmarkType::ALL,
-        90,
+        TASKS,
         &[Algorithm::MinMin, Algorithm::Heft, Algorithm::MinMinBudg, Algorithm::HeftBudg],
         scale,
     );
@@ -19,7 +22,7 @@ pub fn fig1(scale: Scale) {
     write_text(
         &dir.join("fig1.md"),
         &to_markdown(
-            "Figure 1 — MIN-MIN(BUDG) and HEFT(BUDG) vs initial budget (90 tasks)",
+            &format!("Figure 1 — MIN-MIN(BUDG) and HEFT(BUDG) vs initial budget ({TASKS} tasks)"),
             &cells,
         ),
     );
@@ -46,17 +49,11 @@ fn summarize_fig1(cells: &[crate::common::Cell]) {
 }
 
 /// Figure 2: the refined variants HEFTBUDG+ / HEFTBUDG+INV against HEFT and
-/// HEFTBUDG. The refinements are two orders of magnitude slower to compute,
-/// so this sweep uses 30-task workflows at full scale (the paper reports
-/// 90; use `WFS_FIG2_TASKS=90` to match it exactly, at ~hours of CPU).
+/// HEFTBUDG.
 pub fn fig2(scale: Scale) {
-    let tasks: usize = std::env::var("WFS_FIG2_TASKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30);
     let cells = sweep(
         &BenchmarkType::ALL,
-        tasks,
+        TASKS,
         &[
             Algorithm::Heft,
             Algorithm::HeftBudg,
@@ -70,7 +67,7 @@ pub fn fig2(scale: Scale) {
     write_text(
         &dir.join("fig2.md"),
         &to_markdown(
-            &format!("Figure 2 — refined variants vs HEFT/HEFTBUDG ({tasks} tasks)"),
+            &format!("Figure 2 — refined variants vs HEFT/HEFTBUDG ({TASKS} tasks)"),
             &cells,
         ),
     );
@@ -81,7 +78,7 @@ pub fn fig2(scale: Scale) {
 pub fn fig3(scale: Scale) {
     let cells = sweep(
         &BenchmarkType::ALL,
-        90,
+        TASKS,
         &[Algorithm::MinMinBudg, Algorithm::HeftBudg, Algorithm::Bdt, Algorithm::Cg],
         scale,
     );
@@ -89,7 +86,10 @@ pub fn fig3(scale: Scale) {
     write_csv(&dir.join("fig3.csv"), &cells);
     write_text(
         &dir.join("fig3.md"),
-        &to_markdown("Figure 3 — budget-aware algorithms vs BDT and CG (90 tasks)", &cells),
+        &to_markdown(
+            &format!("Figure 3 — budget-aware algorithms vs BDT and CG ({TASKS} tasks)"),
+            &cells,
+        ),
     );
     // Paper claim: BDT's validity collapses at small budgets (the minimal
     // feasible budget = 1.0 x min_cost).
@@ -114,15 +114,10 @@ pub fn fig3(scale: Scale) {
 }
 
 /// Figure 4: HEFTBUDG+ and HEFTBUDG+INV against CG+ (refined competitors).
-/// Same size note as [`fig2`].
 pub fn fig4(scale: Scale) {
-    let tasks: usize = std::env::var("WFS_FIG4_TASKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30);
     let cells = sweep(
         &BenchmarkType::ALL,
-        tasks,
+        TASKS,
         &[Algorithm::HeftBudgPlus, Algorithm::HeftBudgPlusInv, Algorithm::CgPlus],
         scale,
     );
@@ -130,6 +125,6 @@ pub fn fig4(scale: Scale) {
     write_csv(&dir.join("fig4.csv"), &cells);
     write_text(
         &dir.join("fig4.md"),
-        &to_markdown(&format!("Figure 4 — refined variants vs CG+ ({tasks} tasks)"), &cells),
+        &to_markdown(&format!("Figure 4 — refined variants vs CG+ ({TASKS} tasks)"), &cells),
     );
 }

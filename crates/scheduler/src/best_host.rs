@@ -1,7 +1,8 @@
 //! `getBestHost` (paper Algorithm 2): smallest EFT among the candidates
 //! whose cost respects the task's budget share plus the pot — plus the
-//! incremental per-task cache that lets MIN-MIN/MAX-MIN avoid re-running
-//! the full selection for every ready task on every round.
+//! incremental per-task cache of MIN-MIN/MAX-MIN: a round commits one task
+//! to one VM, so a ready task's cached winner is re-checked against that
+//! VM alone instead of re-running the selection every round.
 
 use crate::plan::{Candidate, HostEval, PlanState};
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
@@ -30,67 +31,29 @@ fn fallback_key(e: &HostEval) -> (OrdF64, OrdF64) {
     (OrdF64(e.cost), OrdF64(e.eft))
 }
 
-/// Outcome of one best-host selection, with the metadata the incremental
-/// cache needs to decide whether the result can be reused later.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Selection {
-    /// The chosen host evaluation.
-    pub best: HostEval,
-    /// True when `best` came from the affordable branch (cost within the
-    /// limit); false when it is the fall-back cheapest candidate.
-    pub affordable: bool,
-    /// True when `best` is also the best candidate *ignoring* the budget:
-    /// raising the limit then cannot change the winner.
-    pub unconstrained_same: bool,
-}
-
-/// One-pass selection over a candidate sweep. Replicates the original
-/// `get_best_host` semantics exactly:
-///
-/// - affordable branch: minimum of `key` (a strict total order, so the
-///   historical "last minimal wins" `min_by` detail cannot matter);
-/// - fall-back branch: minimum of `(cost, eft)` where ties CAN happen, and
-///   `Iterator::min_by` keeps the *last* minimal element — hence `<=` in
-///   the replacement test below.
-pub(crate) fn select(evals: &[HostEval], limit: f64) -> Selection {
-    debug_assert!(!evals.is_empty(), "a platform always offers new-VM candidates");
-    let mut aff: Option<HostEval> = None;
-    let mut unconstrained: Option<HostEval> = None;
-    let mut cheapest: Option<HostEval> = None;
-    for e in evals {
-        if unconstrained.as_ref().is_none_or(|u| key(e) < key(u)) {
-            unconstrained = Some(*e);
-        }
-        if e.cost <= limit + COST_EPS && aff.as_ref().is_none_or(|a| key(e) < key(a)) {
-            aff = Some(*e);
-        }
-        if cheapest
-            .as_ref()
-            .is_none_or(|c| fallback_key(e) <= fallback_key(c))
-        {
-            cheapest = Some(*e);
-        }
-    }
-    #[allow(clippy::expect_used)] // evals is non-empty, so all folds are Some
-    match aff {
-        Some(best) => Selection {
-            best,
-            affordable: true,
-            unconstrained_same: best.candidate
-                == unconstrained.expect("non-empty").candidate,
-        },
-        None => Selection {
-            best: cheapest.expect("non-empty"),
-            affordable: false,
-            unconstrained_same: false,
-        },
+/// Selection with the metadata the incremental cache needs: the winner
+/// [`select_best`] returns, and whether it is also the best candidate
+/// *ignoring* the budget (raising the limit then cannot change it). `key`
+/// is a strict total order, so when the unconstrained minimum fits the
+/// limit it is the affordable winner; otherwise the winner is the
+/// constrained selection and differs from it.
+pub(crate) fn select(evals: &[HostEval], limit: f64) -> (HostEval, bool) {
+    #[allow(clippy::expect_used)] // evals is non-empty, so the fold is Some
+    let free =
+        evals.iter().min_by_key(|e| key(e)).expect("a platform always offers new-VM candidates");
+    if free.cost <= limit + COST_EPS {
+        (*free, true)
+    } else {
+        (select_best(evals, limit), false)
     }
 }
 
-/// Lean selection for callers that don't need cache metadata: one pass
-/// tracking only the affordable minimum; the fall-back cheapest candidate
-/// is computed in a second pass only when nothing was affordable (rare).
-/// Result is identical to [`select`]`.best`.
+/// Alg. 2's selection over a candidate sweep: one pass tracking the
+/// affordable minimum of `key` (a strict total order, so which of equal
+/// elements wins cannot matter); only when nothing was affordable, a
+/// second pass for the cheapest candidate by `(cost, eft)`, where ties
+/// CAN happen and the naive `Iterator::min_by` kept the *last* minimal
+/// element, hence `<=` in the replacement test.
 pub(crate) fn select_best(evals: &[HostEval], limit: f64) -> HostEval {
     let mut aff: Option<&HostEval> = None;
     for e in evals {
@@ -154,41 +117,50 @@ pub fn get_best_host<S: EventSink>(
     })
 }
 
-/// Cached best-host result for one ready task.
+/// Cached best-host result for one ready task. The winner came from the
+/// affordable branch exactly when `best.cost <= limit + ε`: a selection
+/// establishes this, and every hit keeps it (see [`BestHostCache::best`]).
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    sel: Selection,
-    /// Limit the selection was computed under.
+    best: HostEval,
+    /// True when `best` is also the best candidate ignoring the budget.
+    unconstrained_same: bool,
+    /// Limit the entry was last confirmed under.
     limit: f64,
-    /// VM count at computation time (a new VM adds a candidate).
-    vm_count: usize,
 }
 
-/// Incremental best-host cache for round-based list schedulers
-/// (MIN-MIN, MAX-MIN, SUFFERAGE).
+impl Entry {
+    /// Did `best` come from the affordable branch?
+    fn affordable(&self) -> bool {
+        self.best.cost <= self.limit + COST_EPS
+    }
+}
+
+/// Incremental best-host cache for the round-based list schedulers
+/// MIN-MIN and MAX-MIN (SUFFERAGE scores the whole candidate set and
+/// sweeps uncached; naive reference mode bypasses the cache).
 ///
-/// Between two rounds, exactly one `(task, vm)` pair is committed, and the
-/// commit only moves the committed VM's availability — every other
-/// candidate's evaluation for a still-ready task is unchanged (the
-/// committed task cannot be a predecessor of a task that was already
-/// ready). A cached winner therefore stays valid unless:
+/// Each round queries every ready task, then commits one task to one VM
+/// `w`, either a used VM or a fresh one. That commit changes only `w`'s
+/// evaluation, or adds `w` as a candidate: the committed task is not a
+/// predecessor of any task that was already ready, and a fresh VM's
+/// evaluation does not depend on which VMs are rented. A cached winner
+/// therefore stays valid unless:
 ///
-/// - a new VM was enrolled (new candidate; `vm_count` changed),
-/// - the cached winner sits on the committed VM (its own eval moved),
+/// - it sits on `w` (its own evaluation moved),
 /// - the task's limit moved in a way that can change the winner:
-///   - affordable winner: limit dropped below its cost, or the limit rose
-///     while a better-but-unaffordable candidate existed
-///     (`!unconstrained_same`),
+///   - affordable winner: the limit dropped below its cost, or rose while
+///     a better-but-unaffordable candidate existed (`!unconstrained_same`),
 ///   - fall-back winner (nothing affordable): the limit rose enough that
-///     the cheapest candidate now fits (`cost <= limit + ε`),
-/// - the committed VM's re-evaluation (one O(deg) `evaluate` call) shows it
-///   could now interfere: beat an affordable winner, or — in the fall-back
-///   case — become affordable or tie/beat the cheapest `(cost, eft)` (ties
-///   matter because the naive fall-back keeps the *last* minimal).
+///     the cheapest candidate now fits,
+/// - `w`'s re-evaluation (one O(deg) `evaluate` call) shows it can now
+///   interfere: beat an affordable winner, or, in the fall-back case,
+///   become affordable or tie/beat the cheapest `(cost, eft)` (ties matter
+///   because the fall-back keeps the *last* minimal).
 ///
 /// Whenever reuse is not provably exact, the entry is recomputed with a
-/// (pruned) sweep — the cache is an exactness-preserving memoization, and the
-/// equivalence suite checks schedules stay bit-identical to naive runs.
+/// (pruned) sweep: the cache is an exactness-preserving memoization, and
+/// the equivalence suite checks schedules stay bit-identical to naive runs.
 #[derive(Debug)]
 pub(crate) struct BestHostCache {
     entries: Vec<Option<Entry>>,
@@ -217,18 +189,23 @@ impl BestHostCache {
 
     /// Can the cached selection be reused under the new `limit`?
     fn limit_still_valid(entry: &Entry, limit: f64) -> bool {
-        if entry.sel.affordable {
-            entry.sel.best.cost <= limit + COST_EPS
-                && (limit <= entry.limit || entry.sel.unconstrained_same)
+        let fits = entry.best.cost <= limit + COST_EPS;
+        if entry.affordable() {
+            fits && (limit <= entry.limit || entry.unconstrained_same)
         } else {
             // The fall-back winner is the cheapest candidate: the affordable
             // set stays empty as long as even it does not fit.
-            limit <= entry.limit || entry.sel.best.cost > limit + COST_EPS
+            !fits
         }
     }
 
     /// Best host for `t` under `limit`, reusing the cached result when the
     /// last commit (to `last_commit`) provably cannot have changed it.
+    ///
+    /// The patch check is exact only under the caller's protocol: between
+    /// two queries of a task, exactly one commit happens, to
+    /// `last_commit`. `minmin::ready_set` keeps it by querying every ready
+    /// task in every round and committing one pick per round.
     pub(crate) fn best(
         &mut self,
         plan: &PlanState<'_>,
@@ -239,42 +216,32 @@ impl BestHostCache {
         if plan.is_naive() {
             return get_best_host(plan, t, limit, &mut NoopSink);
         }
-        let vm_count = plan.schedule().vm_count();
         if let (Some(entry), Some(w)) = (&mut self.entries[t.index()], last_commit) {
-            if entry.vm_count == vm_count
-                && entry.sel.best.candidate != Candidate::Used(w)
-                && Self::limit_still_valid(entry, limit)
-            {
+            if entry.best.candidate != Candidate::Used(w) && Self::limit_still_valid(entry, limit) {
                 // Patch check: the committed VM is the only candidate whose
-                // evaluation moved; one O(deg) re-evaluation decides
-                // whether it can now interfere with the cached winner.
+                // evaluation moved or that is new; one O(deg) evaluation
+                // decides whether it can now interfere with the winner.
                 let patched = plan.evaluate(t, Candidate::Used(w));
-                let best = &entry.sel.best;
-                if entry.sel.affordable {
-                    let wins =
-                        patched.cost <= limit + COST_EPS && key(&patched) < key(best);
-                    if !wins {
-                        entry.sel.unconstrained_same =
-                            entry.sel.unconstrained_same && key(&patched) >= key(best);
-                        entry.limit = limit;
-                        self.hits += 1;
-                        return entry.sel.best;
-                    }
+                let hit = if entry.affordable() {
+                    let wins = patched.cost <= limit + COST_EPS && key(&patched) < key(&entry.best);
+                    entry.unconstrained_same &= key(&patched) > key(&entry.best);
+                    !wins
                 } else {
-                    let interferes = patched.cost <= limit + COST_EPS
-                        || fallback_key(&patched) <= fallback_key(best);
-                    if !interferes {
-                        entry.limit = limit;
-                        self.hits += 1;
-                        return entry.sel.best;
-                    }
+                    patched.cost > limit + COST_EPS
+                        && fallback_key(&patched) > fallback_key(&entry.best)
+                };
+                if hit {
+                    entry.limit = limit;
+                    self.hits += 1;
+                    return entry.best;
                 }
             }
         }
         self.misses += 1;
-        let sel = plan.with_pruned_candidate_evals(t, |evals| select(evals, limit));
-        self.entries[t.index()] = Some(Entry { sel, limit, vm_count });
-        sel.best
+        let (best, unconstrained_same) =
+            plan.with_pruned_candidate_evals(t, |evals| select(evals, limit));
+        self.entries[t.index()] = Some(Entry { best, unconstrained_same, limit });
+        best
     }
 }
 
@@ -364,14 +331,14 @@ mod tests {
         let t = wfs_workflow::TaskId(0);
         let selection = |limit| plan.with_candidate_evals(t, |evals| select(evals, limit));
         // Rich: fast is both the affordable and the unconstrained best.
-        let rich = selection(f64::INFINITY);
-        assert!(rich.affordable && rich.unconstrained_same);
+        let (rich, same) = selection(f64::INFINITY);
+        assert!(rich.candidate == Candidate::New(CategoryId(1)) && same);
         // Tight: slow wins on budget while fast stays better on EFT.
-        let tight = selection(0.15);
-        assert!(tight.affordable && !tight.unconstrained_same);
+        let (tight, same) = selection(0.15);
+        assert!(tight.cost <= 0.15 && !same);
         // Broke: nothing affordable, fall-back to cheapest.
-        let broke = selection(0.0);
-        assert!(!broke.affordable);
+        let (broke, same) = selection(0.0);
+        assert!(broke.cost > 0.0 && broke.candidate == Candidate::New(CategoryId(0)) && !same);
     }
 
     /// Bit pattern of an evaluation, for exact comparisons.
@@ -407,13 +374,12 @@ mod tests {
                     let want = select(&full, limit);
                     let got = plan.with_pruned_candidate_evals(t, |evals| select(evals, limit));
                     let at = format!("{name} step {step} limit {limit}");
-                    assert_eq!(bits(&got.best), bits(&want.best), "{at}");
-                    assert_eq!(got.affordable, want.affordable, "{at}");
-                    assert_eq!(got.unconstrained_same, want.unconstrained_same, "{at}");
+                    assert_eq!(bits(&got.0), bits(&want.0), "{at}");
+                    assert_eq!(got.1, want.1, "{at}");
                     let lean =
                         plan.with_pruned_candidate_evals(t, |evals| select_best(evals, limit));
-                    assert_eq!(bits(&lean), bits(&want.best), "{at}");
-                    match (want.affordable, want.unconstrained_same) {
+                    assert_eq!(bits(&lean), bits(&want.0), "{at}");
+                    match (want.0.cost <= limit + COST_EPS, want.1) {
                         (false, _) => fallback += 1,
                         (true, false) => constrained += 1,
                         (true, true) => affordable += 1,
@@ -467,6 +433,109 @@ mod tests {
             let best = cache.best(&plan, t, 0.2, last);
             last = Some(plan.commit(t, best.candidate));
             cache.forget(t);
+        }
+    }
+
+    /// Per-round cache work of [`drive_ready_set`]: whether the round's
+    /// commit rented a fresh VM, and the hits and misses of the round's
+    /// queries.
+    struct Round {
+        rented: bool,
+        hits: u64,
+        misses: u64,
+    }
+
+    /// Follow `minmin::ready_set`'s protocol: every round queries every
+    /// ready task, then commits the MIN-MIN pick. Task `t`'s limit is 0, a
+    /// tight limit (just below its unconstrained winner's cost when it
+    /// became ready) or ∞, by `t mod 3`. Every cached answer must be
+    /// bit-equal to a fresh `get_best_host`.
+    fn drive_ready_set(wf: &wfs_workflow::Workflow, p: &Platform) -> Vec<Round> {
+        let mut plan = PlanState::new(wf, p);
+        let mut cache = BestHostCache::new(wf.task_count());
+        let mut missing: Vec<usize> = wf.task_ids().map(|t| wf.in_edges(t).len()).collect();
+        // Ready tasks with their limits.
+        let mut ready: Vec<(TaskId, f64)> = Vec::new();
+        let enroll = |plan: &PlanState<'_>, ready: &mut Vec<(TaskId, f64)>, t: TaskId| {
+            let free = get_best_host(plan, t, f64::INFINITY, &mut NoopSink);
+            let tight = free.cost - 2.0 * COST_EPS;
+            ready.push((t, [0.0, tight, f64::INFINITY][t.index() % 3]));
+        };
+        for t in wf.task_ids().filter(|t| missing[t.index()] == 0) {
+            enroll(&plan, &mut ready, t);
+        }
+        let mut last: Option<VmId> = None;
+        let mut rounds = Vec::new();
+        while !ready.is_empty() {
+            let (hits, misses) = cache.hit_miss();
+            let mut pick: Option<(usize, HostEval)> = None;
+            for (i, &(t, limit)) in ready.iter().enumerate() {
+                let cached = cache.best(&plan, t, limit, last);
+                let fresh = get_best_host(&plan, t, limit, &mut NoopSink);
+                assert_eq!(bits(&cached), bits(&fresh), "task {t:?} limit {limit}");
+                let better = |(j, b): &(usize, HostEval)| {
+                    (OrdF64(cached.eft), OrdF64(cached.cost), t.0)
+                        < (OrdF64(b.eft), OrdF64(b.cost), ready[*j].0 .0)
+                };
+                if pick.as_ref().is_none_or(better) {
+                    pick = Some((i, cached));
+                }
+            }
+            let (after_hits, after_misses) = cache.hit_miss();
+            let (idx, eval) = pick.unwrap();
+            let (t, _) = ready.swap_remove(idx);
+            last = Some(plan.commit(t, eval.candidate));
+            cache.forget(t);
+            rounds.push(Round {
+                rented: matches!(eval.candidate, Candidate::New(_)),
+                hits: after_hits - hits,
+                misses: after_misses - misses,
+            });
+            for succ in wf.successors(t) {
+                missing[succ.index()] -= 1;
+                if missing[succ.index()] == 0 {
+                    enroll(&plan, &mut ready, succ);
+                }
+            }
+        }
+        rounds
+    }
+
+    /// MIN-MIN rounds over a fork-join, a bag and a Montage DAG, with
+    /// commits that rent fresh VMs and commits that reuse one.
+    #[test]
+    fn cache_follows_the_ready_set_protocol_exactly() {
+        use wfs_workflow::gen::{bag_of_tasks, fork_join, montage, GenConfig};
+        let paper = Platform::paper_default();
+        for (wf, p) in [
+            (fork_join(6, 200.0, 1e6), &p2()),
+            (bag_of_tasks(12, 5000.0, 1e6), &paper),
+            (montage(GenConfig::new(60, 1)), &paper),
+        ] {
+            let rounds = drive_ready_set(&wf, p);
+            let name = &wf.name;
+            assert!(rounds.iter().any(|r| r.rented), "{name}: some commit rents a VM");
+            assert!(rounds.iter().any(|r| !r.rented), "{name}: some commit reuses one");
+            assert!(
+                rounds.windows(2).any(|w| w[0].rented && w[1].hits > 0),
+                "{name}: a rental keeps the entries it cannot affect"
+            );
+        }
+    }
+
+    /// On a bag of identical tasks with free boots, a fresh VM finishes
+    /// later at the same cost than a new VM of its category, so renting
+    /// it interferes with no other task's entry: after the first round,
+    /// which fills the cache, every query is a hit although every round
+    /// rents a VM.
+    #[test]
+    fn renting_a_vm_keeps_the_unaffected_entries() {
+        let wf = wfs_workflow::gen::bag_of_tasks(9, 100.0, 1e6);
+        let rounds = drive_ready_set(&wf, &p2());
+        assert!(rounds.iter().all(|r| r.rented));
+        assert_eq!(rounds[0].misses, 9);
+        for (i, r) in rounds.iter().enumerate().skip(1) {
+            assert_eq!((r.hits, r.misses), (9 - i as u64, 0), "round {i}");
         }
     }
 }

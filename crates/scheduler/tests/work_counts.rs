@@ -31,13 +31,13 @@ fn medium_budget(wf: &Workflow, p: &Platform) -> f64 {
 /// plan_candidates_pruned)` at 400 tasks, seed 1, medium budget.
 const PINNED: [(&str, &str, u64, u64, u64); 9] = [
     ("montage", "HEFTBUDG", 400, 2642, 42312),
-    ("montage", "MIN-MINBUDG", 15203, 79919, 1004374),
+    ("montage", "MIN-MINBUDG", 906, 5788, 92673),
     ("montage", "CG", 400, 2648, 42306),
     ("ligo", "HEFTBUDG", 400, 2341, 52781),
-    ("ligo", "MIN-MINBUDG", 23672, 115500, 2299499),
+    ("ligo", "MIN-MINBUDG", 8138, 48366, 1344832),
     ("ligo", "CG", 400, 2341, 52781),
     ("cybershake", "HEFTBUDG", 400, 2391, 58509),
-    ("cybershake", "MIN-MINBUDG", 39803, 194777, 3885329),
+    ("cybershake", "MIN-MINBUDG", 401, 2197, 19503),
     ("cybershake", "CG", 400, 2391, 58509),
 ];
 

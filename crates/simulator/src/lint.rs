@@ -30,12 +30,9 @@
 use crate::faults::FaultRun;
 use crate::report::SimulationReport;
 use crate::schedule::{Schedule, VmId};
+use crate::B_EPS;
 use wfs_platform::Platform;
 use wfs_workflow::{TaskId, Workflow};
-
-/// Bytes below which the engine considers a transfer drained (mirrors the
-/// engine's `B_EPS`); the linter credits transfers only for bytes beyond it.
-const DRAIN_EPS: f64 = 1e-6;
 
 /// Absolute + relative tolerance for comparing simulated instants/costs.
 fn tol(x: f64) -> f64 {
@@ -216,9 +213,10 @@ impl std::fmt::Display for PlanViolation {
     }
 }
 
-/// Bytes the engine actually drains for a transfer of `size` bytes.
+/// Bytes the engine actually drains for a transfer of `size` bytes: it
+/// considers a transfer drained below [`B_EPS`] bytes.
 fn effective_bytes(size: f64) -> f64 {
-    (size - DRAIN_EPS).max(0.0)
+    (size - B_EPS).max(0.0)
 }
 
 /// Lint the executed plan; returns all violations found (empty = clean).

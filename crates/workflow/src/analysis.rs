@@ -44,17 +44,6 @@ pub fn levels(wf: &Workflow) -> Vec<Vec<TaskId>> {
     out
 }
 
-/// Level index of each task (same definition as [`levels`]).
-pub fn level_of(wf: &Workflow) -> Vec<usize> {
-    let mut depth = vec![0usize; wf.task_count()];
-    for &t in wf.topological_order() {
-        for p in wf.predecessors(t) {
-            depth[t.index()] = depth[t.index()].max(depth[p.index()] + 1);
-        }
-    }
-    depth
-}
-
 /// Bottom levels (HEFT upward ranks):
 ///
 /// `rank(T) = w_T / speed + max over successors S of (size(T,S)/bw + rank(S))`
@@ -199,7 +188,6 @@ mod tests {
         assert_eq!(lv[0], vec![TaskId(0)]);
         assert_eq!(lv[1], vec![TaskId(1), TaskId(2)]);
         assert_eq!(lv[2], vec![TaskId(3)]);
-        assert_eq!(level_of(&wf), vec![0, 1, 1, 2]);
     }
 
     #[test]

@@ -10,9 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wfs_workflow::analysis::{
-    bottom_levels, critical_path, heft_order, level_of, levels, stats, WeightMode,
-};
+use wfs_workflow::analysis::{bottom_levels, critical_path, heft_order, levels, stats, WeightMode};
 use wfs_workflow::gen::{
     cybershake, epigenomics, layered_random, ligo, montage, sipht, GenConfig, LayeredParams,
 };
@@ -87,7 +85,12 @@ fn levels_partition_and_respect_edges() {
         let lv = levels(&wf);
         let total: usize = lv.iter().map(Vec::len).sum();
         assert_eq!(total, wf.task_count(), "case {case}");
-        let depth = level_of(&wf);
+        let mut depth = vec![0; wf.task_count()];
+        for (level, layer) in lv.iter().enumerate() {
+            for t in layer {
+                depth[t.index()] = level;
+            }
+        }
         for e in wf.edges() {
             assert!(
                 depth[e.from.0 as usize] < depth[e.to.0 as usize],

@@ -62,8 +62,7 @@ echo "== results/ tables regenerate byte-identical"
 RES_TMP="$FAULTS_TMP/results"
 mkdir -p "$RES_TMP"
 for cmd in fig1 fig2 fig3 fig4 sigma sizes online extras deadline robustness faults counters ablations; do
-  WFS_RESULTS_DIR="$RES_TMP" WFS_FIG2_TASKS=90 WFS_FIG4_TASKS=90 \
-    target/release/wfs-experiments "$cmd" >/dev/null
+  WFS_RESULTS_DIR="$RES_TMP" target/release/wfs-experiments "$cmd" >/dev/null
 done
 for f in "$RES_TMP"/*.md; do
   diff -u "results/$(basename "$f")" "$f"
