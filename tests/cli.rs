@@ -15,6 +15,17 @@ fn wfs(args: &[&str]) -> Output {
         .expect("wfs binary runs")
 }
 
+/// FNV-1a over bytes, and the byte length, of a written file.
+fn file_pin(path: &std::path::Path) -> (u64, usize) {
+    let bytes = std::fs::read(path).unwrap();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h, bytes.len())
+}
+
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wfs-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -250,14 +261,19 @@ fn trace_subcommand_writes_chrome_trace_and_reconciles() {
     let json: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
     assert!(!json["traceEvents"].as_array().unwrap().is_empty());
+    // The exported bytes are pinned: (FNV-1a, length).
+    assert_eq!(file_pin(&trace), (0x714c_2576_2600_da53, 13_172));
 
     // Default output path: the workflow file with `.trace.json` extension.
     let out = wfs(&["trace", wf.to_str().unwrap(), "--budget", "2.0"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(tmp("t30.trace.json").exists());
+    assert_eq!(file_pin(&tmp("t30.trace.json")), (0x515d_0365_d8d7_ecb3, 13_174));
 
     // The ready-set heuristics place every task through the traced step.
-    for alg in ["MAX-MINBUDG", "SUFFERAGEBUDG"] {
+    for (alg, pin) in [
+        ("MAX-MINBUDG", (0xc0a4_9225_2632_5185, 13_179)),
+        ("SUFFERAGEBUDG", (0x0676_ea82_cd97_9cec, 13_181)),
+    ] {
         let out = wfs(&[
             "trace",
             wf.to_str().unwrap(),
@@ -273,6 +289,7 @@ fn trace_subcommand_writes_chrome_trace_and_reconciles() {
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.contains("30 placements"), "{alg}: {text}");
         assert!(text.contains("reconciles  yes (exact)"), "{alg}: {text}");
+        assert_eq!(file_pin(&trace), pin, "{alg}");
     }
 
     // Missing budget and garbage budget are usage errors.
@@ -312,6 +329,8 @@ fn faults_trace_and_ledger_flags_export_and_reconcile() {
     let json: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
     assert!(!json["traceEvents"].as_array().unwrap().is_empty());
+    // The exported bytes are pinned: (FNV-1a, length).
+    assert_eq!(file_pin(&trace), (0x5f23_9f28_b7cb_4c98, 31_891));
 }
 
 #[test]
