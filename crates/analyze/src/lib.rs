@@ -97,11 +97,16 @@ mod tests {
 
     #[test]
     fn workspace_scan_covers_the_observe_hot_path_files() {
-        // `rules` holds observe's event.rs/sink.rs to the hot-path-alloc
-        // rule; that only bites if the workspace scan reaches them.
+        // `rules` holds observe's event.rs/sink.rs/chrome.rs to the
+        // hot-path-alloc rule; that only bites if the workspace scan
+        // reaches them.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let files = workspace_sources(&root).unwrap();
-        for f in ["crates/observe/src/event.rs", "crates/observe/src/sink.rs"] {
+        for f in [
+            "crates/observe/src/event.rs",
+            "crates/observe/src/sink.rs",
+            "crates/observe/src/chrome.rs",
+        ] {
             assert!(files.contains(&PathBuf::from(f)), "{f} is not scanned");
         }
     }

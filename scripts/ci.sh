@@ -39,12 +39,15 @@ done
 echo "== trace round-trip smoke (wfs trace + faults --trace/--ledger)"
 "$WFS" trace "$FAULTS_TMP/montage30.json" --budget 2.0 --seed 3 --ledger --counters \
   -o "$FAULTS_TMP/montage30.trace.json" | grep -q "reconciles  yes (exact)"
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$FAULTS_TMP/montage30.trace.json" \
-  2>/dev/null || test -s "$FAULTS_TMP/montage30.trace.json"
 "$WFS" faults "$FAULTS_TMP/ligo30.json" --budget 3.0 --mtbf 600 --boot-fail 0.1 \
   --seed 7 --trace "$FAULTS_TMP/ligo30.trace.json" --ledger | grep -q "reconciles  yes (exact)"
-test -s "$FAULTS_TMP/ligo30.trace.json"
-echo "  trace exports written, ledgers reconcile exactly"
+# Both exports must parse as JSON with a non-empty traceEvents array; a
+# file that does not parse fails the step.
+for f in montage30 ligo30; do
+  python3 -c "import json,sys; assert json.load(open(sys.argv[1]))['traceEvents']" \
+    "$FAULTS_TMP/$f.trace.json"
+done
+echo "  trace exports parse, ledgers reconcile exactly"
 
 echo "== DAX ingest smoke (2000-task DAX files parse to the JSON export's shape)"
 dax_counts() { "$WFS" stats "$1" | grep -E '^(tasks|edges) '; }
