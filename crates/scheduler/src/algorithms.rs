@@ -127,7 +127,8 @@ impl Algorithm {
     /// HEFT and their BUDG variants) and the HEFTBUDG+ refinements emit
     /// their full decision stream through the shared placement step; BDT,
     /// CG and CG+ emit only the `PlanStarted` header (their budget
-    /// accounting has no pot to replay), CG followed by its sweep counters.
+    /// accounting has no pot to replay), BDT and CG followed by their sweep
+    /// counters.
     /// Either way the schedule is identical to [`Self::run`]'s.
     pub fn run_observed<S: EventSink>(
         self,
@@ -166,7 +167,7 @@ impl Algorithm {
                 let (sched, list, _) = heft_inner(wf, platform, b_ini, Pot::new(), sink);
                 refine_schedule_observed(wf, platform, budget, sched, &list, order, sink)
             }
-            Algorithm::Bdt => bdt(wf, platform, budget),
+            Algorithm::Bdt => bdt(wf, platform, budget, sink),
             Algorithm::Cg => cg(wf, platform, budget, sink),
             Algorithm::CgPlus => cg_plus(wf, platform, budget),
         };

@@ -13,55 +13,87 @@
 //! BDT is eager: it aims at a very low makespan at the risk of overspending
 //! (the paper shows it often fails to enforce the budget; Fig. 3).
 
-use crate::plan::{Candidate, HostEval, PlanState};
+use crate::budget::report_sweeps;
+use crate::plan::{HostEval, PlanState};
+use wfs_observe::EventSink;
 use wfs_platform::Platform;
 use wfs_simulator::Schedule;
 use wfs_workflow::analysis::levels;
-use wfs_workflow::{TaskId, Workflow};
+use wfs_workflow::{OrdF64, Workflow};
 
 /// Guard against division by ~0 in the trade-off factors.
 const DENOM_EPS: f64 = 1e-12;
 
-/// Run BDT with the All-in trickling strategy.
-pub(crate) fn bdt(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
+/// Run BDT with the All-in trickling strategy. The planner's sweep
+/// counters are reported to `sink`.
+pub(crate) fn bdt<S: EventSink>(
+    wf: &Workflow,
+    platform: &Platform,
+    b_ini: f64,
+    sink: &mut S,
+) -> Schedule {
     let mut plan = PlanState::new(wf, platform);
     let mut remaining = b_ini;
 
-    for level in levels(wf) {
-        // Sort the level by increasing EST: estimated from the earliest
-        // instant a task's inputs can be at the datacenter under the
-        // current partial plan (predecessors of a level-l task all sit in
-        // levels < l, hence are scheduled).
-        let mut tasks = level;
-        let est = |plan: &PlanState<'_>, t: TaskId| {
-            wf.in_edges(t)
+    for mut tasks in levels(wf) {
+        // Sort the level by increasing EST, ties by id: estimated from the
+        // earliest instant a task's inputs can be at the datacenter under
+        // the current partial plan (predecessors of a level-l task all sit
+        // in levels < l, hence are scheduled, and stay put while the level
+        // is placed).
+        tasks.sort_by_cached_key(|&t| {
+            let est = wf
+                .in_edges(t)
                 .iter()
                 .map(|&e| plan.finish_time(wf.edge(e).from))
-                .fold(0.0f64, f64::max)
-        };
-        tasks.sort_by(|&a, &b| {
-            est(&plan, a).total_cmp(&est(&plan, b)).then(a.0.cmp(&b.0))
+                .fold(0.0f64, f64::max);
+            (OrdF64(est), t.0)
         });
 
         for t in tasks {
             // All-in: this task may tentatively use everything left.
             let sub_budget = remaining.max(0.0);
-            let chosen = plan.with_candidate_evals(t, |evals| pick_by_tctf(evals, sub_budget));
+            // The pruned set and each category's latest-ready VM fix the
+            // TCTF extremes; the runs of the highest affordable TCTF per
+            // chain then hold the winner (DESIGN.md §7).
+            let chosen = plan.with_threshold_query(t, |q| {
+                q.add_latest_ready();
+                let tctf = Tctf::new(q.evals(), sub_budget);
+                q.add_affordable_ties(sub_budget, |e| tctf.of(e));
+                tctf.pick(q.evals())
+            });
             remaining -= chosen.cost;
             plan.commit(t, chosen.candidate);
         }
     }
+    report_sweeps(&plan, sink);
     plan.into_schedule()
 }
 
-/// Select the candidate maximizing `TCTF = Time_factor / Cost_factor`
-/// among the affordable ones; fall back to the cheapest if none fits.
-fn pick_by_tctf(evals: &[HostEval], sub_budget: f64) -> HostEval {
-    let ct_min = evals.iter().map(|e| e.cost).fold(f64::INFINITY, f64::min);
-    let ect_min = evals.iter().map(|e| e.eft).fold(f64::INFINITY, f64::min);
-    let ect_max = evals.iter().map(|e| e.eft).fold(f64::NEG_INFINITY, f64::max);
+/// The time/cost trade-off factor over one candidate set, with the
+/// extremes it normalizes by.
+struct Tctf {
+    sub_budget: f64,
+    ct_min: f64,
+    ect_min: f64,
+    ect_max: f64,
+}
 
-    let tctf = |e: &HostEval| {
+impl Tctf {
+    /// The factor over `evals` under `sub_budget`: the cheapest cost and
+    /// the EFT extremes are taken over `evals`.
+    fn new(evals: &[HostEval], sub_budget: f64) -> Self {
+        Self {
+            sub_budget,
+            ct_min: evals.iter().map(|e| e.cost).fold(f64::INFINITY, f64::min),
+            ect_min: evals.iter().map(|e| e.eft).fold(f64::INFINITY, f64::min),
+            ect_max: evals.iter().map(|e| e.eft).fold(f64::NEG_INFINITY, f64::max),
+        }
+    }
+
+    /// `TCTF = Time_factor / Cost_factor` of `e`.
+    fn of(&self, e: &HostEval) -> f64 {
+        let (ect_min, ect_max) = (self.ect_min, self.ect_max);
         // Time factor in [0,1]: 1 for the earliest completion.
         let time = if (ect_max - ect_min).abs() < DENOM_EPS {
             1.0
@@ -71,41 +103,35 @@ fn pick_by_tctf(evals: &[HostEval], sub_budget: f64) -> HostEval {
         // Cost factor in [0,1]: 1 for the cheapest candidate, →0 as the
         // cost approaches the sub-budget. Eager: expensive-but-fast hosts
         // get a large ratio.
-        let cost = if (sub_budget - ct_min).abs() < DENOM_EPS {
+        let cost = if (self.sub_budget - self.ct_min).abs() < DENOM_EPS {
             1.0
         } else {
-            (sub_budget - e.cost) / (sub_budget - ct_min)
+            (self.sub_budget - e.cost) / (self.sub_budget - self.ct_min)
         };
         time / cost.max(DENOM_EPS)
-    };
-
-    let affordable = evals
-        .iter()
-        .filter(|e| e.cost <= sub_budget)
-        .max_by(|a, b| {
-            // Ties: prefer the earlier EFT, then used VMs, then lower ids.
-            tctf(a)
-                .total_cmp(&tctf(b))
-                .then(b.eft.total_cmp(&a.eft))
-                .then(candidate_key(b).cmp(&candidate_key(a)))
-        });
-    match affordable {
-        Some(e) => *e,
-        None => {
-            #[allow(clippy::expect_used)] // a platform always offers new-VM candidates
-            let cheapest = evals
-                .iter()
-                .min_by(|a, b| a.cost.total_cmp(&b.cost).then(a.eft.total_cmp(&b.eft)))
-                .expect("candidate set is never empty");
-            *cheapest
-        }
     }
-}
 
-fn candidate_key(e: &HostEval) -> (u8, u32) {
-    match e.candidate {
-        Candidate::Used(vm) => (0, vm.0),
-        Candidate::New(cat) => (1, cat.0),
+    /// Select the candidate of `evals` maximizing the factor among the
+    /// affordable ones; fall back to the cheapest if none fits.
+    fn pick(&self, evals: &[HostEval]) -> HostEval {
+        let affordable = evals.iter().filter(|e| e.cost <= self.sub_budget).max_by(|a, b| {
+            // Ties: prefer the earlier EFT, then used VMs, then lower ids.
+            self.of(a)
+                .total_cmp(&self.of(b))
+                .then(b.eft.total_cmp(&a.eft))
+                .then(b.candidate.order().cmp(&a.candidate.order()))
+        });
+        match affordable {
+            Some(e) => *e,
+            None => {
+                #[allow(clippy::expect_used)] // a platform always offers new-VM candidates
+                let cheapest = evals
+                    .iter()
+                    .min_by(|a, b| a.cost.total_cmp(&b.cost).then(a.eft.total_cmp(&b.eft)))
+                    .expect("candidate set is never empty");
+                *cheapest
+            }
+        }
     }
 }
 
@@ -113,6 +139,7 @@ fn candidate_key(e: &HostEval) -> (u8, u32) {
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
+    use wfs_observe::NoopSink;
     use wfs_simulator::{simulate, SimConfig};
     use wfs_workflow::gen::{cybershake, montage, GenConfig};
 
@@ -125,7 +152,7 @@ mod tests {
         for n in [30, 60, 90] {
             let wf = montage(GenConfig::new(n, 1));
             let p = paper();
-            let s = bdt(&wf, &p, 5.0);
+            let s = bdt(&wf, &p, 5.0, &mut NoopSink);
             s.validate(&wf).unwrap();
         }
     }
@@ -134,7 +161,7 @@ mod tests {
     fn deterministic() {
         let wf = cybershake(GenConfig::new(60, 2));
         let p = paper();
-        assert_eq!(bdt(&wf, &p, 3.0), bdt(&wf, &p, 3.0));
+        assert_eq!(bdt(&wf, &p, 3.0, &mut NoopSink), bdt(&wf, &p, 3.0, &mut NoopSink));
     }
 
     #[test]
@@ -145,7 +172,7 @@ mod tests {
         let p = paper();
         let budget = 50.0;
         let cfg = SimConfig::planning();
-        let b = simulate(&wf, &p, &bdt(&wf, &p, budget), &cfg).unwrap();
+        let b = simulate(&wf, &p, &bdt(&wf, &p, budget, &mut NoopSink), &cfg).unwrap();
         let (hs, _) = crate::heft::heft_budg(&wf, &p, budget);
         let h = simulate(&wf, &p, &hs, &cfg).unwrap();
         assert!(b.makespan <= h.makespan * 1.5, "bdt {} vs heftbudg {}", b.makespan, h.makespan);
@@ -163,7 +190,7 @@ mod tests {
             let (hs, _) = crate::heft::heft_budg(&wf, &p, 2.0);
             simulate(&wf, &p, &hs, &cfg).unwrap().total_cost.max(1.0) * 1.05
         };
-        let b = simulate(&wf, &p, &bdt(&wf, &p, budget), &cfg).unwrap();
+        let b = simulate(&wf, &p, &bdt(&wf, &p, budget, &mut NoopSink), &cfg).unwrap();
         let (hs, _) = crate::heft::heft_budg(&wf, &p, budget);
         let h = simulate(&wf, &p, &hs, &cfg).unwrap();
         assert!(h.total_cost <= budget * 1.05, "heftbudg holds the budget");

@@ -17,12 +17,8 @@ pub(crate) const COST_EPS: f64 = 1e-9;
 /// makes the float components NaN-safe; the kind/id pair is unique, so the
 /// order is strict over distinct candidates).
 #[inline]
-fn key(e: &HostEval) -> (OrdF64, OrdF64, u8, u32) {
-    let (kind, id) = match e.candidate {
-        Candidate::Used(vm) => (0u8, vm.0),
-        Candidate::New(cat) => (1u8, cat.0),
-    };
-    (OrdF64(e.eft), OrdF64(e.cost), kind, id)
+fn key(e: &HostEval) -> (OrdF64, OrdF64, (u8, u32)) {
+    (OrdF64(e.eft), OrdF64(e.cost), e.candidate.order())
 }
 
 /// Fall-back key (nothing affordable): cheapest, then earliest EFT.
@@ -137,8 +133,9 @@ impl Entry {
 }
 
 /// Incremental best-host cache for the round-based list schedulers
-/// MIN-MIN and MAX-MIN (SUFFERAGE scores the whole candidate set and
-/// sweeps uncached; naive reference mode bypasses the cache).
+/// MIN-MIN and MAX-MIN (SUFFERAGE scores the affordable set beyond the
+/// winner and runs an uncached threshold query; naive reference mode
+/// bypasses the cache).
 ///
 /// Each round queries every ready task, then commits one task to one VM
 /// `w`, either a used VM or a fresh one. That commit changes only `w`'s

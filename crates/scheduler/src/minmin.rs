@@ -46,8 +46,8 @@ struct Pick {
 impl Rule {
     /// Evaluate ready task `t` under `limit`. MIN-MIN and MAX-MIN score
     /// the best EFT and reuse the incremental best-host cache. SUFFERAGE
-    /// cannot: its score depends on the whole affordable candidate *set*,
-    /// so it runs one uncached zero-allocation sweep instead.
+    /// cannot: its score depends on the affordable candidate *set* beyond
+    /// the winner, so it runs one uncached top-two sweep instead.
     fn pick(
         self,
         plan: &PlanState<'_>,
@@ -57,7 +57,7 @@ impl Rule {
         last_commit: Option<VmId>,
     ) -> Pick {
         if self == Rule::Sufferage {
-            return plan.with_candidate_evals(t, |evals| {
+            return plan.with_top_two_candidate_evals(t, |evals| {
                 // Sufferage = second-best EFT − best EFT among the
                 // affordable candidates (∞ limit for the baseline); 0 when
                 // none is affordable, ∞ when exactly one is.

@@ -32,6 +32,18 @@ pub enum Candidate {
     New(CategoryId),
 }
 
+impl Candidate {
+    /// Key of the candidate order: used VMs by id, then one `New` per
+    /// category by id. Distinct candidates have distinct keys.
+    #[inline]
+    pub(crate) fn order(self) -> (u8, u32) {
+        match self {
+            Candidate::Used(vm) => (0, vm.0),
+            Candidate::New(cat) => (1, cat.0),
+        }
+    }
+}
+
 /// Planning-time evaluation of one (task, candidate) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostEval {
@@ -66,6 +78,9 @@ struct Scratch {
     vm_dready: Vec<f64>,
     /// Sweep stamp guarding `vm_bytes`/`vm_dready` entries.
     vm_stamp: Vec<u64>,
+    /// Sweep stamp of the used VMs a threshold query already holds in
+    /// `evals` (each is added once).
+    vm_seen: Vec<u64>,
     /// Current sweep stamp.
     stamp: u64,
     /// Distinct VMs hosting a predecessor of the swept task (≤ deg).
@@ -75,6 +90,9 @@ struct Scratch {
     cat_occupied: Vec<f64>,
     /// Per-category `cost_per_second()`.
     cat_rate: Vec<f64>,
+    /// Per category, the number of its VMs ready by the data-ready instant
+    /// of the last pruned sweep: where its ready index splits in two.
+    cat_split: Vec<usize>,
     /// Total sweeps performed since creation (full, pruned or naive).
     sweeps: u64,
     /// Total candidate evaluations produced across those sweeps.
@@ -126,10 +144,11 @@ pub struct PlanState<'a> {
     /// Planned availability instant of each enrolled VM.
     vm_ready: Vec<f64>,
     /// Per category, its VMs ordered by `(ready instant, id)`: the index
-    /// the pruned sweep walks (see [`Self::with_pruned_candidate_evals`]).
-    /// Built by the first pruned sweep and kept up to date by
-    /// [`Self::commit`] from then on, so planners that only sweep fully
-    /// (BDT, SUFFERAGE) never pay for it.
+    /// the pruned sweep and the threshold query walk (see
+    /// [`Self::with_pruned_candidate_evals`] and
+    /// [`Self::with_threshold_query`]). Built by the first of them and kept
+    /// up to date by [`Self::commit`] from then on; naive reference mode
+    /// never builds it.
     by_ready: RefCell<Option<ReadyIndex>>,
     /// Planned finish time of each scheduled task (`NAN` = unscheduled).
     finish: Vec<f64>,
@@ -351,10 +370,11 @@ impl<'a> PlanState<'a> {
     /// in the same order as [`Self::input_bytes`] and `f64::max` is
     /// grouping-insensitive for the finite, non-NaN values involved.
     ///
-    /// This full sweep serves the selections that need every candidate
-    /// (BDT's trade-off factor, SUFFERAGE's second-best EFT) and is the
-    /// naive reference; `getBestHost` and CG use
-    /// [`Self::with_pruned_candidate_evals`].
+    /// No planner calls this full sweep outside naive reference mode:
+    /// `getBestHost` and CG use [`Self::with_pruned_candidate_evals`],
+    /// SUFFERAGE its top-two variant and BDT the crate's threshold query.
+    /// It is the oracle the equivalence suite checks those against, and
+    /// the path they take in naive mode.
     ///
     /// No heap allocation occurs once the scratch buffers have grown to the
     /// current VM count. Do not call `with_candidate_evals` (or anything
@@ -363,15 +383,10 @@ impl<'a> PlanState<'a> {
     pub fn with_candidate_evals<R>(&self, t: TaskId, f: impl FnOnce(&[HostEval]) -> R) -> R {
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
-        scratch.evals.clear();
         if self.naive {
-            for vm in self.schedule.vm_ids() {
-                scratch.evals.push(self.evaluate(t, Candidate::Used(vm)));
-            }
-            for cat in self.platform.category_ids() {
-                scratch.evals.push(self.evaluate(t, Candidate::New(cat)));
-            }
+            self.push_naive_evals(t, scratch);
         } else {
+            scratch.evals.clear();
             let agg = self.in_edge_pass(t, scratch);
             // Base pass over all used VMs, branch-free: evals land at index
             // `vm.index()`, so the ≤ deg predecessor-hosting entries can be
@@ -437,24 +452,116 @@ impl<'a> PlanState<'a> {
         t: TaskId,
         f: impl FnOnce(&[HostEval]) -> R,
     ) -> R {
+        self.pruned_sweep(t, 1, f)
+    }
+
+    /// [`Self::with_pruned_candidate_evals`] whose walks also keep each
+    /// chain's second entry, for SUFFERAGE's two smallest affordable EFTs.
+    /// The VMs ready by `dr` share one EFT and the affordable ones end
+    /// that walk's order, and the VMs ready after it share one cost and
+    /// start the other walk in EFT order; so every chain's two kept
+    /// entries hold two of its smallest affordable EFTs, or all it has
+    /// (DESIGN.md §7).
+    pub(crate) fn with_top_two_candidate_evals<R>(
+        &self,
+        t: TaskId,
+        f: impl FnOnce(&[HostEval]) -> R,
+    ) -> R {
+        self.pruned_sweep(t, 2, f)
+    }
+
+    /// The pruned sweep, each walk keeping at least `keep` entries.
+    fn pruned_sweep<R>(&self, t: TaskId, keep: usize, f: impl FnOnce(&[HostEval]) -> R) -> R {
         if self.naive {
             return self.with_candidate_evals(t, f);
         }
         let mut by_ready = self.by_ready.borrow_mut();
-        let by_ready = by_ready.get_or_insert_with(|| self.ready_index());
+        let index = by_ready.get_or_insert_with(|| self.ready_index());
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
+        self.push_pruned_evals(t, index, keep, scratch);
+        self.count_sweep(scratch);
+        f(&scratch.evals)
+    }
+
+    /// Threshold query over the ready index for BDT's trade-off factor,
+    /// which needs more than the Alg. 2 winner, without a sweep over every
+    /// rented VM.
+    ///
+    /// `f` receives the set of [`Self::with_pruned_candidate_evals`] and
+    /// may grow it from the two chains of each category's VMs hosting no
+    /// predecessor of `t`, split at the data-ready instant `dr`: chain 1
+    /// (ready by `dr`: one EFT, cost not rising with the ready instant)
+    /// and chain 2 (ready after `dr`: one cost, EFT not falling). See
+    /// [`ThresholdQuery`]'s methods; DESIGN.md §7 gives the argument BDT
+    /// relies on. The set stays in candidate order, holds no
+    /// candidate twice and carries the bits of the full sweep.
+    ///
+    /// Binary-search probes that are not added count neither as evaluated
+    /// nor as pruned. In naive reference mode the set is the full naive
+    /// sweep and the methods add nothing.
+    pub(crate) fn with_threshold_query<R>(
+        &self,
+        t: TaskId,
+        f: impl FnOnce(&mut ThresholdQuery<'_>) -> R,
+    ) -> R {
+        let mut by_ready = self.by_ready.borrow_mut();
+        let mut scratch = self.scratch.borrow_mut();
+        let scratch = &mut *scratch;
+        let chains = if self.naive {
+            self.push_naive_evals(t, scratch);
+            None
+        } else {
+            let index = by_ready.get_or_insert_with(|| self.ready_index());
+            let dr = self.push_pruned_evals(t, index, 1, scratch);
+            for e in &scratch.evals {
+                if let Candidate::Used(vm) = e.candidate {
+                    scratch.vm_seen[vm.index()] = scratch.stamp;
+                }
+            }
+            Some((&*index, dr))
+        };
+        let result = f(&mut ThresholdQuery { chains, scratch: &mut *scratch });
+        self.count_sweep(scratch);
+        result
+    }
+
+    /// Fill `scratch.evals` with the naive evaluation of every candidate,
+    /// in candidate order.
+    fn push_naive_evals(&self, t: TaskId, scratch: &mut Scratch) {
         scratch.evals.clear();
+        for vm in self.schedule.vm_ids() {
+            scratch.evals.push(self.evaluate(t, Candidate::Used(vm)));
+        }
+        for cat in self.platform.category_ids() {
+            scratch.evals.push(self.evaluate(t, Candidate::New(cat)));
+        }
+    }
+
+    /// Fill `scratch.evals` with the pruned candidate set of `t` (see
+    /// [`Self::with_pruned_candidate_evals`]), each walk keeping at least
+    /// `keep` entries, in candidate order. Returns the data-ready instant
+    /// the chains split at.
+    fn push_pruned_evals(
+        &self,
+        t: TaskId,
+        index: &ReadyIndex,
+        keep: usize,
+        scratch: &mut Scratch,
+    ) -> f64 {
+        scratch.evals.clear();
+        scratch.cat_split.clear();
         let agg = self.in_edge_pass(t, scratch);
         let dr = agg.dready_all;
-        for (k, index) in by_ready.iter().enumerate() {
+        for (k, vms) in index.iter().enumerate() {
             let (occupied, rate) = (scratch.cat_occupied[k], scratch.cat_rate[k]);
             let eval = |vm, r| eval_remote(vm, r, dr, occupied, rate);
-            let split = index.partition_point(|&(r, _)| r.0 <= dr);
+            let split = vms.partition_point(|&(r, _)| r.0 <= dr);
+            scratch.cat_split.push(split);
             // Ready by `dr`: equal EFT, the latest-ready is cheapest.
-            push_tie_run(scratch, index[..split].iter().rev(), eval, |e| e.cost);
+            push_run(scratch, vms[..split].iter().rev(), eval, |e| e.cost, keep, push);
             // Ready after `dr`: equal cost, the earliest-ready finishes first.
-            push_tie_run(scratch, index[split..].iter(), eval, |e| e.eft);
+            push_run(scratch, vms[split..].iter(), eval, |e| e.eft, keep, push);
         }
         for &vm in &scratch.pred_vms {
             let e = self.eval_pred(t, vm, scratch.vm_bytes[vm.index()], &agg);
@@ -466,8 +573,7 @@ impl<'a> PlanState<'a> {
             Candidate::New(_) => VmId(u32::MAX),
         });
         self.push_new_evals(&agg, scratch);
-        self.count_sweep(scratch);
-        f(&scratch.evals)
+        dr
     }
 
     /// The ready-instant index of the current plan, built from scratch.
@@ -497,6 +603,7 @@ impl<'a> PlanState<'a> {
             scratch.vm_bytes.resize(n_vms, 0.0);
             scratch.vm_dready.resize(n_vms, 0.0);
             scratch.vm_stamp.resize(n_vms, 0);
+            scratch.vm_seen.resize(n_vms, 0);
         }
         scratch.stamp += 1;
         let stamp = scratch.stamp;
@@ -656,27 +763,117 @@ fn eval_remote(vm: VmId, vm_ready: f64, dready: f64, occupied: f64, rate: f64) -
     }
 }
 
-/// Push the evaluations of the leading entries of `walk` whose `key` ties
-/// the first one's to the bit, skipping the predecessor hosts stamped by
-/// the current sweep (the caller evaluates those separately).
-fn push_tie_run<'i>(
+/// Hand to `push` the evaluations of the leading entries of `walk`: the
+/// first `keep` of them, then every following one whose `key` ties the
+/// first one's to the bit. The predecessor hosts stamped by the current
+/// sweep are skipped (the caller evaluates those separately).
+fn push_run<'i>(
     scratch: &mut Scratch,
     walk: impl Iterator<Item = &'i (OrdF64, VmId)>,
     eval: impl Fn(VmId, f64) -> HostEval,
-    key: fn(&HostEval) -> f64,
+    key: impl Fn(&HostEval) -> f64,
+    keep: usize,
+    push: fn(&mut Scratch, HostEval),
 ) {
-    let mut run: Option<u64> = None;
+    let (mut run, mut taken): (Option<u64>, usize) = (None, 0);
     for &(r, vm) in walk {
         if scratch.vm_stamp[vm.index()] == scratch.stamp {
             continue;
         }
         let e = eval(vm, r.0);
         let bits = key(&e).to_bits();
-        if run.is_some_and(|b| b != bits) {
+        if taken >= keep && run.is_some_and(|b| b != bits) {
             break;
         }
-        run = Some(bits);
-        scratch.evals.push(e);
+        run = run.or(Some(bits));
+        taken += 1;
+        push(scratch, e);
+    }
+}
+
+/// Append `e` to the sweep's evaluations.
+fn push(scratch: &mut Scratch, e: HostEval) {
+    scratch.evals.push(e);
+}
+
+/// Append the evaluation `e` of a used VM unless the set already holds
+/// that VM.
+fn push_once(scratch: &mut Scratch, e: HostEval) {
+    if let Candidate::Used(vm) = e.candidate {
+        if scratch.vm_seen[vm.index()] != scratch.stamp {
+            scratch.vm_seen[vm.index()] = scratch.stamp;
+            scratch.evals.push(e);
+        }
+    }
+}
+
+/// The candidate set of one [`PlanState::with_threshold_query`]: the
+/// pruned set, grown on request from each category's chains of VMs
+/// hosting no predecessor of the task.
+#[derive(Debug)]
+pub(crate) struct ThresholdQuery<'q> {
+    /// The ready index and the data-ready instant the chains split at;
+    /// `None` in naive reference mode, where the set already holds every
+    /// candidate.
+    chains: Option<(&'q ReadyIndex, f64)>,
+    scratch: &'q mut Scratch,
+}
+
+impl ThresholdQuery<'_> {
+    /// The candidates gathered so far, in candidate order.
+    #[inline]
+    pub(crate) fn evals(&self) -> &[HostEval] {
+        &self.scratch.evals
+    }
+
+    /// Add each category's latest-ready VM hosting no predecessor. The EFT
+    /// does not fall along a category's `(ready instant, id)` order, so
+    /// the set then holds the largest EFT over every candidate.
+    pub(crate) fn add_latest_ready(&mut self) {
+        let Some((index, dr)) = self.chains else { return };
+        let s = &mut *self.scratch;
+        for (k, vms) in index.iter().enumerate() {
+            let last = vms.iter().rev().find(|(_, vm)| s.vm_stamp[vm.index()] != s.stamp);
+            if let Some(&(r, vm)) = last {
+                push_once(s, eval_remote(vm, r.0, dr, s.cat_occupied[k], s.cat_rate[k]));
+            }
+        }
+        self.restore_order();
+    }
+
+    /// Add, per category, the affordable entries (`cost <= max_cost`)
+    /// from chain 1's threshold and from chain 2's head whose `key` ties
+    /// the first one's to the bit. A key that does not rise along either
+    /// chain (BDT's trade-off factor) thus brings in every affordable
+    /// entry that can attain its maximum.
+    pub(crate) fn add_affordable_ties(&mut self, max_cost: f64, key: impl Fn(&HostEval) -> f64) {
+        let Some((index, dr)) = self.chains else { return };
+        let s = &mut *self.scratch;
+        for (k, vms) in index.iter().enumerate() {
+            let (occupied, rate) = (s.cat_occupied[k], s.cat_rate[k]);
+            let eval = |vm, r| eval_remote(vm, r, dr, occupied, rate);
+            let fits = |&(r, vm): &(OrdF64, VmId)| eval(vm, r.0).cost <= max_cost;
+            let (ready, busy) = vms.split_at(s.cat_split[k]);
+            // Chain 1: the cost does not rise with r, so the affordable
+            // entries are a suffix; its first entry is the threshold. The
+            // ends settle the common cases without a search.
+            let threshold = match (ready.first(), ready.last()) {
+                (Some(first), _) if fits(first) => 0,
+                (_, Some(last)) if fits(last) => ready.partition_point(|e| !fits(e)),
+                _ => ready.len(),
+            };
+            push_run(s, ready[threshold..].iter(), eval, &key, 1, push_once);
+            // Chain 2: one shared cost, affordable as a whole or not at all.
+            if busy.first().is_some_and(fits) {
+                push_run(s, busy.iter(), eval, &key, 1, push_once);
+            }
+        }
+        self.restore_order();
+    }
+
+    /// Sort the set back into candidate order after used VMs were added.
+    fn restore_order(&mut self) {
+        self.scratch.evals.sort_unstable_by_key(|e| e.candidate.order());
     }
 }
 

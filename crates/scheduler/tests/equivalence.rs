@@ -2,10 +2,11 @@
 //!
 //! The optimized candidate sweep ([`PlanState::with_candidate_evals`]), the
 //! dominance-pruned sweep of `getBestHost` and CG
-//! ([`PlanState::with_pruned_candidate_evals`]) and the incremental
-//! MIN-MIN/MAX-MIN selection caches are pure optimizations: they must not
-//! change a single bit of any schedule. This suite checks that claim four
-//! ways:
+//! ([`PlanState::with_pruned_candidate_evals`]), the threshold queries of
+//! BDT and SUFFERAGE (`PlanState::with_threshold_query`) and the
+//! incremental MIN-MIN/MAX-MIN selection caches are pure optimizations:
+//! they must not change a single bit of any schedule. This suite checks
+//! that claim four ways:
 //!
 //! 1. bitwise: every full sweep produces `HostEval`s whose
 //!    `eft`/`begin`/`cost` are bit-identical to the retained naive
@@ -14,7 +15,8 @@
 //!    a schedule *equal* to the one produced in naive reference mode, where
 //!    nothing is pruned or cached;
 //! 3. regression: a hub-join workflow with very high fan-in (the worst
-//!    case for the per-predecessor aggregate adjustment) stays exact;
+//!    case for the per-predecessor aggregate adjustment) and a tie-stress
+//!    layout (equal weights, zero boot and init prices) stay exact;
 //! 4. work accounting: fast and naive runs do the same refinement trials
 //!    and sweeps, and evaluated plus pruned candidates equal the naive
 //!    evaluations.
@@ -26,11 +28,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use wfs_observe::{Counters, NoopSink, RecordingSink};
-use wfs_platform::Platform;
-use wfs_scheduler::{get_best_host, min_cost_schedule, reference, Algorithm, PlanState};
+use wfs_platform::{Datacenter, Platform, VmCategory};
+use wfs_scheduler::{
+    get_best_host, min_cost_floor, min_cost_schedule, reference, Algorithm, PlanState,
+};
 use wfs_simulator::{simulate, SimConfig};
 use wfs_workflow::gen::{chain, cybershake, fork_join, ligo, montage, GenConfig};
-use wfs_workflow::Workflow;
+use wfs_workflow::{StochasticWeight, TaskId, Workflow, WorkflowBuilder};
 
 fn workloads() -> Vec<(&'static str, Workflow)> {
     vec![
@@ -201,11 +205,88 @@ fn hub_join_high_fan_in_stays_exact() {
     let p = Platform::paper_default();
     let wf = fork_join(120, 300.0, 4e6);
     assert_sweeps_bitwise_identical("fork_join-120", &wf, &p);
-    for alg in [Algorithm::MinMinBudg, Algorithm::HeftBudg, Algorithm::SufferageBudg] {
+    for alg in [
+        Algorithm::MinMinBudg,
+        Algorithm::HeftBudg,
+        Algorithm::Bdt,
+        Algorithm::Sufferage,
+        Algorithm::SufferageBudg,
+    ] {
         for budget in [0.5, 5.0, 500.0] {
             let fast = alg.run(&wf, &p, budget);
             let naive = reference::with_naive(|| alg.run(&wf, &p, budget));
             assert_eq!(fast, naive, "{} on hub-join, budget {budget}", alg.name());
+        }
+    }
+}
+
+/// Layers of `width` tasks; task i of a layer reads `size`-byte edges
+/// from `fan_in` tasks of the layer before, and its weight cycles through
+/// `weights`.
+fn tie_layers(levels: usize, width: usize, fan_in: usize, weights: &[f64], size: f64) -> Workflow {
+    let mut b = WorkflowBuilder::new("tie-layers");
+    let mut prev: Vec<TaskId> = Vec::new();
+    for l in 0..levels {
+        let level: Vec<TaskId> = (0..width)
+            .map(|i| {
+                let w = weights[(l + i) % weights.len()];
+                b.add_task(format!("t{l}-{i}"), StochasticWeight::fixed(w))
+            })
+            .collect();
+        for (i, &t) in level.iter().enumerate() {
+            let mut from: Vec<TaskId> =
+                (0..fan_in).filter_map(|j| prev.get((i * 5 + j * 3 + 1) % width).copied()).collect();
+            from.sort_unstable();
+            from.dedup();
+            for p in from {
+                b.connect(p, t, size);
+            }
+        }
+        prev = level;
+    }
+    b.build().unwrap()
+}
+
+/// Tie stress for the threshold queries of BDT and SUFFERAGE: zero init
+/// prices, two categories of the same speed and price, and layers of
+/// equal-weight tasks with empty edges, so that many VMs share a ready
+/// instant, fresh VMs tie with idle ones and whole runs of candidates tie
+/// on EFT, cost and trade-off factor. The budgets range from nothing
+/// affordable through the min-cost floor to everything. Boot times are
+/// zero too, except on one platform: there a fresh VM finishes after an
+/// idle one, so SUFFERAGE's second-smallest EFT can come from a chain's
+/// second entry. Mixed-weight layouts, one with 10 MB edges, spread the
+/// ready instants; on them, BDT's runs cut to their first entry and
+/// SUFFERAGE's first two cut to one both diverge from naive.
+#[test]
+fn threshold_queries_stay_exact_under_ties() {
+    let platform = |boot: f64| {
+        Platform::new(
+            vec![
+                VmCategory::new("slow", 1.0, 1.8, 0.0, boot),
+                VmCategory::new("twin-a", 3.0, 3.6, 0.0, boot),
+                VmCategory::new("twin-b", 3.0, 3.6, 0.0, boot),
+            ],
+            Datacenter::new(1e6, 0.0, 0.0),
+        )
+    };
+    let workflows = [
+        ("equal weights, fan-in 1", tie_layers(6, 12, 1, &[100.0], 0.0)),
+        ("equal weights, fan-in 2", tie_layers(6, 12, 2, &[100.0], 0.0)),
+        ("mixed weights", tie_layers(4, 8, 1, &[100.0, 100.0, 200.0], 0.0)),
+        ("mixed weights, 10 MB edges", tie_layers(6, 12, 3, &[100.0, 200.0], 1e7)),
+    ];
+    for boot in [0.0, 100.0] {
+        let p = platform(boot);
+        for (name, wf) in &workflows {
+            let floor = min_cost_floor(wf, &p);
+            for alg in [Algorithm::Bdt, Algorithm::Sufferage, Algorithm::SufferageBudg] {
+                for budget in [0.0, floor, floor * 1.02, floor * 1.5, 1e9] {
+                    let fast = alg.run(wf, &p, budget);
+                    let naive = reference::with_naive(|| alg.run(wf, &p, budget));
+                    assert_eq!(fast, naive, "{alg} on {name}, boot {boot}, budget {budget}");
+                }
+            }
         }
     }
 }

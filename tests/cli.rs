@@ -26,15 +26,34 @@ fn file_pin(path: &std::path::Path) -> (u64, usize) {
     (h, bytes.len())
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wfs-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A directory of one test's own, removed with its files when the test
+/// ends, whether it passes or panics. The tests of this binary run in one
+/// process, so the test's name keeps their directories apart.
+struct TmpDir(PathBuf);
+
+impl TmpDir {
+    fn new(test: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("wfs-cli-test-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+
+    fn path(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
 fn gen_stats_dot_roundtrip() {
-    let wf = tmp("m30.json");
+    let tmp = TmpDir::new("gen_stats_dot_roundtrip");
+    let wf = tmp.path("m30.json");
     let out = wfs(&["gen", "montage", "30", "--seed", "2", "-o", wf.to_str().unwrap()]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(wf.exists());
@@ -52,9 +71,10 @@ fn gen_stats_dot_roundtrip() {
 
 #[test]
 fn schedule_then_simulate() {
-    let wf = tmp("c30.json");
+    let tmp = TmpDir::new("schedule_then_simulate");
+    let wf = tmp.path("c30.json");
     assert!(wfs(&["gen", "cybershake", "30", "-o", wf.to_str().unwrap()]).status.success());
-    let sched = tmp("c30-sched.json");
+    let sched = tmp.path("c30-sched.json");
     let out = wfs(&[
         "schedule",
         wf.to_str().unwrap(),
@@ -87,7 +107,8 @@ fn schedule_then_simulate() {
 
 #[test]
 fn sweep_prints_table() {
-    let wf = tmp("l30.json");
+    let tmp = TmpDir::new("sweep_prints_table");
+    let wf = tmp.path("l30.json");
     assert!(wfs(&["gen", "ligo", "30", "-o", wf.to_str().unwrap()]).status.success());
     let out = wfs(&[
         "sweep",
@@ -142,7 +163,8 @@ fn bad_usage_exits_nonzero_with_usage() {
 
 #[test]
 fn dax_roundtrip_through_cli() {
-    let dax = tmp("m20.dax");
+    let tmp = TmpDir::new("dax_roundtrip_through_cli");
+    let dax = tmp.path("m20.dax");
     let out = wfs(&["gen", "montage", "20", "-o", dax.to_str().unwrap()]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let content = std::fs::read_to_string(&dax).unwrap();
@@ -153,7 +175,7 @@ fn dax_roundtrip_through_cli() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("tasks         20"));
 
-    let sched = tmp("m20-sched.json");
+    let sched = tmp.path("m20-sched.json");
     let out = wfs(&[
         "schedule",
         dax.to_str().unwrap(),
@@ -169,7 +191,8 @@ fn dax_roundtrip_through_cli() {
 
 #[test]
 fn deadline_command_reports_min_budget() {
-    let wf = tmp("m30d.json");
+    let tmp = TmpDir::new("deadline_command_reports_min_budget");
+    let wf = tmp.path("m30d.json");
     assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
     let out = wfs(&["deadline", wf.to_str().unwrap(), "--deadline", "2000"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -183,9 +206,10 @@ fn deadline_command_reports_min_budget() {
 
 #[test]
 fn simulate_writes_svg() {
-    let wf = tmp("c20.json");
+    let tmp = TmpDir::new("simulate_writes_svg");
+    let wf = tmp.path("c20.json");
     assert!(wfs(&["gen", "cybershake", "20", "-o", wf.to_str().unwrap()]).status.success());
-    let sched = tmp("c20-sched.json");
+    let sched = tmp.path("c20-sched.json");
     assert!(wfs(&[
         "schedule",
         wf.to_str().unwrap(),
@@ -198,7 +222,7 @@ fn simulate_writes_svg() {
     ])
     .status
     .success());
-    let svg = tmp("c20.svg");
+    let svg = tmp.path("c20.svg");
     let out = wfs(&[
         "simulate",
         wf.to_str().unwrap(),
@@ -213,11 +237,12 @@ fn simulate_writes_svg() {
 
 #[test]
 fn custom_platform_file_is_used() {
+    let tmp = TmpDir::new("custom_platform_file_is_used");
     // Dump, modify nothing, and feed it back via --platform.
-    let pfile = tmp("platform.json");
+    let pfile = tmp.path("platform.json");
     let out = wfs(&["platform", "-o", pfile.to_str().unwrap()]);
     assert!(out.status.success());
-    let wf = tmp("m11.json");
+    let wf = tmp.path("m11.json");
     assert!(wfs(&["gen", "montage", "11", "-o", wf.to_str().unwrap()]).status.success());
     let out = wfs(&[
         "sweep",
@@ -232,13 +257,14 @@ fn custom_platform_file_is_used() {
 
 #[test]
 fn trace_subcommand_writes_chrome_trace_and_reconciles() {
-    let wf = tmp("t30.json");
+    let tmp = TmpDir::new("trace_subcommand_writes_chrome_trace_and_reconciles");
+    let wf = tmp.path("t30.json");
     assert!(wfs(&["gen", "montage", "30", "--seed", "5", "-o", wf.to_str().unwrap()])
         .status
         .success());
 
     // Explicit output path, with ledger and counters.
-    let trace = tmp("t30-explicit.trace.json");
+    let trace = tmp.path("t30-explicit.trace.json");
     let out = wfs(&[
         "trace",
         wf.to_str().unwrap(),
@@ -267,7 +293,7 @@ fn trace_subcommand_writes_chrome_trace_and_reconciles() {
     // Default output path: the workflow file with `.trace.json` extension.
     let out = wfs(&["trace", wf.to_str().unwrap(), "--budget", "2.0"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(file_pin(&tmp("t30.trace.json")), (0x515d_0365_d8d7_ecb3, 13_174));
+    assert_eq!(file_pin(&tmp.path("t30.trace.json")), (0x515d_0365_d8d7_ecb3, 13_174));
 
     // The ready-set heuristics place every task through the traced step.
     for (alg, pin) in [
@@ -299,11 +325,12 @@ fn trace_subcommand_writes_chrome_trace_and_reconciles() {
 
 #[test]
 fn faults_trace_and_ledger_flags_export_and_reconcile() {
-    let wf = tmp("ft30.json");
+    let tmp = TmpDir::new("faults_trace_and_ledger_flags_export_and_reconcile");
+    let wf = tmp.path("ft30.json");
     assert!(wfs(&["gen", "montage", "30", "--seed", "6", "-o", wf.to_str().unwrap()])
         .status
         .success());
-    let trace = tmp("ft30.trace.json");
+    let trace = tmp.path("ft30.trace.json");
     let out = wfs(&[
         "faults",
         wf.to_str().unwrap(),
@@ -335,7 +362,8 @@ fn faults_trace_and_ledger_flags_export_and_reconcile() {
 
 #[test]
 fn faults_subcommand_runs_and_is_deterministic() {
-    let wf = tmp("f30.json");
+    let tmp = TmpDir::new("faults_subcommand_runs_and_is_deterministic");
+    let wf = tmp.path("f30.json");
     assert!(wfs(&["gen", "montage", "30", "--seed", "4", "-o", wf.to_str().unwrap()])
         .status
         .success());
@@ -373,9 +401,10 @@ fn faults_subcommand_runs_and_is_deterministic() {
 
 #[test]
 fn simulate_rejects_bad_datacenter_bandwidth() {
-    let wf = tmp("bw30.json");
+    let tmp = TmpDir::new("simulate_rejects_bad_datacenter_bandwidth");
+    let wf = tmp.path("bw30.json");
     assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
-    let sched = tmp("bw30-sched.json");
+    let sched = tmp.path("bw30-sched.json");
     let out = wfs(&[
         "schedule",
         wf.to_str().unwrap(),
@@ -389,7 +418,7 @@ fn simulate_rejects_bad_datacenter_bandwidth() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let dump = String::from_utf8(wfs(&["platform"]).stdout).unwrap();
     for bad in ["0", "-125000000"] {
-        let pfile = tmp(&format!("platform-bw{bad}.json"));
+        let pfile = tmp.path(&format!("platform-bw{bad}.json"));
         let edited = dump.replace("\"bandwidth\": 125000000", &format!("\"bandwidth\": {bad}"));
         assert_ne!(edited, dump, "platform dump format changed");
         std::fs::write(&pfile, edited).unwrap();
@@ -411,7 +440,8 @@ fn simulate_rejects_bad_datacenter_bandwidth() {
 /// (exit 2, named field), for every algorithm, not a panic.
 #[test]
 fn schedule_rejects_unusable_platform_files() {
-    let wf = tmp("plat30.json");
+    let tmp = TmpDir::new("schedule_rejects_unusable_platform_files");
+    let wf = tmp.path("plat30.json");
     assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
     let dump = String::from_utf8(wfs(&["platform"]).stdout).unwrap();
     let mut empty: serde_json::Value = serde_json::from_str(&dump).unwrap();
@@ -423,7 +453,7 @@ fn schedule_rejects_unusable_platform_files() {
     ];
     for (name, json, expect) in cases {
         assert_ne!(json, dump, "{name}: platform dump format changed");
-        let pfile = tmp(&format!("platform-{name}.json"));
+        let pfile = tmp.path(&format!("platform-{name}.json"));
         std::fs::write(&pfile, json).unwrap();
         for alg in ["HEFTBUDG", "CG", "HEFTBUDG+", "MIN-MIN"] {
             let out = wfs(&[
@@ -448,9 +478,10 @@ fn schedule_rejects_unusable_platform_files() {
 /// backwards.
 #[test]
 fn negative_prices_and_boot_times_are_usage_errors() {
-    let wf = tmp("price30.json");
+    let tmp = TmpDir::new("negative_prices_and_boot_times_are_usage_errors");
+    let wf = tmp.path("price30.json");
     assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
-    let sched = tmp("price30-sched.json");
+    let sched = tmp.path("price30-sched.json");
     let out = wfs(&[
         "schedule",
         wf.to_str().unwrap(),
@@ -472,7 +503,7 @@ fn negative_prices_and_boot_times_are_usage_errors() {
     for (name, from, to, field) in cases {
         let json = dump.replacen(from, to, 1);
         assert_ne!(json, dump, "{name}: platform dump format changed");
-        let pfile = tmp(&format!("platform-{name}.json"));
+        let pfile = tmp.path(&format!("platform-{name}.json"));
         std::fs::write(&pfile, json).unwrap();
         let (wf, sched) = (wf.to_str().unwrap(), sched.to_str().unwrap());
         let pfile = pfile.to_str().unwrap();
@@ -492,7 +523,8 @@ fn negative_prices_and_boot_times_are_usage_errors() {
 /// assertion panics inside the fault models' or generators' constructors.
 #[test]
 fn out_of_range_flags_are_usage_errors() {
-    let wf = tmp("flags30.json");
+    let tmp = TmpDir::new("out_of_range_flags_are_usage_errors");
+    let wf = tmp.path("flags30.json");
     assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
     let wf = wf.to_str().unwrap();
     let cases: &[(&[&str], &str)] = &[
@@ -522,8 +554,9 @@ fn out_of_range_flags_are_usage_errors() {
 /// and the test fails should it ever hang again.
 #[test]
 fn degradation_windows_below_clock_resolution_exit_2() {
+    let tmp = TmpDir::new("degradation_windows_below_clock_resolution_exit_2");
     use std::time::{Duration, Instant};
-    let wf = tmp("degrade30.json");
+    let wf = tmp.path("degrade30.json");
     assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
     for spec in ["0.5:1e-300:1e-300", "0.5:1e-12:1e-12"] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_wfs"))
@@ -554,6 +587,7 @@ fn degradation_windows_below_clock_resolution_exit_2() {
 /// inside the workflow builder.
 #[test]
 fn stats_rejects_hostile_dax_files() {
+    let tmp = TmpDir::new("stats_rejects_hostile_dax_files");
     let doc = |a_attrs: &str, size: &str, b_id: &str| {
         format!(
             r#"<adag name="hostile">
@@ -571,7 +605,7 @@ fn stats_rejects_hostile_dax_files() {
         ("dup-id", doc(r#"runtime="1""#, "1", "A"), "declares job `A` twice"),
     ];
     for (name, content, expect) in cases {
-        let file = tmp(&format!("hostile-{name}.dax"));
+        let file = tmp.path(&format!("hostile-{name}.dax"));
         std::fs::write(&file, content).unwrap();
         let out = wfs(&["stats", file.to_str().unwrap()]);
         let err = String::from_utf8_lossy(&out.stderr);
