@@ -326,7 +326,8 @@ mod tests {
         let p = p2();
         let plan = PlanState::new(&wf, &p);
         let t = wfs_workflow::TaskId(0);
-        let selection = |limit| plan.with_candidate_evals(t, |evals| select(evals, limit));
+        let full: Vec<HostEval> = plan.evaluate_all(t).collect();
+        let selection = |limit| select(&full, limit);
         // Rich: fast is both the affordable and the unconstrained best.
         let (rich, same) = selection(f64::INFINITY);
         assert!(rich.candidate == Candidate::New(CategoryId(1)) && same);
@@ -344,9 +345,9 @@ mod tests {
     }
 
     /// At every step of a plan, the pruned sweep must make every selection
-    /// the full sweep makes, to the bit: `select` (with its cache
-    /// metadata) and `select_best` under no, a tight and an infinite
-    /// limit, and CG's per-category pick. The bag of identical tasks
+    /// the oracle's full candidate set makes, to the bit: `select` (with
+    /// its cache metadata) and `select_best` under no, a tight and an
+    /// infinite limit, and CG's per-category pick. The bag of identical tasks
     /// enrolls many VMs with equal ready instants and equal costs, so the
     /// tie runs are long and the fall-back's "last minimal wins" and the
     /// affordable key's lowest id pick different ends of them.
@@ -362,7 +363,7 @@ mod tests {
             let mut plan = PlanState::new(&wf, &p);
             let (mut affordable, mut fallback, mut constrained) = (0, 0, 0);
             for (step, &t) in wf.topological_order().iter().enumerate() {
-                let full: Vec<HostEval> = plan.with_candidate_evals(t, <[HostEval]>::to_vec);
+                let full: Vec<HostEval> = plan.evaluate_all(t).collect();
                 let free = select_best(&full, f64::INFINITY);
                 // Just below the unconstrained winner's cost: that winner
                 // is excluded and `unconstrained_same` turns false.

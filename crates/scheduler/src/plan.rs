@@ -59,8 +59,9 @@ pub struct HostEval {
     pub cost: f64,
 }
 
-/// Reusable buffers for the allocation-free candidate sweep. Owned by
-/// [`PlanState`] behind a `RefCell` so sweeps work through `&PlanState`.
+/// Reusable buffers for the allocation-free pruned sweeps and threshold
+/// queries. Owned by [`PlanState`] behind a `RefCell` so sweeps work
+/// through `&PlanState`.
 ///
 /// The per-VM arrays are *stamped*: instead of clearing them between
 /// sweeps, each entry carries the stamp of the sweep that last wrote it,
@@ -68,8 +69,8 @@ pub struct HostEval {
 /// VMs are enrolled), so steady-state sweeps perform no heap allocation.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Evaluations of the current sweep, in candidate order (used VMs in
-    /// enrollment order, then one `New` per category).
+    /// Evaluations of the current sweep, in candidate order (used VMs by
+    /// id, then one `New` per category).
     evals: Vec<HostEval>,
     /// Per-VM sum of *local* edge bytes (edges whose producer sits on that
     /// VM), for VMs hosting ≥1 predecessor of the swept task.
@@ -86,14 +87,14 @@ struct Scratch {
     /// Distinct VMs hosting a predecessor of the swept task (≤ deg).
     pred_vms: Vec<VmId>,
     /// Per-category base occupied time (`total_bytes / bw + w / speed`) of
-    /// the swept task — hoists the divisions out of the per-VM loop.
+    /// the swept task — hoists the divisions out of the per-VM walks.
     cat_occupied: Vec<f64>,
     /// Per-category `cost_per_second()`.
     cat_rate: Vec<f64>,
     /// Per category, the number of its VMs ready by the data-ready instant
     /// of the last pruned sweep: where its ready index splits in two.
     cat_split: Vec<usize>,
-    /// Total sweeps performed since creation (full, pruned or naive).
+    /// Total sweeps performed since creation (pruned, threshold or naive).
     sweeps: u64,
     /// Total candidate evaluations produced across those sweeps.
     cand_evals: u64,
@@ -156,10 +157,11 @@ pub struct PlanState<'a> {
     /// (`INFINITY` until the producer is scheduled).
     edge_at_dc: Vec<f64>,
     schedule: Schedule,
-    /// Scratch space for [`Self::with_candidate_evals`].
+    /// Scratch space for [`Self::with_pruned_candidate_evals`] and its
+    /// variants.
     scratch: RefCell<Scratch>,
-    /// When true (set via [`crate::reference::with_naive`]), sweeps use the
-    /// per-candidate naive evaluation instead of the aggregated fast path.
+    /// When true (set via [`crate::reference::with_naive`]), sweeps hand
+    /// over [`Self::evaluate_all`] instead of their pruned sets.
     naive: bool,
 }
 
@@ -181,7 +183,7 @@ impl<'a> PlanState<'a> {
     }
 
     /// True when this state was created under [`reference::with_naive`]:
-    /// sweeps take the per-candidate naive path and incremental selection
+    /// sweeps hand over [`Self::evaluate_all`] and incremental selection
     /// caches are disabled, so results serve as the ground truth the fast
     /// path is tested against.
     #[inline]
@@ -218,15 +220,6 @@ impl<'a> PlanState<'a> {
         self.finish.iter().all(|f| !f.is_nan())
     }
 
-    /// All candidate hosts for the next assignment: every used VM plus one
-    /// fresh VM per category (paper §IV-A).
-    pub fn candidates(&self) -> Vec<Candidate> {
-        let mut out: Vec<Candidate> =
-            self.schedule.vm_ids().map(Candidate::Used).collect();
-        out.extend(self.platform.category_ids().map(Candidate::New));
-        out
-    }
-
     /// Earliest instant all of `t`'s remote inputs can be at the datacenter
     /// (0 for entry data; assumes every scheduled predecessor uploads).
     ///
@@ -258,8 +251,8 @@ impl<'a> PlanState<'a> {
     ///
     /// Computed as (external + all edges) − (edges local to `on`), both
     /// sums in edge order. This total-minus-local formulation is what lets
-    /// the candidate sweep adjust the per-task aggregate for each
-    /// predecessor-hosting VM in O(1) — the naive path uses the identical
+    /// the in-edge pass adjust the per-task aggregate for each
+    /// predecessor-hosting VM in O(1) — the oracle uses the identical
     /// expression so the two stay bit-for-bit equal. For a new VM (or a VM
     /// hosting no predecessor) the local sum is 0.0 and the value equals
     /// the plain in-order sum of all inputs.
@@ -277,31 +270,18 @@ impl<'a> PlanState<'a> {
     }
 
     /// Evaluation of `t` on the used VM `vm`, given the task's remote input
-    /// bytes and data-ready instant as seen from that VM. Shared by the
-    /// naive per-candidate path and the aggregated sweep so both perform
-    /// bit-identical arithmetic.
+    /// bytes and data-ready instant as seen from that VM: [`eval_remote`]
+    /// with the category's occupied time and rate, so the oracle and the
+    /// pruned walks perform bit-identical arithmetic.
     #[inline]
     fn eval_used_with(&self, t: TaskId, vm: VmId, d_in: f64, data_ready: f64) -> HostEval {
-        let cat_id = self.schedule.vm_category(vm);
-        let cat = self.platform.category(cat_id);
-        let begin = self.vm_ready[vm.index()].max(data_ready);
-        // The idle gap this assignment creates on the VM is billed
-        // too — the machine stays rented while waiting for the
-        // task's inputs. Without this term, packing late tasks
-        // onto early VMs looks free and the planned cost can
-        // undershoot the real bill badly on hub-join topologies.
-        let gap = begin - self.vm_ready[vm.index()];
-        let occupied = self.occupied(t, cat_id, d_in);
-        HostEval {
-            candidate: Candidate::Used(vm),
-            eft: begin + occupied,
-            begin,
-            cost: (gap + occupied) * cat.cost_per_second(),
-        }
+        let cat = self.schedule.vm_category(vm);
+        let rate = self.platform.category(cat).cost_per_second();
+        eval_remote(vm, self.vm_ready[vm.index()], data_ready, self.occupied(t, cat, d_in), rate)
     }
 
     /// Evaluation on a fresh VM of `cat_id` of a task that occupies it for
-    /// `occupied` seconds ([`Self::occupied`]); see [`Self::eval_used_with`].
+    /// `occupied` seconds ([`Self::occupied`]).
     #[inline]
     fn eval_new_with(&self, cat_id: CategoryId, occupied: f64, data_ready: f64) -> HostEval {
         let cat = self.platform.category(cat_id);
@@ -314,9 +294,9 @@ impl<'a> PlanState<'a> {
     }
 
     /// Seconds `t` occupies a VM of `cat_id` when `d_in` bytes must first be
-    /// pulled from the datacenter: `d_in / bw + w / speed`. Every sweep and
-    /// the naive path form it with this one expression, so they agree bit
-    /// for bit.
+    /// pulled from the datacenter: `d_in / bw + w / speed`. The in-edge
+    /// pass and the oracle form it with this one expression, so they agree
+    /// bit for bit.
     #[inline]
     fn occupied(&self, t: TaskId, cat_id: CategoryId, d_in: f64) -> f64 {
         let bw = self.platform.datacenter.bandwidth;
@@ -325,12 +305,9 @@ impl<'a> PlanState<'a> {
 
     /// Evaluate `t` on `candidate`: EFT per Eq. 7 and cost `ct_{T,host}`.
     ///
-    /// This is the naive per-candidate path — it re-walks `t`'s in-edges on
-    /// every call. Hot loops should sweep all candidates at once through
-    /// [`Self::with_candidate_evals`] instead, which produces bit-identical
-    /// results in O(V + K + deg) per sweep, or through
-    /// [`Self::with_pruned_candidate_evals`] when only the winner of a
-    /// best-host selection matters.
+    /// This re-walks `t`'s in-edges on every call. Host selections go
+    /// through [`Self::with_pruned_candidate_evals`] instead, which
+    /// evaluates only the candidates that can win, with the same bits.
     pub fn evaluate(&self, t: TaskId, candidate: Candidate) -> HostEval {
         match candidate {
             Candidate::Used(vm) => self.eval_used_with(
@@ -347,81 +324,24 @@ impl<'a> PlanState<'a> {
         }
     }
 
-    /// Evaluate `t` on every candidate, allocating a fresh vector.
+    /// Evaluate `t` on every candidate host, the paper's
+    /// `Used_VM ∪ New_VM` (§IV-A), in candidate order: used VMs by id, then
+    /// one `New` per category.
     ///
-    /// Retained as the naive reference implementation (the equivalence
-    /// suite compares the fast sweep against it); schedulers should use
-    /// [`Self::with_candidate_evals`].
-    pub fn evaluate_all(&self, t: TaskId) -> Vec<HostEval> {
-        self.candidates().into_iter().map(|c| self.evaluate(t, c)).collect()
+    /// This is the oracle: O((V + K)·deg) per call, one [`Self::evaluate`]
+    /// per candidate. The equivalence suite checks the pruned sweeps
+    /// against it, and in naive reference mode they hand over its
+    /// evaluations instead of theirs.
+    pub fn evaluate_all(&self, t: TaskId) -> impl Iterator<Item = HostEval> + '_ {
+        let used = self.schedule.vm_ids().map(Candidate::Used);
+        let new = self.platform.category_ids().map(Candidate::New);
+        used.chain(new).map(move |c| self.evaluate(t, c))
     }
 
-    /// Sweep all candidates for `t` into a reusable scratch buffer and hand
-    /// the evaluations to `f`. Candidate order matches [`Self::candidates`]:
-    /// used VMs in enrollment order, then one `New` per category.
-    ///
-    /// The sweep is O(V + K + deg): one pass over the in-edges
-    /// (`in_edge_pass`) computes the task's base aggregates (total
-    /// remote bytes, latest data-at-DC instant) plus per-VM local
-    /// sums/maxima for the ≤ deg VMs hosting a predecessor, which are then
-    /// folded into O(1) per-VM adjustments (total-minus-local bytes,
-    /// top-two exclusion for the data-ready maximum). Evaluations are
-    /// bit-identical to [`Self::evaluate`]: byte sums run over the in-edges
-    /// in the same order as [`Self::input_bytes`] and `f64::max` is
-    /// grouping-insensitive for the finite, non-NaN values involved.
-    ///
-    /// No planner calls this full sweep outside naive reference mode:
-    /// `getBestHost` and CG use [`Self::with_pruned_candidate_evals`],
-    /// SUFFERAGE its top-two variant and BDT the crate's threshold query.
-    /// It is the oracle the equivalence suite checks those against, and
-    /// the path they take in naive mode.
-    ///
-    /// No heap allocation occurs once the scratch buffers have grown to the
-    /// current VM count. Do not call `with_candidate_evals` (or anything
-    /// that mutates `self`) from inside `f`: the scratch buffer is borrowed
-    /// for the duration of the closure.
-    pub fn with_candidate_evals<R>(&self, t: TaskId, f: impl FnOnce(&[HostEval]) -> R) -> R {
-        let mut scratch = self.scratch.borrow_mut();
-        let scratch = &mut *scratch;
-        if self.naive {
-            self.push_naive_evals(t, scratch);
-        } else {
-            scratch.evals.clear();
-            let agg = self.in_edge_pass(t, scratch);
-            // Base pass over all used VMs, branch-free: evals land at index
-            // `vm.index()`, so the ≤ deg predecessor-hosting entries can be
-            // patched in place afterwards.
-            let cat_occupied = &scratch.cat_occupied[..];
-            let cat_rate = &scratch.cat_rate[..];
-            scratch.evals.extend(
-                self.vm_ready
-                    .iter()
-                    .zip(self.schedule.vm_categories())
-                    .enumerate()
-                    .map(|(i, (&vm_ready, &cat))| {
-                        eval_remote(
-                            VmId(i as u32),
-                            vm_ready,
-                            agg.dready_all,
-                            cat_occupied[cat.index()],
-                            cat_rate[cat.index()],
-                        )
-                    }),
-            );
-            for &vm in &scratch.pred_vms {
-                let local_bytes = scratch.vm_bytes[vm.index()];
-                scratch.evals[vm.index()] = self.eval_pred(t, vm, local_bytes, &agg);
-            }
-            self.push_new_evals(&agg, scratch);
-        }
-        self.count_sweep(scratch);
-        f(&scratch.evals)
-    }
-
-    /// [`Self::with_candidate_evals`] restricted to the candidates that can
-    /// win `getBestHost` (Alg. 2) or CG's per-category pick: O(K + deg)
-    /// evaluations (plus exact ties) in O(K log V + deg) time per sweep,
-    /// instead of V + K evaluations.
+    /// The candidates that can win `getBestHost` (Alg. 2) or CG's
+    /// per-category pick: O(K + deg) evaluations (plus exact ties) in
+    /// O(K log V + deg) time per sweep, instead of the V + K of
+    /// [`Self::evaluate_all`].
     ///
     /// A used VM `v` of category `k` hosting no predecessor of `t` is
     /// evaluated from its ready instant `r_v`, the data-ready instant `dr`
@@ -439,14 +359,16 @@ impl<'a> PlanState<'a> {
     /// the first VM plus every following one whose cost (resp. EFT) ties
     /// it to the bit; everything further is beaten on cost or EFT with the
     /// other key component equal. Predecessor hosts are skipped in the walk
-    /// and evaluated exactly as in the full sweep. The survivors are handed
-    /// to `f` in candidate order (used VMs by id, then one `New` per
-    /// category), so any selection that takes a minimum over `(EFT, cost)`,
-    /// `(cost, EFT)` or the Alg. 2 key and breaks remaining ties by
-    /// candidate order — first or last — picks the same candidate as over
-    /// the full sweep, with the same [`HostEval`] bits.
+    /// and evaluated exactly, from the in-edge pass's aggregates. The
+    /// survivors are handed to `f` in candidate order (used VMs by id, then
+    /// one `New` per category), so any selection that takes a minimum over
+    /// `(EFT, cost)`, `(cost, EFT)` or the Alg. 2 key and breaks remaining
+    /// ties by candidate order — first or last — picks the same candidate
+    /// as over [`Self::evaluate_all`], with the same [`HostEval`] bits.
     ///
-    /// In naive reference mode this is the full naive sweep.
+    /// In naive reference mode `f` receives [`Self::evaluate_all`]. Do not
+    /// call a sweep (or anything that mutates `self`) from inside `f`: the
+    /// scratch buffer is borrowed for the duration of the closure.
     pub fn with_pruned_candidate_evals<R>(
         &self,
         t: TaskId,
@@ -472,14 +394,16 @@ impl<'a> PlanState<'a> {
 
     /// The pruned sweep, each walk keeping at least `keep` entries.
     fn pruned_sweep<R>(&self, t: TaskId, keep: usize, f: impl FnOnce(&[HostEval]) -> R) -> R {
-        if self.naive {
-            return self.with_candidate_evals(t, f);
-        }
-        let mut by_ready = self.by_ready.borrow_mut();
-        let index = by_ready.get_or_insert_with(|| self.ready_index());
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
-        self.push_pruned_evals(t, index, keep, scratch);
+        if self.naive {
+            scratch.evals.clear();
+            scratch.evals.extend(self.evaluate_all(t));
+        } else {
+            let mut by_ready = self.by_ready.borrow_mut();
+            let index = by_ready.get_or_insert_with(|| self.ready_index());
+            self.push_pruned_evals(t, index, keep, scratch);
+        }
         self.count_sweep(scratch);
         f(&scratch.evals)
     }
@@ -495,11 +419,11 @@ impl<'a> PlanState<'a> {
     /// and chain 2 (ready after `dr`: one cost, EFT not falling). See
     /// [`ThresholdQuery`]'s methods; DESIGN.md §7 gives the argument BDT
     /// relies on. The set stays in candidate order, holds no
-    /// candidate twice and carries the bits of the full sweep.
+    /// candidate twice and carries the bits of [`Self::evaluate_all`].
     ///
     /// Binary-search probes that are not added count neither as evaluated
-    /// nor as pruned. In naive reference mode the set is the full naive
-    /// sweep and the methods add nothing.
+    /// nor as pruned. In naive reference mode the set is
+    /// [`Self::evaluate_all`] and the methods add nothing.
     pub(crate) fn with_threshold_query<R>(
         &self,
         t: TaskId,
@@ -509,7 +433,8 @@ impl<'a> PlanState<'a> {
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
         let chains = if self.naive {
-            self.push_naive_evals(t, scratch);
+            scratch.evals.clear();
+            scratch.evals.extend(self.evaluate_all(t));
             None
         } else {
             let index = by_ready.get_or_insert_with(|| self.ready_index());
@@ -524,18 +449,6 @@ impl<'a> PlanState<'a> {
         let result = f(&mut ThresholdQuery { chains, scratch: &mut *scratch });
         self.count_sweep(scratch);
         result
-    }
-
-    /// Fill `scratch.evals` with the naive evaluation of every candidate,
-    /// in candidate order.
-    fn push_naive_evals(&self, t: TaskId, scratch: &mut Scratch) {
-        scratch.evals.clear();
-        for vm in self.schedule.vm_ids() {
-            scratch.evals.push(self.evaluate(t, Candidate::Used(vm)));
-        }
-        for cat in self.platform.category_ids() {
-            scratch.evals.push(self.evaluate(t, Candidate::New(cat)));
-        }
     }
 
     /// Fill `scratch.evals` with the pruned candidate set of `t` (see
@@ -589,7 +502,7 @@ impl<'a> PlanState<'a> {
         index
     }
 
-    /// The in-edge pass shared by both sweeps, O(deg + K). Computes the
+    /// The in-edge pass of the pruned sweeps, O(deg + K). Computes the
     /// base aggregates (valid for every new VM and every used VM hosting no
     /// predecessor of `t`), stamps the VMs hosting a predecessor into
     /// `scratch.pred_vms` with their *local* byte sum and data-ready
@@ -651,10 +564,9 @@ impl<'a> PlanState<'a> {
         }
 
         // Hoist the per-category base occupied time and rate out of the
-        // per-VM loop: `total_bytes / bw + w / speed` only depends on the
-        // category, and the two divisions dominate the loop body. Computing
-        // it once per category with `occupied` keeps the results bit for
-        // bit equal to `eval_used_with`.
+        // walks: `total_bytes / bw + w / speed` only depends on the
+        // category. Computing it once per category with `occupied` keeps
+        // the results bit for bit equal to `eval_used_with`.
         scratch.cat_occupied.clear();
         scratch.cat_rate.clear();
         for cat_id in self.platform.category_ids() {
@@ -746,14 +658,18 @@ impl<'a> PlanState<'a> {
     }
 }
 
-/// Evaluation of a task on used VM `vm`, ready at `vm_ready`, hosting no
-/// predecessor of the task: [`PlanState::eval_used_with`]'s arithmetic with
-/// the category's occupied time and rate hoisted.
+/// Evaluation of a task on used VM `vm`, ready at `vm_ready`, whose
+/// inputs are ready at `dready` and which occupies the VM for `occupied`
+/// seconds at `rate` per second. The one used-VM arithmetic: every used-VM
+/// evaluation, oracle and pruned walks alike, goes through it.
 #[inline]
 fn eval_remote(vm: VmId, vm_ready: f64, dready: f64, occupied: f64, rate: f64) -> HostEval {
     let begin = vm_ready.max(dready);
-    // The idle gap up to the data-ready instant is billed too (see
-    // `eval_used_with`).
+    // The idle gap this assignment creates on the VM is billed too — the
+    // machine stays rented while waiting for the task's inputs. Without
+    // this term, packing late tasks onto early VMs looks free and the
+    // planned cost can undershoot the real bill badly on hub-join
+    // topologies.
     let gap = begin - vm_ready;
     HostEval {
         candidate: Candidate::Used(vm),
@@ -898,9 +814,9 @@ mod tests {
         let wf = chain(2, 100.0, 50.0);
         let p = p1();
         let mut plan = PlanState::new(&wf, &p);
-        assert_eq!(plan.candidates().len(), 1); // one new per category
+        assert_eq!(plan.evaluate_all(TaskId(0)).count(), 1); // one new per category
         plan.commit(TaskId(0), Candidate::New(CategoryId(0)));
-        assert_eq!(plan.candidates().len(), 2); // one used + one new
+        assert_eq!(plan.evaluate_all(TaskId(1)).count(), 2); // one used + one new
     }
 
     #[test]
@@ -975,9 +891,8 @@ mod tests {
         let p = p1();
         let mut plan = PlanState::new(&wf, &p);
         for &t in wf.topological_order() {
-            let evals = plan.evaluate_all(t);
-            let best = evals
-                .iter()
+            let best = plan
+                .evaluate_all(t)
                 .min_by(|a, b| a.eft.total_cmp(&b.eft))
                 .unwrap()
                 .candidate;

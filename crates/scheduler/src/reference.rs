@@ -1,14 +1,15 @@
 //! Naive reference mode for the planner fast path.
 //!
-//! The optimized candidate sweep ([`crate::PlanState::with_candidate_evals`]),
-//! the dominance-pruned sweep behind `getBestHost` and CG
-//! ([`crate::PlanState::with_pruned_candidate_evals`]) and the incremental
+//! The dominance-pruned sweep behind `getBestHost` and CG
+//! ([`crate::PlanState::with_pruned_candidate_evals`]), its top-two and
+//! threshold variants behind SUFFERAGE and BDT, and the incremental
 //! MIN-MIN/MAX-MIN selection caches are designed to be *observationally
 //! identical* to the straightforward implementations they replaced. This
-//! module provides the switch that turns those optimizations off — both
-//! sweeps then evaluate every candidate one by one, and nothing is pruned
-//! or cached — so tests can run any algorithm twice, fast and naive, and
-//! assert the outputs match bit for bit.
+//! module provides the switch that turns those optimizations off — every
+//! sweep then hands over the oracle
+//! ([`crate::PlanState::evaluate_all`], one evaluation per candidate), and
+//! nothing is pruned or cached — so tests can run any algorithm twice,
+//! fast and naive, and assert the outputs match bit for bit.
 //!
 //! The flag is thread-local and sampled when a [`crate::PlanState`] is
 //! constructed, so wrapping a whole algorithm run is enough:

@@ -1,21 +1,21 @@
 //! Fast-path ⇔ naive-reference equivalence.
 //!
-//! The optimized candidate sweep ([`PlanState::with_candidate_evals`]), the
-//! dominance-pruned sweep of `getBestHost` and CG
-//! ([`PlanState::with_pruned_candidate_evals`]), the threshold queries of
-//! BDT and SUFFERAGE (`PlanState::with_threshold_query`) and the
-//! incremental MIN-MIN/MAX-MIN selection caches are pure optimizations:
-//! they must not change a single bit of any schedule. This suite checks
-//! that claim four ways:
+//! The dominance-pruned sweep of `getBestHost` and CG
+//! ([`PlanState::with_pruned_candidate_evals`]), the top-two and threshold
+//! queries of SUFFERAGE and BDT (`PlanState::with_threshold_query`) and
+//! the incremental MIN-MIN/MAX-MIN selection caches are pure
+//! optimizations: they must not change a single bit of any schedule. This
+//! suite checks that claim against the oracle
+//! ([`PlanState::evaluate_all`], one evaluation per candidate) four ways:
 //!
-//! 1. bitwise: every full sweep produces `HostEval`s whose
-//!    `eft`/`begin`/`cost` are bit-identical to the retained naive
-//!    per-candidate evaluation;
+//! 1. bitwise: every survivor of a pruned sweep is a real candidate, the
+//!    survivors come in candidate order, and their `eft`/`begin`/`cost`
+//!    are bit-identical to the oracle's;
 //! 2. end-to-end: every algorithm, on every generator and budget, returns
 //!    a schedule *equal* to the one produced in naive reference mode, where
 //!    nothing is pruned or cached;
 //! 3. regression: a hub-join workflow with very high fan-in (the worst
-//!    case for the per-predecessor aggregate adjustment) and a tie-stress
+//!    case for the in-edge pass's per-predecessor adjustment) and a tie-stress
 //!    layout (equal weights, zero boot and init prices) stay exact;
 //! 4. work accounting: fast and naive runs do the same refinement trials
 //!    and sweeps, and evaluated plus pruned candidates equal the naive
@@ -30,7 +30,8 @@
 use wfs_observe::{Counters, NoopSink, RecordingSink};
 use wfs_platform::{Datacenter, Platform, VmCategory};
 use wfs_scheduler::{
-    get_best_host, min_cost_floor, min_cost_schedule, reference, Algorithm, PlanState,
+    get_best_host, min_cost_floor, min_cost_schedule, reference, Algorithm, Candidate, HostEval,
+    PlanState,
 };
 use wfs_simulator::{simulate, SimConfig};
 use wfs_workflow::gen::{chain, cybershake, fork_join, ligo, montage, GenConfig};
@@ -46,17 +47,35 @@ fn workloads() -> Vec<(&'static str, Workflow)> {
     ]
 }
 
+/// Key of the candidate order: used VMs by id, then one `New` per
+/// category by id.
+fn candidate_order(c: Candidate) -> (u8, u32) {
+    match c {
+        Candidate::Used(vm) => (0, vm.0),
+        Candidate::New(cat) => (1, cat.0),
+    }
+}
+
 /// Drive a plan forward (committing each task to its best host under a
-/// varying limit) and compare every sweep against `evaluate_all` bit for
-/// bit along the way.
+/// varying limit) and compare every survivor of every pruned sweep against
+/// the oracle bit for bit along the way.
 fn assert_sweeps_bitwise_identical(name: &str, wf: &Workflow, platform: &Platform) {
     let mut plan = PlanState::new(wf, platform);
     for (step, &t) in wf.topological_order().iter().enumerate() {
-        let naive = plan.evaluate_all(t);
-        plan.with_candidate_evals(t, |evals| {
-            assert_eq!(evals.len(), naive.len(), "{name}: candidate count for {t:?}");
-            for (fast, slow) in evals.iter().zip(&naive) {
-                assert_eq!(fast.candidate, slow.candidate, "{name}: order for {t:?}");
+        let oracle: Vec<HostEval> = plan.evaluate_all(t).collect();
+        plan.with_pruned_candidate_evals(t, |survivors| {
+            assert!(
+                survivors
+                    .windows(2)
+                    .all(|w| candidate_order(w[0].candidate) < candidate_order(w[1].candidate)),
+                "{name}: survivors of {t:?} out of candidate order"
+            );
+            for fast in survivors {
+                let c = fast.candidate;
+                let slow = oracle
+                    .iter()
+                    .find(|e| e.candidate == c)
+                    .unwrap_or_else(|| panic!("{name}: {c:?} is no candidate of {t:?}"));
                 for (field, a, b) in [
                     ("eft", fast.eft, slow.eft),
                     ("begin", fast.begin, slow.begin),
@@ -198,7 +217,7 @@ fn refinement_work_is_identical_in_fast_and_naive_modes() {
 
 /// Hub-join stress: many parallel branches all feeding one join task means
 /// the join's sweep sees a predecessor on (almost) every used VM — the
-/// worst case for the per-VM aggregate adjustment. Keep it exact both
+/// worst case for the in-edge pass's per-VM adjustment. Keep it exact both
 /// bitwise and end-to-end.
 #[test]
 fn hub_join_high_fan_in_stays_exact() {

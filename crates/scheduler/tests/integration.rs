@@ -114,7 +114,6 @@ fn candidate_evaluation_matches_commit_effects() {
     for &t in wf.topological_order() {
         let eval = plan
             .evaluate_all(t)
-            .into_iter()
             .min_by(|a, b| a.eft.total_cmp(&b.eft))
             .unwrap();
         let vm = plan.commit(t, eval.candidate);
@@ -213,9 +212,8 @@ fn new_vm_candidates_cover_every_category() {
     let p = paper();
     let plan = PlanState::new(&wf, &p);
     let cats: Vec<_> = plan
-        .candidates()
-        .into_iter()
-        .filter_map(|c| match c {
+        .evaluate_all(wf.topological_order()[0])
+        .filter_map(|e| match e.candidate {
             Candidate::New(cat) => Some(cat),
             Candidate::Used(_) => None,
         })

@@ -41,6 +41,25 @@ pub enum WorkflowError {
     DuplicateEdge(TaskId, TaskId),
     /// The workflow has no tasks.
     Empty,
+    /// The task listed at `position` carries another id: ids must equal
+    /// list positions, or edges attach to other tasks.
+    TaskOutOfOrder {
+        /// Index of the task in the list.
+        position: usize,
+        /// The id it carries.
+        id: TaskId,
+    },
+    /// A task field is out of range: `weight.mean` must be finite and
+    /// positive; `weight.std_dev`, `external_input` and `external_output`
+    /// finite and non-negative.
+    InvalidTaskField {
+        /// The offending task.
+        task: TaskId,
+        /// The field, as named in the JSON format.
+        field: &'static str,
+    },
+    /// An edge's `size` is negative or not finite.
+    InvalidEdgeSize(TaskId, TaskId),
 }
 
 impl std::fmt::Display for WorkflowError {
@@ -51,6 +70,16 @@ impl std::fmt::Display for WorkflowError {
             WorkflowError::Cycle => write!(f, "dependency graph contains a cycle"),
             WorkflowError::DuplicateEdge(a, b) => write!(f, "duplicate edge {a} -> {b}"),
             WorkflowError::Empty => write!(f, "workflow has no tasks"),
+            WorkflowError::TaskOutOfOrder { position, id } => {
+                write!(f, "task at position {position} has id {id}; ids must equal positions")
+            }
+            WorkflowError::InvalidTaskField { task, field } => {
+                let bound = if *field == "weight.mean" { "> 0" } else { ">= 0" };
+                write!(f, "task {task}: {field} must be finite and {bound}")
+            }
+            WorkflowError::InvalidEdgeSize(a, b) => {
+                write!(f, "edge {a} -> {b}: size must be finite and >= 0")
+            }
         }
     }
 }
@@ -205,20 +234,40 @@ impl Workflow {
     }
 
     /// Deserialize from JSON produced by [`Workflow::to_json`], re-validating
-    /// the DAG structure.
+    /// the DAG structure, the task ids and every weight and byte count.
     pub fn from_json(s: &str) -> Result<Self, Box<dyn std::error::Error>> {
         let wf: Workflow = serde_json::from_str(s)?;
         // Re-build through the builder so hand-edited files cannot smuggle in
-        // cycles or dangling edges.
+        // cycles, dangling edges, renumbered tasks or values the planners
+        // and the engine cannot work with.
         let mut b = WorkflowBuilder::new(&wf.name);
-        for t in &wf.tasks {
-            let id = b.add_task_full(t.clone());
-            debug_assert_eq!(id, t.id);
+        for (position, t) in wf.tasks.iter().enumerate() {
+            if t.id.index() != position {
+                return Err(WorkflowError::TaskOutOfOrder { position, id: t.id }.into());
+            }
+            check_task_fields(t)?;
+            b.add_task_full(t.clone());
         }
         for e in &wf.edges {
             b.add_edge(e.from, e.to, e.size)?;
         }
         Ok(b.build()?)
+    }
+}
+
+/// The first field of `t` outside its range (see
+/// [`WorkflowError::InvalidTaskField`]).
+fn check_task_fields(t: &Task) -> Result<(), WorkflowError> {
+    let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+    let fields = [
+        ("weight.mean", t.weight.mean.is_finite() && t.weight.mean > 0.0),
+        ("weight.std_dev", non_negative(t.weight.std_dev)),
+        ("external_input", non_negative(t.external_input)),
+        ("external_output", non_negative(t.external_output)),
+    ];
+    match fields.into_iter().find(|&(_, ok)| !ok) {
+        Some((field, _)) => Err(WorkflowError::InvalidTaskField { task: t.id, field }),
+        None => Ok(()),
     }
 }
 
@@ -267,7 +316,7 @@ impl WorkflowBuilder {
         self.tasks[t.index()].external_output = bytes;
     }
 
-    /// Add a dependency edge carrying `size` bytes.
+    /// Add a dependency edge carrying `size` bytes (finite, >= 0).
     pub fn add_edge(&mut self, from: TaskId, to: TaskId, size: f64) -> Result<EdgeId, WorkflowError> {
         let n = self.tasks.len() as u32;
         if from.0 >= n {
@@ -279,10 +328,12 @@ impl WorkflowBuilder {
         if from == to {
             return Err(WorkflowError::SelfLoop(from));
         }
+        if !(size.is_finite() && size >= 0.0) {
+            return Err(WorkflowError::InvalidEdgeSize(from, to));
+        }
         if !self.seen_pairs.insert((from.0, to.0)) {
             return Err(WorkflowError::DuplicateEdge(from, to));
         }
-        assert!(size.is_finite() && size >= 0.0, "edge data size must be non-negative");
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { from, to, size });
         Ok(id)
@@ -294,8 +345,8 @@ impl WorkflowBuilder {
     /// site instead of one `unwrap()` per generator edge.
     ///
     /// # Panics
-    /// If the edge is invalid after all (unknown endpoint, self-loop or
-    /// duplicate) — a bug in the calling generator.
+    /// If the edge is invalid after all (unknown endpoint, self-loop,
+    /// duplicate or bad size) — a bug in the calling generator.
     #[allow(clippy::expect_used)] // single audited funnel for generator edges
     pub fn connect(&mut self, from: TaskId, to: TaskId, size: f64) -> EdgeId {
         self.add_edge(from, to, size)
@@ -446,6 +497,18 @@ mod tests {
         let c = b.add_task("b", w(1.0));
         b.add_edge(a, c, 1.0).unwrap();
         assert_eq!(b.add_edge(a, c, 2.0).unwrap_err(), WorkflowError::DuplicateEdge(a, c));
+    }
+
+    #[test]
+    fn bad_edge_size_rejected() {
+        let mut b = WorkflowBuilder::new("x");
+        let a = b.add_task("a", w(1.0));
+        let c = b.add_task("b", w(1.0));
+        for size in [-5.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(b.add_edge(a, c, size).unwrap_err(), WorkflowError::InvalidEdgeSize(a, c));
+        }
+        // A rejected edge is not recorded: the pair can still be added.
+        b.add_edge(a, c, 0.0).unwrap();
     }
 
     #[test]

@@ -11,6 +11,12 @@ cargo build --release --workspace
 echo "== cargo test -q (workspace)"
 cargo test -q --release --workspace
 
+echo "== cargo test -q (debug profile: plan_lint hook and debug_asserts)"
+# The release tests skip `Algorithm::run`'s plan_lint hook and the
+# debug_asserts of the planner's ready index and the engine; run the
+# library crates' suites, the equivalence suite included, with them on.
+cargo test -q -p wfs-workflow -p wfs-simulator -p wfs-observe -p wfs-scheduler
+
 echo "== cargo clippy -- -D warnings (workspace, all targets)"
 cargo clippy --release --workspace --all-targets -- -D warnings
 

@@ -613,3 +613,49 @@ fn stats_rejects_hostile_dax_files() {
         assert!(err.contains(expect), "{name}: {err}");
     }
 }
+
+/// Hand-edited workflow files with out-of-range numbers or renumbered
+/// tasks are usage errors (exit 2, naming the task or edge and the field),
+/// not planner panics or silently accepted plans.
+#[test]
+fn schedule_rejects_hostile_workflow_files() {
+    use serde_json::{json, Value};
+    let tmp = TmpDir::new("schedule_rejects_hostile_workflow_files");
+    let wf = tmp.path("montage20.json");
+    assert!(wfs(&["gen", "montage", "20", "-o", wf.to_str().unwrap()]).status.success());
+    let doc: Value = serde_json::from_str(&std::fs::read_to_string(&wf).unwrap()).unwrap();
+    // `doc` with `keys` of entry `i` of `list` set to `value`.
+    let set = |list: &str, i: usize, keys: &[&str], value: f64| {
+        let mut doc = doc.clone();
+        let Value::Array(items) = &mut doc[list] else { panic!("`{list}` is a list") };
+        let mut v = &mut items[i];
+        for &k in keys {
+            v = &mut v[k];
+        }
+        *v = json!(value);
+        doc
+    };
+    let mut swapped = doc.clone();
+    let Value::Array(tasks) = &mut swapped["tasks"] else { panic!("`tasks` is a list") };
+    tasks.swap(0, 1);
+    let edge = |end: &str| doc["edges"][0][end].as_u64().unwrap();
+    let edge_msg = format!("edge T{} -> T{}: size must be finite and >= 0", edge("from"), edge("to"));
+    let cases = [
+        ("edge-size", set("edges", 0, &["size"], -5.0), edge_msg.as_str()),
+        ("mean-neg", set("tasks", 5, &["weight", "mean"], -100.0), "task T5: weight.mean"),
+        ("mean-zero", set("tasks", 5, &["weight", "mean"], 0.0), "task T5: weight.mean"),
+        ("sigma-neg", set("tasks", 5, &["weight", "std_dev"], -100.0), "task T5: weight.std_dev"),
+        ("ext-in-neg", set("tasks", 0, &["external_input"], -1e9), "task T0: external_input"),
+        ("ext-out-neg", set("tasks", 0, &["external_output"], -1.0), "task T0: external_output"),
+        ("out-of-order", swapped, "task at position 0 has id T1"),
+    ];
+    for (name, json, expect) in cases {
+        let file = tmp.path(&format!("hostile-{name}.json"));
+        std::fs::write(&file, json.to_json()).unwrap();
+        let args = ["schedule", file.to_str().unwrap(), "--alg", "HEFTBUDG", "--budget", "2"];
+        let out = wfs(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert!(err.contains(expect), "{name}: {err}");
+    }
+}
