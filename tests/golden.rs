@@ -234,3 +234,116 @@ fn refined_schedules_are_pinned_across_generators_and_budgets() {
     }
     assert_eq!(h.0, 10_180_463_482_417_557_068, "refined schedules moved");
 }
+
+/// A hub join: `producers` entry tasks, each on its own VM with its own
+/// external input, feeding a hub VM whose order is a light task reading one
+/// producer, then a join over every producer, then a second join over every
+/// third producer plus external data. The producers' VMs come first, one
+/// download slot each, so the hub VM's download run starts mid-word in the
+/// flat download array and spans several 64-slot words.
+fn hub_join(producers: u32) -> (Workflow, Schedule) {
+    let mut b = WorkflowBuilder::new("hub-join");
+    let prods: Vec<TaskId> = (0..producers)
+        .map(|i| {
+            let w = 500.0 + f64::from((i * 37) % 101) * 20.0;
+            let t = b.add_task(format!("p{i}"), StochasticWeight::new(w, 0.4 * w));
+            b.set_external_input(t, 1e6 * f64::from(1 + (i * 13) % 29));
+            t
+        })
+        .collect();
+    let light = b.add_task("light", StochasticWeight::new(200.0, 50.0));
+    let join = b.add_task("join", StochasticWeight::new(3000.0, 900.0));
+    let tail = b.add_task("tail", StochasticWeight::new(1500.0, 600.0));
+    b.connect(prods[0], light, 4e6);
+    for (i, &p) in prods.iter().enumerate() {
+        let i = i as u32;
+        b.connect(p, join, 1e6 * f64::from(1 + (i * 7) % 17));
+        if i.is_multiple_of(3) {
+            b.connect(p, tail, 5e5 * f64::from(1 + (i * 11) % 13));
+        }
+    }
+    b.connect(light, join, 1e6);
+    b.connect(join, tail, 2e6);
+    b.set_external_input(tail, 3e7);
+    b.set_external_output(tail, 5e7);
+    let wf = b.build().unwrap();
+    let mut s = Schedule::new(wf.task_count());
+    for (i, &p) in prods.iter().enumerate() {
+        let vm = s.add_vm(CategoryId(i as u32 % 3));
+        s.assign(p, vm);
+    }
+    let hub = s.add_vm(CategoryId(2));
+    for t in [light, join, tail] {
+        s.assign(t, hub);
+    }
+    (wf, s)
+}
+
+/// Most downloads any one VM of `s` performs: cross-VM inputs plus
+/// external inputs of its tasks.
+fn max_vm_downloads(wf: &Workflow, s: &Schedule) -> usize {
+    s.vm_ids()
+        .map(|vm| {
+            s.order(vm)
+                .iter()
+                .map(|&t| {
+                    let cross = wf.in_edges(t).iter().filter(|&&e| s.is_cross_vm(wf, e)).count();
+                    cross + usize::from(wf.task(t).external_input > 0.0)
+                })
+                .sum::<usize>()
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// Engine outputs on VMs whose download runs cross 64-slot words: the hub
+/// join above, and the MIN-COST floor and HEFTBUDG plans of 400-task
+/// MONTAGE, CYBERSHAKE and LIGO, each replayed under planning, stochastic,
+/// finite-datacenter and faulted configurations. The download order a VM
+/// follows decides its transfer times, so a change in which ready download
+/// starts first moves this hash.
+#[test]
+fn long_download_runs_are_bit_identical_to_the_pinned_hash() {
+    let p = Platform::paper_default();
+    let finite = p.datacenter.bandwidth * 1.5;
+    let mut h = Fnv::new();
+    let mut fired = FaultStats::default();
+    let mut cases = vec![hub_join(140)];
+    for wf in [
+        montage(GenConfig::new(400, 41)),
+        cybershake(GenConfig::new(400, 42)),
+        ligo(GenConfig::new(400, 43)),
+    ] {
+        let floor = min_cost_schedule(&wf, &p);
+        let min_cost = simulate(&wf, &p, &floor, &SimConfig::planning()).unwrap().total_cost;
+        let heft = Algorithm::HeftBudg.run(&wf, &p, 2.0 * min_cost);
+        cases.push((wf.clone(), floor));
+        cases.push((wf, heft));
+    }
+    let mut longest = 0;
+    for (ci, (wf, sched)) in cases.iter().enumerate() {
+        longest = longest.max(max_vm_downloads(wf, sched));
+        let seed = 1000 + 10 * ci as u64;
+        for cfg in [
+            SimConfig::planning(),
+            SimConfig::stochastic(seed + 1),
+            SimConfig::stochastic(seed + 2).with_dc_capacity(finite),
+        ] {
+            h.report(&simulate(wf, &p, sched, &cfg).unwrap());
+        }
+        let run = simulate_with_faults(
+            wf,
+            &p,
+            sched,
+            &SimConfig::stochastic(seed + 3),
+            &storm(seed + 4),
+            &mut NoopSink,
+        )
+        .unwrap();
+        fired.merge(&run.stats);
+        h.fault_run(&run);
+    }
+    assert!(longest > 128, "no VM downloads more than two words' worth: {longest}");
+    assert!(fired.crashes > 0, "no crash fired: {fired:?}");
+    assert_eq!(h.0, 2_854_043_816_451_587_483, "engine outputs moved on long download runs");
+}
