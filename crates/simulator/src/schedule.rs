@@ -2,7 +2,7 @@
 //! the simulator.
 
 use serde::{Deserialize, Serialize};
-use wfs_platform::CategoryId;
+use wfs_platform::{CategoryId, Platform};
 use wfs_workflow::{TaskId, Workflow};
 
 /// Identifier of a VM *instance* enrolled by a schedule (dense indices).
@@ -36,6 +36,27 @@ pub enum ScheduleError {
     Deadlock,
     /// A VM id out of range was referenced.
     UnknownVm(VmId),
+    /// The assignment list does not hold exactly one entry per task.
+    AssignmentLength {
+        /// Entries in the assignment list.
+        len: usize,
+        /// Tasks in the workflow.
+        tasks: usize,
+    },
+    /// The order lists do not number exactly one per enrolled VM.
+    OrderLength {
+        /// Order lists.
+        len: usize,
+        /// Enrolled VMs.
+        vms: usize,
+    },
+    /// A VM is of a category the platform does not have.
+    UnknownCategory {
+        /// The VM.
+        vm: VmId,
+        /// Its category.
+        category: CategoryId,
+    },
 }
 
 impl std::fmt::Display for ScheduleError {
@@ -47,6 +68,15 @@ impl std::fmt::Display for ScheduleError {
             }
             ScheduleError::Deadlock => write!(f, "schedule deadlocks (cross-VM circular wait)"),
             ScheduleError::UnknownVm(v) => write!(f, "unknown VM {v}"),
+            ScheduleError::AssignmentLength { len, tasks } => {
+                write!(f, "assignment lists {len} tasks but the workflow has {tasks}")
+            }
+            ScheduleError::OrderLength { len, vms } => {
+                write!(f, "{len} order lists for {vms} VMs")
+            }
+            ScheduleError::UnknownCategory { vm, category } => {
+                write!(f, "{vm} is of VM category {}, which the platform does not have", category.0)
+            }
         }
     }
 }
@@ -195,11 +225,18 @@ impl Schedule {
         }
     }
 
-    /// Validate that the schedule can execute `wf`: every task assigned,
-    /// orders consistent, and the union of DAG precedence and per-VM order
+    /// Validate that the schedule can execute `wf`: one assignment per
+    /// task and one order list per VM, every task assigned, orders
+    /// consistent, and the union of DAG precedence and per-VM order
     /// constraints acyclic.
     pub fn validate(&self, wf: &Workflow) -> Result<(), ScheduleError> {
         let n = wf.task_count();
+        if self.assignment.len() != n {
+            return Err(ScheduleError::AssignmentLength { len: self.assignment.len(), tasks: n });
+        }
+        if self.order.len() != self.vms.len() {
+            return Err(ScheduleError::OrderLength { len: self.order.len(), vms: self.vms.len() });
+        }
         for t in wf.task_ids() {
             match self.assignment[t.index()] {
                 None => return Err(ScheduleError::Unassigned(t)),
@@ -256,6 +293,17 @@ impl Schedule {
         }
         Ok(())
     }
+
+    /// Check that every VM's category exists on `platform`. A deserialized
+    /// schedule can name any category; the simulator runs this before
+    /// looking one up.
+    pub fn check_categories(&self, platform: &Platform) -> Result<(), ScheduleError> {
+        let k = platform.category_count();
+        match self.vm_ids().zip(&self.vms).find(|(_, c)| c.index() >= k) {
+            Some((vm, &category)) => Err(ScheduleError::UnknownCategory { vm, category }),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -294,6 +342,38 @@ mod tests {
         let v0 = s.add_vm(cat(0));
         s.assign(TaskId(0), v0);
         assert_eq!(s.validate(&wf).unwrap_err(), ScheduleError::Unassigned(TaskId(1)));
+    }
+
+    #[test]
+    fn list_lengths_are_checked_before_indexing() {
+        let wf = chain(3, 10.0, 1e6);
+        let mut s = Schedule::new(wf.task_count());
+        let v0 = s.add_vm(cat(0));
+        for t in wf.task_ids() {
+            s.assign(t, v0);
+        }
+        s.validate(&wf).unwrap();
+        let mut short = s.clone();
+        short.assignment.truncate(2);
+        assert_eq!(
+            short.validate(&wf).unwrap_err(),
+            ScheduleError::AssignmentLength { len: 2, tasks: 3 }
+        );
+        let mut extra_vm = s.clone();
+        extra_vm.vms.push(cat(1));
+        assert_eq!(extra_vm.validate(&wf).unwrap_err(), ScheduleError::OrderLength { len: 1, vms: 2 });
+    }
+
+    #[test]
+    fn categories_are_checked_against_the_platform() {
+        let p = Platform::paper_default();
+        let mut s = Schedule::new(1);
+        s.add_vm(cat(2));
+        assert_eq!(s.check_categories(&p), Ok(()));
+        s.add_vm(cat(3));
+        let err = s.check_categories(&p).unwrap_err();
+        assert_eq!(err, ScheduleError::UnknownCategory { vm: VmId(1), category: cat(3) });
+        assert_eq!(err.to_string(), "vm1 is of VM category 3, which the platform does not have");
     }
 
     #[test]
