@@ -35,8 +35,9 @@ pub enum DaxError {
     /// Two `<job>` elements share an id.
     DuplicateJob(String),
     /// A numeric attribute of a job is out of range: a `runtime` or
-    /// `sigma` that is not finite (or overflows once scaled to work units),
-    /// or a `<uses>` `size` that is not finite and non-negative.
+    /// `sigma` that is not finite (or overflows once scaled to work units,
+    /// or once the two are added into the conservative weight), or a
+    /// `<uses>` `size` that is not finite and non-negative.
     BadValue {
         /// Id of the job the attribute belongs to.
         job: String,
@@ -369,7 +370,7 @@ impl<'a> Document<'a> {
             return Err(scan.bad_value(&id, "runtime"));
         }
         let std_dev = (sigma * reference_speed).max(0.0);
-        if !(sigma.is_finite() && std_dev.is_finite()) {
+        if !(sigma.is_finite() && std_dev.is_finite() && (mean + std_dev).is_finite()) {
             return Err(scan.bad_value(&id, "sigma"));
         }
         let index = dense_id(self.jobs.len())?;
@@ -645,6 +646,7 @@ mod tests {
             (r#"runtime="1e308""#, "1", "runtime", "1e308"), // overflows once scaled
             (r#"runtime="1" sigma="inf""#, "1", "sigma", "inf"),
             (r#"runtime="1" sigma="NaN""#, "1", "sigma", "NaN"),
+            (r#"runtime="1e307" sigma="1e307""#, "1", "sigma", "1e307"), // sum overflows
             (r#"runtime="1""#, "NaN", "size", "NaN"),
             (r#"runtime="1""#, "-5", "size", "-5"),
             (r#"runtime="1""#, "inf", "size", "inf"),

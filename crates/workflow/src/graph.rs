@@ -51,7 +51,8 @@ pub enum WorkflowError {
     },
     /// A task field is out of range: `weight.mean` must be finite and
     /// positive; `weight.std_dev`, `external_input` and `external_output`
-    /// finite and non-negative.
+    /// finite and non-negative; and the conservative weight
+    /// `weight.mean + weight.std_dev` the planners use finite.
     InvalidTaskField {
         /// The offending task.
         task: TaskId,
@@ -74,7 +75,7 @@ impl std::fmt::Display for WorkflowError {
                 write!(f, "task at position {position} has id {id}; ids must equal positions")
             }
             WorkflowError::InvalidTaskField { task, field } => {
-                let bound = if *field == "weight.mean" { "> 0" } else { ">= 0" };
+                let bound = if field.starts_with("weight.mean") { "> 0" } else { ">= 0" };
                 write!(f, "task {task}: {field} must be finite and {bound}")
             }
             WorkflowError::InvalidEdgeSize(a, b) => {
@@ -264,6 +265,7 @@ fn check_task_fields(t: &Task) -> Result<(), WorkflowError> {
         ("weight.std_dev", non_negative(t.weight.std_dev)),
         ("external_input", non_negative(t.external_input)),
         ("external_output", non_negative(t.external_output)),
+        ("weight.mean + weight.std_dev", t.weight.conservative().is_finite()),
     ];
     match fields.into_iter().find(|&(_, ok)| !ok) {
         Some((field, _)) => Err(WorkflowError::InvalidTaskField { task: t.id, field }),
@@ -556,6 +558,19 @@ mod tests {
             .unwrap()
             .push(serde_json::json!({"from": 3, "to": 0, "size": 1.0}));
         assert!(Workflow::from_json(&json.to_string()).is_err());
+    }
+
+    #[test]
+    fn json_with_overflowing_conservative_weight_rejected() {
+        let wf = diamond();
+        let mut json: serde_json::Value = serde_json::from_str(&wf.to_json()).unwrap();
+        json["tasks"].as_array_mut().unwrap()[2]["weight"] =
+            serde_json::json!({"mean": 1e308, "std_dev": 1e308});
+        let err = Workflow::from_json(&json.to_string()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "task T2: weight.mean + weight.std_dev must be finite and > 0",
+        );
     }
 
     #[test]
