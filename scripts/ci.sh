@@ -16,6 +16,9 @@ echo "== cargo test -q (debug profile: plan_lint hook and debug_asserts)"
 # debug_asserts of the planner's ready index and the engine; run the
 # library crates' suites, the equivalence suite included, with them on.
 cargo test -q -p wfs-workflow -p wfs-simulator -p wfs-observe -p wfs-scheduler
+# The DAX reader's pinned outcomes, with overflow checks on its index
+# arithmetic, over every fuzz mutant and hand-written corner.
+cargo test -q --test dax_golden --test dax_fuzz
 
 echo "== cargo clippy -- -D warnings (workspace, all targets)"
 cargo clippy --release --workspace --all-targets -- -D warnings
