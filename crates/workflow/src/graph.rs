@@ -293,6 +293,14 @@ impl WorkflowBuilder {
         }
     }
 
+    /// Reserve room for `tasks` more tasks and `edges` more edges, so that
+    /// a caller that knows the graph's size builds it without regrowing.
+    pub fn reserve(&mut self, tasks: usize, edges: usize) {
+        self.tasks.reserve(tasks);
+        self.edges.reserve(edges);
+        self.seen_pairs.reserve(edges);
+    }
+
     /// Add a task; its id is assigned densely in insertion order.
     pub fn add_task(&mut self, name: impl Into<String>, weight: StochasticWeight) -> TaskId {
         let id = TaskId(self.tasks.len() as u32);
