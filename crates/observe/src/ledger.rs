@@ -65,11 +65,6 @@ impl BudgetLedger {
         self.reservation
     }
 
-    /// Sum of Eq. 6 shares handed out.
-    pub fn share_total(&self) -> f64 {
-        self.share_total
-    }
-
     /// Planner-side marginal cost committed across all placements.
     pub fn planned_cost(&self) -> f64 {
         self.planned_cost
@@ -78,11 +73,6 @@ impl BudgetLedger {
     /// Tasks placed.
     pub fn placed_count(&self) -> u32 {
         self.placed_count
-    }
-
-    /// Leftover pot after the last placement.
-    pub fn final_pot(&self) -> f64 {
-        self.final_pot
     }
 
     /// Placements whose pot movement did not replay as
@@ -264,7 +254,7 @@ mod tests {
         });
         assert_eq!(l.pot_violations(), 1);
         assert_eq!(l.placed_count(), 2);
-        assert_eq!(l.share_total(), 3.0);
+        assert!(l.summary().contains("shares 3.000000"));
         assert!(l.summary().contains("pot violations 1"));
     }
 }

@@ -26,12 +26,6 @@ impl Datacenter {
         Self { bandwidth, cost_per_hour, io_cost_per_byte }
     }
 
-    /// Seconds to move `bytes` between a VM and the datacenter.
-    #[inline]
-    pub fn transfer_time(&self, bytes: f64) -> f64 {
-        bytes / self.bandwidth
-    }
-
     /// Cost per second of datacenter usage.
     #[inline]
     pub fn cost_per_second(&self) -> f64 {
@@ -49,13 +43,6 @@ impl Datacenter {
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
-
-    #[test]
-    fn transfer_time_divides_by_bandwidth() {
-        let dc = Datacenter::new(125e6, 0.022, 0.055e-9);
-        assert_eq!(dc.transfer_time(125e6), 1.0);
-        assert_eq!(dc.transfer_time(0.0), 0.0);
-    }
 
     #[test]
     fn cost_combines_io_and_duration() {

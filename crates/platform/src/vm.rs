@@ -63,24 +63,12 @@ impl VmCategory {
     pub fn cost_per_second(&self) -> f64 {
         self.cost_per_hour / 3600.0
     }
-
-    /// Seconds to execute `work` units on this category.
-    #[inline]
-    pub fn exec_time(&self, work: f64) -> f64 {
-        work / self.speed
-    }
 }
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
-
-    #[test]
-    fn exec_time_divides_by_speed() {
-        let c = VmCategory::new("m", 20.0, 0.10, 0.005, 100.0);
-        assert_eq!(c.exec_time(100.0), 5.0);
-    }
 
     #[test]
     fn per_second_cost() {

@@ -5,56 +5,13 @@
 //! makespan; this module closes the loop for users who start from a
 //! deadline instead: [`min_budget_for_deadline`] binary-searches the
 //! smallest budget whose HEFTBUDG schedule meets the deadline under
-//! conservative planning, and [`plan_bicriteria`] checks a given `(D, B)`
-//! pair, reporting which constraint fails.
+//! conservative planning.
 
 use crate::heft::heft_budg;
 use crate::refine::planned;
 use wfs_platform::Platform;
-use wfs_simulator::{Schedule, SimulationReport};
+use wfs_simulator::Schedule;
 use wfs_workflow::Workflow;
-
-/// Outcome of a bi-criteria `(deadline, budget)` feasibility check.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Bicriteria {
-    /// A schedule meeting both constraints (conservative planning).
-    Feasible {
-        /// The schedule.
-        schedule: Schedule,
-        /// Its planned execution.
-        planned: SimulationReport,
-    },
-    /// The budget is enough for *some* schedule but the deadline is not met.
-    DeadlineMiss {
-        /// Planned makespan of the best schedule found.
-        makespan: f64,
-    },
-    /// Even the cheapest schedule exceeds the budget.
-    BudgetInfeasible {
-        /// Cost of the cheapest schedule.
-        min_cost: f64,
-    },
-}
-
-/// Check one `(deadline, budget)` pair with HEFTBUDG + conservative replay.
-pub fn plan_bicriteria(
-    wf: &Workflow,
-    platform: &Platform,
-    deadline: f64,
-    budget: f64,
-) -> Bicriteria {
-    let floor = crate::min_cost_floor(wf, platform);
-    if budget < floor {
-        return Bicriteria::BudgetInfeasible { min_cost: floor };
-    }
-    let (schedule, _) = heft_budg(wf, platform, budget);
-    let planned = planned(wf, platform, &schedule);
-    if planned.makespan <= deadline && planned.total_cost <= budget {
-        Bicriteria::Feasible { schedule, planned }
-    } else {
-        Bicriteria::DeadlineMiss { makespan: planned.makespan }
-    }
-}
 
 /// Relative precision of the budget binary search.
 const SEARCH_REL_EPS: f64 = 0.01;
@@ -156,26 +113,5 @@ mod tests {
         let p = paper();
         // No budget makes a 90-stage-deep pipeline finish in one second.
         assert!(min_budget_for_deadline(&wf, &p, 1.0).is_none());
-    }
-
-    #[test]
-    fn bicriteria_variants() {
-        let wf = montage(GenConfig::new(30, 1));
-        let p = paper();
-        let base = baseline_makespan(&wf, &p);
-        match plan_bicriteria(&wf, &p, base * 2.0, 5.0) {
-            Bicriteria::Feasible { planned, .. } => {
-                assert!(planned.satisfies(base * 2.0, 5.0));
-            }
-            other => panic!("expected feasible, got {other:?}"),
-        }
-        match plan_bicriteria(&wf, &p, 1.0, 5.0) {
-            Bicriteria::DeadlineMiss { makespan } => assert!(makespan > 1.0),
-            other => panic!("expected deadline miss, got {other:?}"),
-        }
-        match plan_bicriteria(&wf, &p, base * 2.0, 0.0) {
-            Bicriteria::BudgetInfeasible { min_cost } => assert!(min_cost > 0.0),
-            other => panic!("expected budget infeasible, got {other:?}"),
-        }
     }
 }

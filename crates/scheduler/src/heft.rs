@@ -11,14 +11,14 @@ use crate::plan::PlanState;
 use wfs_observe::{EventSink, NoopSink};
 use wfs_platform::Platform;
 use wfs_simulator::Schedule;
-use wfs_workflow::analysis::{heft_order, WeightMode};
+use wfs_workflow::analysis::heft_order;
 use wfs_workflow::{TaskId, Workflow};
 
 /// The HEFT priority list for `wf` on `platform`: tasks by non-increasing
 /// bottom level, computed with conservative weights at the mean speed
 /// (`ListT` in the paper).
 pub fn priority_list(wf: &Workflow, platform: &Platform) -> Vec<TaskId> {
-    heft_order(wf, WeightMode::Conservative, platform.mean_speed(), platform.datacenter.bandwidth)
+    heft_order(wf, platform.mean_speed(), platform.datacenter.bandwidth)
 }
 
 /// Run HEFTBUDG with initial budget `b_ini` (Algorithm 4). Returns the

@@ -68,7 +68,7 @@ pub use best_host::get_best_host;
 pub use budget::{
     datacenter_reservation, divide_budget, t_calc_task, t_calc_workflow, BudgetSplit, Pot,
 };
-pub use deadline::{min_budget_for_deadline, plan_bicriteria, Bicriteria};
+pub use deadline::min_budget_for_deadline;
 pub use ensemble::{schedule_ensemble, AdmittedWorkflow, EnsembleMember, EnsembleResult};
 pub use heft::{heft_budg, heft_budg_carry, heft_budg_observed, priority_list};
 pub use online::{run_online, OnlineConfig, OnlineOutcome};

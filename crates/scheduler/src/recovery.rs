@@ -195,11 +195,6 @@ impl RecoveryOutcome {
     pub fn within_budget(&self) -> bool {
         self.total_cost <= self.budget
     }
-
-    /// Dollars spent beyond the budget (0 when within it).
-    pub fn budget_overrun(&self) -> f64 {
-        (self.total_cost - self.budget).max(0.0)
-    }
 }
 
 fn as_u64(x: usize) -> u64 {
@@ -252,17 +247,17 @@ fn cheapest_floor(wf: &Workflow, platform: &Platform) -> f64 {
 /// must pay.
 fn residual_workflow(wf: &Workflow, durable: &[bool]) -> (Workflow, Vec<TaskId>) {
     let mut b = WorkflowBuilder::new(format!("{}-residual", wf.name));
+    let live = |t: TaskId| !durable[t.index()];
+    let tasks = wf.task_ids().filter(|&t| live(t)).count();
+    b.reserve(tasks, wf.edges().iter().filter(|e| live(e.from) && live(e.to)).count());
     let mut new_id: Vec<Option<TaskId>> = vec![None; wf.task_count()];
-    let mut map: Vec<TaskId> = Vec::new();
-    for t in wf.task_ids() {
-        if durable[t.index()] {
-            continue;
-        }
+    let mut map: Vec<TaskId> = Vec::with_capacity(tasks);
+    for t in wf.task_ids().filter(|&t| live(t)) {
         let task = wf.task(t);
         let id = b.add_task(task.name.clone(), task.weight);
         let mut ext_in = task.external_input;
         for &e in wf.in_edges(t) {
-            if durable[wf.edge(e).from.index()] {
+            if !live(wf.edge(e).from) {
                 ext_in += wf.edge(e).size;
             }
         }

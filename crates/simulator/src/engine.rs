@@ -761,9 +761,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
         // Crash-stop fault: the VM's time-to-failure starts ticking the
         // moment it becomes operational.
         if let Some(cm) = self.faults.crash {
-            let cat = self.schedule.vm_category(VmId(vm_u32(v)));
             let mut rng = self.faults.crash_rng(v);
-            let ttf = cm.sample_ttf(cat.0, &mut rng);
+            let ttf = cm.sample_ttf(&mut rng);
             if ttf.is_finite() {
                 self.push_event(self.now + ttf, Event::VmCrash(v));
             }

@@ -5,10 +5,10 @@
 //! statistically independent:
 //!
 //! - **Crash-stop VM failures** ([`CrashModel`]): a time-to-failure is drawn
-//!   per VM (exponential or Weibull, with a per-category scale factor) when
-//!   the VM becomes operational. At the crash instant the in-flight task's
-//!   work and every in-flight transfer of that VM are lost; the occupied
-//!   interval up to the crash stays billed per Eq. 1.
+//!   per VM (exponential or Weibull) when the VM becomes operational. At the
+//!   crash instant the in-flight task's work and every in-flight transfer of
+//!   that VM are lost; the occupied interval up to the crash stays billed
+//!   per Eq. 1.
 //! - **Transient boot failures** ([`BootFaultModel`]): each boot attempt
 //!   fails independently with a fixed probability; every failed attempt
 //!   repeats the (uncharged) boot delay, scaled by a retry backoff. Past
@@ -55,16 +55,13 @@ pub(crate) fn sample_exponential(mean: f64, rng: &mut StdRng) -> f64 {
 /// Crash-stop VM failures: time-to-failure from boot end, drawn per VM.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CrashModel {
-    /// Weibull scale `λ` in seconds for category 0. With `shape == 1` this
-    /// is the mean time between failures; `f64::INFINITY` disables crashes
-    /// (the rate-0 configuration).
+    /// Weibull scale `λ` in seconds. With `shape == 1` this is the mean
+    /// time between failures; `f64::INFINITY` disables crashes (the rate-0
+    /// configuration).
     pub scale: f64,
     /// Weibull shape `k`; `1.0` gives exponential inter-arrivals, `< 1`
     /// infant mortality, `> 1` wear-out.
     pub shape: f64,
-    /// Per-category scale multiplier: category `c` uses `scale·factor^c`
-    /// (pricier instances can be made more — or less — reliable).
-    pub category_factor: f64,
 }
 
 impl CrashModel {
@@ -72,28 +69,20 @@ impl CrashModel {
     /// failures. `f64::INFINITY` yields a rate-0 model (never crashes).
     pub fn exponential(mtbf: f64) -> Self {
         assert!(mtbf > 0.0, "MTBF must be positive, got {mtbf}");
-        Self { scale: mtbf, shape: 1.0, category_factor: 1.0 }
+        Self { scale: mtbf, shape: 1.0 }
     }
 
     /// Weibull time-to-failure with the given scale and shape.
     pub fn weibull(scale: f64, shape: f64) -> Self {
         assert!(scale > 0.0, "Weibull scale must be positive, got {scale}");
         assert!(shape.is_finite() && shape > 0.0, "Weibull shape must be positive, got {shape}");
-        Self { scale, shape, category_factor: 1.0 }
+        Self { scale, shape }
     }
 
-    /// Set the per-category scale multiplier.
-    pub fn with_category_factor(mut self, factor: f64) -> Self {
-        assert!(factor.is_finite() && factor > 0.0, "category factor must be positive");
-        self.category_factor = factor;
-        self
-    }
-
-    /// Draw one time-to-failure for a VM of the given category.
-    pub(crate) fn sample_ttf(&self, category: u32, rng: &mut StdRng) -> f64 {
-        let scale = self.scale * self.category_factor.powf(f64::from(category));
+    /// Draw one time-to-failure.
+    pub(crate) fn sample_ttf(&self, rng: &mut StdRng) -> f64 {
         let u: f64 = rng.gen();
-        scale * (-(1.0 - u).ln()).powf(1.0 / self.shape)
+        self.scale * (-(1.0 - u).ln()).powf(1.0 / self.shape)
     }
 }
 
@@ -335,7 +324,7 @@ mod tests {
         let mut r1 = StdRng::seed_from_u64(5);
         let mut r2 = StdRng::seed_from_u64(5);
         for _ in 0..100 {
-            assert_eq!(m.sample_ttf(0, &mut r1), e.sample_ttf(0, &mut r2));
+            assert_eq!(m.sample_ttf(&mut r1), e.sample_ttf(&mut r2));
         }
     }
 
@@ -344,18 +333,8 @@ mod tests {
         let m = CrashModel::exponential(f64::INFINITY);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
-            assert!(m.sample_ttf(2, &mut rng).is_infinite());
+            assert!(m.sample_ttf(&mut rng).is_infinite());
         }
-    }
-
-    #[test]
-    fn category_factor_scales_ttf() {
-        let m = CrashModel::exponential(100.0).with_category_factor(2.0);
-        let mut r1 = StdRng::seed_from_u64(3);
-        let mut r2 = StdRng::seed_from_u64(3);
-        let t0 = m.sample_ttf(0, &mut r1);
-        let t1 = m.sample_ttf(1, &mut r2);
-        assert!((t1 - 2.0 * t0).abs() < 1e-9, "t0 {t0} t1 {t1}");
     }
 
     #[test]

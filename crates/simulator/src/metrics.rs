@@ -1,9 +1,7 @@
 //! Post-hoc metrics over a [`SimulationReport`]: VM utilization, the
 //! parallelism profile, cost efficiency — the quantities one inspects when
-//! judging *why* a schedule is cheap or slow. [`fault_metrics`] adds the
-//! fault-injection view: how much of the bill bought nothing.
+//! judging *why* a schedule is cheap or slow.
 
-use crate::faults::FaultStats;
 use crate::report::SimulationReport;
 use serde::{Deserialize, Serialize};
 
@@ -64,43 +62,6 @@ pub fn metrics(report: &SimulationReport) -> ExecutionMetrics {
         mean_parallelism: per_makespan(area),
         peak_parallelism: peak.max(0) as usize,
         speedup: per_makespan(total_compute),
-    }
-}
-
-/// Fault-aware metrics: the base execution metrics plus how faults taxed
-/// the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultMetrics {
-    /// Metrics of the (possibly partial) execution.
-    pub execution: ExecutionMetrics,
-    /// Raw fault counters of the run.
-    pub stats: FaultStats,
-    /// Fraction of charged VM seconds that bought nothing durable
-    /// (crash tails), in `[0, 1]`.
-    pub wasted_billed_fraction: f64,
-    /// Fraction of all computation seconds (useful + lost) that crashes
-    /// destroyed, in `[0, 1]`.
-    pub lost_compute_fraction: f64,
-}
-
-/// Compute [`FaultMetrics`] for a faulted run's report and counters.
-pub fn fault_metrics(report: &SimulationReport, stats: &FaultStats) -> FaultMetrics {
-    let execution = metrics(report);
-    let charged = execution.total_charged_time;
-    let compute_all = execution.total_compute_time + stats.wasted_compute_seconds;
-    FaultMetrics {
-        wasted_billed_fraction: if charged > 0.0 {
-            (stats.wasted_billed_seconds / charged).clamp(0.0, 1.0)
-        } else {
-            0.0
-        },
-        lost_compute_fraction: if compute_all > 0.0 {
-            (stats.wasted_compute_seconds / compute_all).clamp(0.0, 1.0)
-        } else {
-            0.0
-        },
-        execution,
-        stats: stats.clone(),
     }
 }
 
@@ -186,9 +147,6 @@ mod tests {
         assert_eq!(m.mean_parallelism, 0.0);
         assert_eq!(m.peak_parallelism, 0);
         assert_eq!(m.speedup, 0.0);
-        let fm = fault_metrics(&r, &FaultStats::default());
-        assert_eq!(fm.wasted_billed_fraction, 0.0);
-        assert_eq!(fm.lost_compute_fraction, 0.0);
     }
 
     #[test]
@@ -217,34 +175,5 @@ mod tests {
         assert_eq!(m.utilization, 0.0);
         assert_eq!(m.mean_parallelism, 0.0);
         assert!(m.speedup.is_finite());
-        let fm = fault_metrics(&r, &FaultStats::default());
-        assert!(fm.wasted_billed_fraction.is_finite());
-        assert!(fm.lost_compute_fraction.is_finite());
-    }
-
-    #[test]
-    fn fault_metrics_fractions_are_bounded() {
-        let wf = chain(4, 500.0, 1e6);
-        let p = paper();
-        let mut s = Schedule::new(wf.task_count());
-        let vm = s.add_vm(CategoryId(0));
-        for &t in wf.topological_order() {
-            s.assign(t, vm);
-        }
-        let r = simulate(&wf, &p, &s, &SimConfig::planning()).unwrap();
-        let clean = fault_metrics(&r, &FaultStats::default());
-        assert_eq!(clean.wasted_billed_fraction, 0.0);
-        assert_eq!(clean.lost_compute_fraction, 0.0);
-        let stats = FaultStats {
-            crashes: 1,
-            tasks_lost: 1,
-            wasted_billed_seconds: 10.0,
-            wasted_compute_seconds: 5.0,
-            ..Default::default()
-        };
-        let m = fault_metrics(&r, &stats);
-        assert!(m.wasted_billed_fraction > 0.0 && m.wasted_billed_fraction <= 1.0, "{m:?}");
-        assert!(m.lost_compute_fraction > 0.0 && m.lost_compute_fraction <= 1.0, "{m:?}");
-        assert_eq!(m.stats, stats);
     }
 }

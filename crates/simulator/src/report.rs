@@ -70,19 +70,6 @@ impl SimulationReport {
         self.total_cost <= budget
     }
 
-    /// True if the execution met the deadline `D >= H_end,last −
-    /// H_start,first` (first half of the paper's objective, Eq. 3).
-    #[inline]
-    pub fn meets_deadline(&self, deadline: f64) -> bool {
-        self.makespan <= deadline
-    }
-
-    /// The paper's full objective (Eq. 3): deadline met *and* budget held.
-    #[inline]
-    pub fn satisfies(&self, deadline: f64, budget: f64) -> bool {
-        self.meets_deadline(deadline) && self.within_budget(budget)
-    }
-
     /// Export the per-task records as CSV (`task,name-less`; join with the
     /// workflow for names): `task,vm,start,end,realized_weight`.
     pub fn tasks_csv(&self) -> String {
@@ -162,16 +149,6 @@ mod tests {
         assert!(r.within_budget(0.03));
         assert!(r.within_budget(1.0));
         assert!(!r.within_budget(0.0299));
-    }
-
-    #[test]
-    fn deadline_and_eq3_objective() {
-        let r = tiny_report();
-        assert!(r.meets_deadline(100.0));
-        assert!(!r.meets_deadline(99.9));
-        assert!(r.satisfies(100.0, 0.03));
-        assert!(!r.satisfies(99.0, 0.03));
-        assert!(!r.satisfies(100.0, 0.01));
     }
 
     #[test]

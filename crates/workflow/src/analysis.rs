@@ -4,26 +4,6 @@
 use crate::graph::Workflow;
 use crate::task::TaskId;
 
-/// Which weight estimate an analysis uses for task durations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeightMode {
-    /// Mean weight `w̄` (what plain HEFT/MIN-MIN on deterministic DAGs use).
-    Mean,
-    /// Conservative `w̄ + σ` (what the budget-aware algorithms plan with).
-    Conservative,
-}
-
-impl WeightMode {
-    /// The work amount of `t` under this mode.
-    pub fn work(self, wf: &Workflow, t: TaskId) -> f64 {
-        let w = wf.task(t).weight;
-        match self {
-            WeightMode::Mean => w.mean,
-            WeightMode::Conservative => w.conservative(),
-        }
-    }
-}
-
 /// Partition the tasks into *levels*: level of `t` = length of the longest
 /// path from any entry task to `t` (0 for entries). Tasks in one level are
 /// pairwise independent. This is the decomposition BDT schedules by
@@ -48,14 +28,15 @@ pub fn levels(wf: &Workflow) -> Vec<Vec<TaskId>> {
 ///
 /// `rank(T) = w_T / speed + max over successors S of (size(T,S)/bw + rank(S))`
 ///
-/// `speed` is the mean VM speed `s̄` and `bw` the datacenter bandwidth, so
-/// ranks are in seconds. HEFT and HEFTBUDG schedule tasks by non-increasing
-/// rank (paper §IV, \[24\]).
-pub fn bottom_levels(wf: &Workflow, mode: WeightMode, speed: f64, bw: f64) -> Vec<f64> {
+/// `w_T` is the conservative weight `w̄ + σ` the budget-aware algorithms
+/// plan with, `speed` the mean VM speed `s̄` and `bw` the datacenter
+/// bandwidth, so ranks are in seconds. HEFT and HEFTBUDG schedule tasks by
+/// non-increasing rank (paper §IV, \[24\]).
+pub fn bottom_levels(wf: &Workflow, speed: f64, bw: f64) -> Vec<f64> {
     assert!(speed > 0.0 && bw > 0.0, "speed and bandwidth must be positive");
     let mut rank = vec![0.0f64; wf.task_count()];
     for &t in wf.topological_order().iter().rev() {
-        let exec = mode.work(wf, t) / speed;
+        let exec = wf.task(t).weight.conservative() / speed;
         let mut tail: f64 = 0.0;
         for &e in wf.out_edges(t) {
             let edge = wf.edge(e);
@@ -68,8 +49,8 @@ pub fn bottom_levels(wf: &Workflow, mode: WeightMode, speed: f64, bw: f64) -> Ve
 
 /// Task ids ordered by non-increasing bottom level — the `ListT` priority
 /// list of HEFT/HEFTBUDG. Ties break on task id for determinism.
-pub fn heft_order(wf: &Workflow, mode: WeightMode, speed: f64, bw: f64) -> Vec<TaskId> {
-    let rank = bottom_levels(wf, mode, speed, bw);
+pub fn heft_order(wf: &Workflow, speed: f64, bw: f64) -> Vec<TaskId> {
+    let rank = bottom_levels(wf, speed, bw);
     let mut ids: Vec<TaskId> = wf.task_ids().collect();
     // `total_cmp`, not `partial_cmp(..).unwrap()`: a degenerate workflow
     // (e.g. zero total weight feeding a 0/0 in a budget share) can make
@@ -80,8 +61,8 @@ pub fn heft_order(wf: &Workflow, mode: WeightMode, speed: f64, bw: f64) -> Vec<T
 
 /// The critical path: the entry→exit chain with maximal total duration
 /// (execution at `speed` + transfers at `bw`). Returns `(path, length_secs)`.
-pub fn critical_path(wf: &Workflow, mode: WeightMode, speed: f64, bw: f64) -> (Vec<TaskId>, f64) {
-    let rank = bottom_levels(wf, mode, speed, bw);
+pub fn critical_path(wf: &Workflow, speed: f64, bw: f64) -> (Vec<TaskId>, f64) {
+    let rank = bottom_levels(wf, speed, bw);
     // Start from the entry task with the largest rank, then repeatedly follow
     // the successor that realizes the max in the rank recurrence.
     // NaN-safe selection: `total_cmp` keeps the max well-defined even when
@@ -194,7 +175,7 @@ mod tests {
     fn bottom_levels_unit_speed_no_comm() {
         let wf = diamond();
         // speed 1, bandwidth huge => pure compute ranks.
-        let r = bottom_levels(&wf, WeightMode::Mean, 1.0, 1e18);
+        let r = bottom_levels(&wf, 1.0, 1e18);
         assert!((r[3] - 4.0).abs() < 1e-9);
         assert!((r[1] - 6.0).abs() < 1e-9);
         assert!((r[2] - 12.0).abs() < 1e-9);
@@ -205,7 +186,7 @@ mod tests {
     fn bottom_levels_include_transfers() {
         let wf = diamond();
         // speed 1, bw 10 bytes/s => each edge adds 1 s.
-        let r = bottom_levels(&wf, WeightMode::Mean, 1.0, 10.0);
+        let r = bottom_levels(&wf, 1.0, 10.0);
         assert!((r[3] - 4.0).abs() < 1e-9);
         assert!((r[2] - (8.0 + 1.0 + 4.0)).abs() < 1e-9);
         assert!((r[0] - (1.0 + 1.0 + 13.0)).abs() < 1e-9);
@@ -214,7 +195,7 @@ mod tests {
     #[test]
     fn heft_order_is_descending_rank() {
         let wf = diamond();
-        let order = heft_order(&wf, WeightMode::Mean, 1.0, 1e18);
+        let order = heft_order(&wf, 1.0, 1e18);
         assert_eq!(order, vec![TaskId(0), TaskId(2), TaskId(1), TaskId(3)]);
     }
 
@@ -223,7 +204,7 @@ mod tests {
         // For any DAG, sorting by bottom level is a valid topological order
         // when all edge costs are non-negative.
         let wf = diamond();
-        let order = heft_order(&wf, WeightMode::Conservative, 2.0, 100.0);
+        let order = heft_order(&wf, 2.0, 100.0);
         let mut pos = vec![0; wf.task_count()];
         for (i, t) in order.iter().enumerate() {
             pos[t.index()] = i;
@@ -236,18 +217,19 @@ mod tests {
     #[test]
     fn critical_path_of_diamond() {
         let wf = diamond();
-        let (path, len) = critical_path(&wf, WeightMode::Mean, 1.0, 10.0);
+        let (path, len) = critical_path(&wf, 1.0, 10.0);
         assert_eq!(path, vec![TaskId(0), TaskId(2), TaskId(3)]);
         assert!((len - 15.0).abs() < 1e-9);
     }
 
     #[test]
-    fn conservative_mode_uses_sigma() {
-        let wf = diamond().with_sigma_ratio(1.0); // σ = mean => weight doubles
-        let r_mean = bottom_levels(&wf, WeightMode::Mean, 1.0, 1e18);
-        let r_cons = bottom_levels(&wf, WeightMode::Conservative, 1.0, 1e18);
-        for (m, c) in r_mean.iter().zip(&r_cons) {
-            assert!((c - 2.0 * m).abs() < 1e-9);
+    fn ranks_use_mean_plus_sigma() {
+        // σ = mean doubles every conservative weight w̄ + σ, and with free
+        // transfers every rank doubles against the σ = 0 diamond.
+        let r_fixed = bottom_levels(&diamond(), 1.0, 1e18);
+        let r_sigma = bottom_levels(&diamond().with_sigma_ratio(1.0), 1.0, 1e18);
+        for (f, s) in r_fixed.iter().zip(&r_sigma) {
+            assert!((s - 2.0 * f).abs() < 1e-9);
         }
     }
 
@@ -285,14 +267,14 @@ mod tests {
         b.add_edge(a, c, 0.0).unwrap();
         b.add_edge(a, d, 0.0).unwrap();
         let wf = b.build().unwrap();
-        let ranks = bottom_levels(&wf, WeightMode::Mean, 1.0, 1.0);
+        let ranks = bottom_levels(&wf, 1.0, 1.0);
         assert!(ranks.iter().all(|r| r.is_nan()), "0/0 weights make every rank NaN");
         // Before the total_cmp migration both of these panicked.
-        let o1 = heft_order(&wf, WeightMode::Mean, 1.0, 1.0);
-        let o2 = heft_order(&wf, WeightMode::Mean, 1.0, 1.0);
+        let o1 = heft_order(&wf, 1.0, 1.0);
+        let o2 = heft_order(&wf, 1.0, 1.0);
         assert_eq!(o1, o2, "NaN ranks still give a deterministic order");
         assert_eq!(o1.len(), 3);
-        let (path, len) = critical_path(&wf, WeightMode::Mean, 1.0, 1.0);
+        let (path, len) = critical_path(&wf, 1.0, 1.0);
         assert!(!path.is_empty());
         assert!(len.is_nan());
     }

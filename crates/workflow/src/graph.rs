@@ -4,7 +4,7 @@ use crate::task::{StochasticWeight, Task, TaskId};
 use serde::{Deserialize, Serialize};
 
 /// Index of an edge inside a [`Workflow`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -91,8 +91,9 @@ impl std::error::Error for WorkflowError {}
 /// weights and data-transfer edges (paper §III-A).
 ///
 /// Construction goes through [`WorkflowBuilder`], which validates acyclicity;
-/// a `Workflow` is therefore always a well-formed non-empty DAG.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// a `Workflow` is therefore always a well-formed non-empty DAG. Its JSON
+/// form ([`Workflow::to_json`]) is the builder's input only.
+#[derive(Debug, Clone)]
 pub struct Workflow {
     /// Workflow name (e.g. `MONTAGE-90-i2`).
     pub name: String,
@@ -228,32 +229,47 @@ impl Workflow {
         self
     }
 
-    /// Serialize to pretty JSON.
-    #[allow(clippy::expect_used)] // plain-old-data type: serialization is infallible
+    /// Serialize to pretty JSON: an object holding exactly `name`, `tasks`
+    /// and `edges`, the builder's input. [`Workflow::from_json`] derives the
+    /// adjacency and the topological order again.
+    #[allow(clippy::expect_used)] // plain-old-data tree: serialization is infallible
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("workflow serialization cannot fail")
+        let Workflow { name, tasks, edges, .. } = self;
+        let file = serde_json::json!({"name": name, "tasks": tasks, "edges": edges});
+        serde_json::to_string_pretty(&file).expect("workflow serialization cannot fail")
     }
 
-    /// Deserialize from JSON produced by [`Workflow::to_json`], re-validating
-    /// the DAG structure, the task ids and every weight and byte count.
+    /// Deserialize from a `{name, tasks, edges}` object, re-validating the
+    /// DAG structure, the task ids and every weight and byte count. Other
+    /// keys are ignored, so files that also list `preds`, `succs` and
+    /// `topo` still load.
     pub fn from_json(s: &str) -> Result<Self, Box<dyn std::error::Error>> {
-        let wf: Workflow = serde_json::from_str(s)?;
-        // Re-build through the builder so hand-edited files cannot smuggle in
+        let file: WorkflowFile = serde_json::from_str(s)?;
+        // Build through the builder so hand-edited files cannot smuggle in
         // cycles, dangling edges, renumbered tasks or values the planners
         // and the engine cannot work with.
-        let mut b = WorkflowBuilder::new(&wf.name);
-        for (position, t) in wf.tasks.iter().enumerate() {
+        let mut b = WorkflowBuilder::new(file.name);
+        b.reserve(file.tasks.len(), file.edges.len());
+        for (position, t) in file.tasks.into_iter().enumerate() {
             if t.id.index() != position {
                 return Err(WorkflowError::TaskOutOfOrder { position, id: t.id }.into());
             }
-            check_task_fields(t)?;
-            b.add_task_full(t.clone());
+            check_task_fields(&t)?;
+            b.add_task_full(t);
         }
-        for e in &wf.edges {
+        for e in &file.edges {
             b.add_edge(e.from, e.to, e.size)?;
         }
         Ok(b.build()?)
     }
+}
+
+/// A workflow file: what [`Workflow::from_json`] hands to the builder.
+#[derive(Deserialize)]
+struct WorkflowFile {
+    name: String,
+    tasks: Vec<Task>,
+    edges: Vec<Edge>,
 }
 
 /// The first field of `t` outside its range (see
@@ -554,6 +570,46 @@ mod tests {
         assert_eq!(back.task_count(), wf.task_count());
         assert_eq!(back.edge_count(), wf.edge_count());
         assert_eq!(back.topological_order(), wf.topological_order());
+        // The file holds exactly the builder's input.
+        let serde_json::Value::Object(fields) = serde_json::from_str(&wf.to_json()).unwrap() else {
+            panic!("a workflow file is an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["name", "tasks", "edges"]);
+    }
+
+    #[test]
+    fn hand_written_json_loads() {
+        let json = r#"{"name": "pair",
+            "tasks": [
+                {"id": 0, "name": "a", "weight": {"mean": 1.0, "std_dev": 0.5},
+                 "external_input": 10.0, "external_output": 0.0},
+                {"id": 1, "name": "b", "weight": {"mean": 2.0, "std_dev": 0.0},
+                 "external_input": 0.0, "external_output": 20.0}],
+            "edges": [{"from": 0, "to": 1, "size": 5.0}]}"#;
+        let wf = Workflow::from_json(json).unwrap();
+        assert_eq!(wf.name, "pair");
+        assert_eq!(wf.task(TaskId(0)).weight, StochasticWeight::new(1.0, 0.5));
+        assert_eq!(wf.external_input_data(), 10.0);
+        assert_eq!(wf.external_output_data(), 20.0);
+        assert_eq!(wf.predecessors(TaskId(1)).collect::<Vec<_>>(), [TaskId(0)]);
+        assert_eq!(wf.topological_order(), [TaskId(0), TaskId(1)]);
+        assert_eq!(wf.pred_data_size(TaskId(1)), 5.0);
+    }
+
+    #[test]
+    fn json_with_derived_arrays_still_loads() {
+        // Files written before the format held only the builder's input
+        // also listed the adjacency and a topological order.
+        let wf = diamond();
+        let mut json: serde_json::Value = serde_json::from_str(&wf.to_json()).unwrap();
+        json["preds"] = serde_json::json!([[], [0], [1], [2, 3]]);
+        json["succs"] = serde_json::json!([[0, 1], [2], [3], []]);
+        json["topo"] = serde_json::json!([0, 1, 2, 3]);
+        let back = Workflow::from_json(&json.to_string()).unwrap();
+        assert_eq!(back.name, wf.name);
+        assert_eq!(back.tasks(), wf.tasks());
+        assert_eq!(back.edges(), wf.edges());
     }
 
     #[test]

@@ -12,15 +12,16 @@
 //! - [`gen`]: Pegasus-style benchmark generators (CYBERSHAKE / LIGO /
 //!   MONTAGE, plus EPIGENOMICS, SIPHT and synthetic shapes);
 //! - [`dot`]: Graphviz export; [`dax`]: Pegasus DAX import/export;
-//!   JSON (de)serialization on [`Workflow`] itself.
+//!   JSON import/export of the builder's input (`name`, `tasks`, `edges`)
+//!   on [`Workflow`] itself.
 //!
 //! ```
 //! use wfs_workflow::gen::{montage, GenConfig};
-//! use wfs_workflow::analysis::{stats, heft_order, WeightMode};
+//! use wfs_workflow::analysis::{stats, heft_order};
 //!
 //! let wf = montage(GenConfig::new(30, 1));
 //! assert_eq!(wf.task_count(), 30);
-//! let order = heft_order(&wf, WeightMode::Conservative, 20.0e9, 125.0e6);
+//! let order = heft_order(&wf, 20.0e9, 125.0e6);
 //! assert_eq!(order.len(), 30);
 //! println!("{:?}", stats(&wf));
 //! ```

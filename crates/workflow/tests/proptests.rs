@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wfs_workflow::analysis::{bottom_levels, critical_path, heft_order, levels, stats, WeightMode};
+use wfs_workflow::analysis::{bottom_levels, critical_path, heft_order, levels, stats};
 use wfs_workflow::gen::{
     cybershake, epigenomics, layered_random, ligo, montage, sipht, GenConfig, LayeredParams,
 };
@@ -118,7 +118,7 @@ fn bottom_levels_sound() {
         let wf = random_benchmark(&mut rng);
         let speed = rng.gen_range(1.0..100.0f64);
         let bw = rng.gen_range(1e6..1e9f64);
-        let rank = bottom_levels(&wf, WeightMode::Conservative, speed, bw);
+        let rank = bottom_levels(&wf, speed, bw);
         for t in wf.task_ids() {
             let own = wf.task(t).weight.conservative() / speed;
             assert!(rank[t.0 as usize] >= own - 1e-9, "case {case}");
@@ -129,7 +129,7 @@ fn bottom_levels_sound() {
                 "case {case}"
             );
         }
-        let order = heft_order(&wf, WeightMode::Conservative, speed, bw);
+        let order = heft_order(&wf, speed, bw);
         let mut pos = vec![0usize; wf.task_count()];
         for (i, t) in order.iter().enumerate() {
             pos[t.0 as usize] = i;
@@ -150,7 +150,7 @@ fn critical_path_is_a_real_path() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xD00D_0004 + case);
         let wf = random_benchmark(&mut rng);
-        let (path, len) = critical_path(&wf, WeightMode::Mean, 10.0, 125e6);
+        let (path, len) = critical_path(&wf, 10.0, 125e6);
         assert!(!path.is_empty(), "case {case}");
         assert!(
             wf.predecessors(path[0]).count() == 0,
@@ -166,7 +166,7 @@ fn critical_path_is_a_real_path() {
                 "case {case}: consecutive path tasks not connected"
             );
         }
-        let rank = bottom_levels(&wf, WeightMode::Mean, 10.0, 125e6);
+        let rank = bottom_levels(&wf, 10.0, 125e6);
         let max_entry_rank = wf
             .entry_tasks()
             .map(|t| rank[t.0 as usize])

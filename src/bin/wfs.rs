@@ -7,7 +7,7 @@
 //! wfs schedule <workflow.json> --alg <name> --budget <dollars>
 //!              [--platform FILE] [-o FILE]
 //! wfs simulate <workflow.json> <schedule.json> [--seed N | --conservative | --mean]
-//!              [--platform FILE] [--budget B] [--gantt]
+//!              [--platform FILE] [--budget B] [--gantt] [--svg FILE]
 //! wfs sweep <workflow.json> --budgets <b1,b2,...> [--algs <a1,a2,...>] [--platform FILE]
 //! wfs faults <workflow.json> --budget <dollars> [--alg NAME] [--policy failstop|retry|reschedule]
 //!            [--mtbf SECS] [--shape K] [--boot-fail P] [--degrade F:GAP:DUR]
@@ -15,6 +15,7 @@
 //!            [--trace FILE] [--ledger]
 //! wfs trace <workflow.json> --budget <dollars> [--alg NAME] [--seed N | --conservative | --mean]
 //!           [--platform FILE] [-o FILE] [--ledger] [--counters]
+//! wfs deadline <workflow.json> --deadline <secs> [--platform FILE]
 //! wfs platform [-o FILE]
 //! ```
 //!
@@ -48,7 +49,7 @@ const USAGE: &str = "usage:
   wfs dot <workflow.json> [-o FILE]
   wfs schedule <workflow.json> --alg <name> --budget <dollars> [--platform FILE] [-o FILE]
   wfs simulate <workflow.json> <schedule.json> [--seed N | --conservative | --mean]
-               [--platform FILE] [--budget B] [--gantt]
+               [--platform FILE] [--budget B] [--gantt] [--svg FILE]
   wfs sweep <workflow.json> --budgets <b1,b2,...> [--algs <a1,a2,...>] [--platform FILE]
   wfs faults <workflow.json> --budget <dollars> [--alg NAME] [--policy failstop|retry|reschedule]
              [--mtbf SECS] [--shape K] [--boot-fail P] [--degrade F:GAP:DUR]
@@ -244,14 +245,14 @@ fn cmd_simulate(args: &[String]) -> CliResult {
             .map_err(|e| format!("bad schedule: {e}"))?;
     let platform = load_platform(args)?;
     let cfg = parse_weights(args)?;
+    let budget = opt(args, "--budget").map(parse_budget).transpose()?;
     let r = simulate(&wf, &platform, &sched, &cfg).map_err(|e| e.to_string())?;
     println!("makespan   {:.1} s", r.makespan);
     println!("vm cost    ${:.4}", r.vm_cost);
     println!("dc cost    ${:.4}", r.datacenter_cost);
     println!("total cost ${:.4}", r.total_cost);
     println!("VMs used   {}", r.vms_used);
-    if let Some(b) = opt(args, "--budget") {
-        let b: f64 = parse(b, "budget")?;
+    if let Some(b) = budget {
         println!("in budget  {}", if r.within_budget(b) { "yes" } else { "NO" });
     }
     if has_flag(args, "--gantt") {

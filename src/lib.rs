@@ -46,9 +46,9 @@ pub mod prelude {
     };
     pub use wfs_platform::{BillingPolicy, CategoryId, Datacenter, Platform, VmCategory};
     pub use wfs_scheduler::{
-        divide_budget, heft_budg, min_budget_for_deadline, min_cost_schedule, plan_bicriteria,
-        run_online, run_with_recovery_observed, Algorithm, Bicriteria, OnlineConfig,
-        RecoveryConfig, RecoveryOutcome, RecoveryPolicy, RefineOrder,
+        divide_budget, heft_budg, min_budget_for_deadline, min_cost_schedule, run_online,
+        run_with_recovery_observed, Algorithm, OnlineConfig, RecoveryConfig, RecoveryOutcome,
+        RecoveryPolicy, RefineOrder,
     };
     pub use wfs_simulator::{
         simulate, simulate_observed, simulate_with_faults, BootFaultModel, CrashModel, DcCapacity,

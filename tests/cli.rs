@@ -69,6 +69,41 @@ fn gen_stats_dot_roundtrip() {
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("digraph"));
 }
 
+/// A workflow file written by hand holds only `name`, `tasks` and `edges`;
+/// the adjacency and the topological order are derived on load.
+#[test]
+fn stats_reads_a_hand_written_workflow_file() {
+    let tmp = TmpDir::new("stats_reads_a_hand_written_workflow_file");
+    let wf = tmp.path("pair.json");
+    let task = |id: u32, name: &str, mean: f64, ext_in: f64, ext_out: f64| {
+        serde_json::json!({
+            "id": id, "name": name, "weight": {"mean": mean, "std_dev": 0.0},
+            "external_input": ext_in, "external_output": ext_out,
+        })
+    };
+    let doc = serde_json::json!({
+        "name": "hand-pair",
+        "tasks": [(task(0, "a", 100.0, 2e6, 0.0)), (task(1, "b", 50.0, 0.0, 3e6))],
+        "edges": [{"from": 0, "to": 1, "size": 1e6}],
+    });
+    std::fs::write(&wf, doc.to_string()).unwrap();
+    let out = wfs(&["stats", wf.to_str().unwrap()]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for line in [
+        "workflow      hand-pair",
+        "tasks         2",
+        "edges         1",
+        "depth/width   2/1",
+        "entries/exits 1/1",
+        "total work    150.0 Gflop",
+        "total data    1.0 MB",
+        "external I/O  2.0 MB in / 3.0 MB out",
+    ] {
+        assert!(text.contains(line), "{line}: {text}");
+    }
+}
+
 #[test]
 fn schedule_then_simulate() {
     let tmp = TmpDir::new("schedule_then_simulate");
@@ -527,7 +562,12 @@ fn out_of_range_flags_are_usage_errors() {
     let wf = tmp.path("flags30.json");
     assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
     let wf = wf.to_str().unwrap();
+    let sched = tmp.path("flags30-sched.json");
+    let sched = sched.to_str().unwrap();
+    assert!(wfs(&["schedule", wf, "--alg", "heftbudg", "--budget", "2", "-o", sched]).status.success());
     let cases: &[(&[&str], &str)] = &[
+        (&["simulate", wf, sched, "--budget", "nan"], "budget must be a finite non-negative amount"),
+        (&["simulate", wf, sched, "--budget", "-5"], "budget must be a finite non-negative amount"),
         (&["faults", wf, "--budget", "2", "--mtbf", "0"], "mtbf must be > 0"),
         (&["faults", wf, "--budget", "2", "--mtbf", "600", "--shape", "0"], "shape must be"),
         (&["faults", wf, "--budget", "2", "--boot-fail", "1"], "boot-fail probability must be"),
