@@ -32,6 +32,12 @@ pub const DC_TID: u64 = u64::MAX;
 /// Microseconds per simulated second (trace-event `ts`/`dur` unit).
 const US: f64 = 1e6;
 
+/// Bytes reserved per output line. The longest line, a transfer span with
+/// five numbers, stays under 150 bytes while its timestamps stay below
+/// 1e12 µs and its other numbers below 12 digits; the faulted MONTAGE and
+/// LIGO runs of `tests/chrome_alloc.rs` write at most 114.
+const LINE_CAP: usize = 160;
+
 /// Lanes of a VM: compute, downloads, uploads (`tid = 3·vm + lane`).
 const COMPUTE: u8 = 0;
 const DOWN: u8 = 1;
@@ -292,8 +298,12 @@ impl ChromeTrace {
     /// order, still-open spans by `(pid, tid)` as zero-duration
     /// `(unclosed)` spans at their start, then instants in record order.
     pub fn to_json(&self) -> String {
-        let bound = self.json_len_bound();
-        let mut w = Writer::new(bound);
+        // Every line fits the cap unless its numbers run to dozens of
+        // digits; such a trace grows the buffer, and its bytes stay the same.
+        let lines: usize = self.procs.iter().map(|p| 3 + 6 * p.vms.len()).sum::<usize>()
+            + self.spans.len()
+            + self.instants.len();
+        let mut w = Writer::new(32 + LINE_CAP * lines);
         for p in &self.procs {
             w.line("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
             w.uint(u64::from(p.pid));
@@ -373,113 +383,8 @@ impl ChromeTrace {
             w.float3(i.ts);
             w.ids(i.pid, i.tid);
         }
-        let json = w.finish();
-        debug_assert!(json.len() <= bound, "{} bytes over the bound {bound}", json.len());
-        json
+        w.finish()
     }
-
-    /// An upper bound on the JSON's length, so that `to_json` writes into
-    /// one allocation: each line's literal text plus its numbers at the
-    /// widest the trace holds (a degradation factor's `{}` rendering is
-    /// taken to fit 32 characters).
-    fn json_len_bound(&self) -> usize {
-        let mut w = Widths::default();
-        // Thread and open-span lines, and datacenter lines (20-digit tid).
-        let (mut threads, mut open, mut dc) = (0, 0, 0);
-        for p in &self.procs {
-            let vm_tids = 3 * u64::try_from(p.vms.len()).unwrap_or(u64::MAX / 4) + 2;
-            w.int(u64::from(p.pid).max(vm_tids));
-            for v in &p.vms {
-                if let Some(category) = v.listed {
-                    threads += 3;
-                    w.int(category.map_or(0, u64::from));
-                }
-                for o in v.open.iter().flatten() {
-                    open += 1;
-                    w.label(o.label, o.ts);
-                }
-            }
-            if p.dc_listed {
-                threads += 1;
-                dc += 1;
-            }
-            if let Some(o) = p.dc_open {
-                open += 1;
-                dc += 1;
-                w.label(o.label, o.ts);
-            }
-        }
-        for s in &self.spans {
-            w.label(s.label, s.ts);
-            w.time(s.dur);
-            dc += usize::from(matches!(s.label, Label::Degraded { .. }));
-        }
-        for i in &self.instants {
-            w.time(i.ts);
-            w.int(u64::from(i.pid).max(i.tid));
-            if let Mark::TaskLost { task } = i.mark {
-                w.int(u64::from(task));
-            }
-        }
-        // Integer digits; a `{:.3}` float's sign, rounding carry, point and
-        // decimals; a `{:.0}` byte count's sign and carry.
-        let int = decimal_digits(w.int as f64);
-        let float = decimal_digits(w.time) + 6;
-        let bytes = decimal_digits(w.bytes) + 2;
-        // Separator and literal text, then the numbers, of each line kind.
-        let process = 76 + 2 * int;
-        let thread = 81 + 4 * int;
-        let span = 90 + 3 * int + bytes + 2 * float;
-        let instant = 69 + 3 * int + float;
-        32 + self.procs.len() * process
-            + threads * thread
-            + (self.spans.len() + open) * span
-            + self.instants.len() * instant
-            + dc * 64
-    }
-}
-
-/// The widest numbers a trace writes, for sizing its output.
-#[derive(Debug, Default)]
-struct Widths {
-    /// Largest pid, VM-track tid or id.
-    int: u64,
-    /// Largest magnitude of a `{:.3}` value.
-    time: f64,
-    /// Largest magnitude of a transfer's byte count.
-    bytes: f64,
-}
-
-impl Widths {
-    fn int(&mut self, n: u64) {
-        self.int = self.int.max(n);
-    }
-
-    fn time(&mut self, x: f64) {
-        self.time = self.time.max(x.abs());
-    }
-
-    fn label(&mut self, label: Label, ts: f64) {
-        self.time(ts);
-        match label {
-            Label::Boot { vm: id } | Label::Task { task: id } => self.int(u64::from(id)),
-            Label::Transfer { edge, bytes, .. } => {
-                self.int(edge.unsigned_abs());
-                self.bytes = self.bytes.max(bytes.abs());
-            }
-            Label::Degraded { .. } => {}
-        }
-    }
-}
-
-/// Digits in the integer part of `x ≥ 0`, at least one.
-fn decimal_digits(x: f64) -> usize {
-    let (mut digits, mut bound) = (1, 10.0);
-    while x >= bound && digits < 309 {
-        digits += 1;
-        bound *= 10.0;
-    }
-    digits
 }
 
 /// Appends trace-event lines to one output buffer.
@@ -786,6 +691,31 @@ mod tests {
         let tr = ChromeTrace::from_events(&events);
         assert_eq!(tr.spans[0].ts, 100.0 * 1e6);
         assert_eq!(tr.spans[0].pid, 1);
+    }
+
+    #[test]
+    fn numbers_past_the_line_cap_grow_the_buffer() {
+        // Timestamps near 1e300 s render with about 300 digits each.
+        let events = [
+            Event::VmBooked { vm: 0, category: 2, t: 1e300 },
+            Event::VmReady { vm: 0, t: 2e300 },
+            Event::TaskStarted { task: 1, vm: 0, t: 2e300 },
+            Event::TransferStarted { vm: 0, up: true, edge: 4, bytes: 1e300, t: 2.5e300 },
+            Event::TaskFinished { task: 1, vm: 0, t: 3e300 },
+            Event::VmCrashed { vm: 0, t: 3.5e300 },
+        ];
+        let tr = ChromeTrace::from_events(&events);
+        let json = tr.to_json();
+        let lines = 3 + 6 + tr.span_count() + tr.instant_count();
+        assert!(json.len() > 32 + LINE_CAP * lines, "{} bytes fit the cap", json.len());
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        // Process, three threads, two spans, the open upload, the crash.
+        assert_eq!(v["traceEvents"].as_array().unwrap().len(), 8);
+        for s in &tr.spans {
+            assert!(json.contains(&format!("\"ts\":{:.3},\"dur\":{:.3},", s.ts, s.dur)));
+        }
+        assert!(json.contains(&format!("up e4 {:.0}B (unclosed)", 1e300)));
+        assert!(json.contains(&format!("\"ts\":{:.3},\"pid\"", 3.5e300 * US)));
     }
 
     /// Every rendering path must match `core::fmt` byte for byte.

@@ -134,8 +134,8 @@ impl Entry {
 
 /// Incremental best-host cache for the round-based list schedulers
 /// MIN-MIN and MAX-MIN (SUFFERAGE scores the affordable set beyond the
-/// winner and runs an uncached threshold query; naive reference mode
-/// bypasses the cache).
+/// winner and runs an uncached top-two sweep, see `minmin.rs`'s
+/// `Rule::pick`; naive reference mode bypasses the cache).
 ///
 /// Each round queries every ready task, then commits one task to one VM
 /// `w`, either a used VM or a fresh one. That commit changes only `w`'s

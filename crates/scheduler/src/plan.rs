@@ -147,10 +147,9 @@ pub struct PlanState<'a> {
     /// Per category, its VMs ordered by `(ready instant, id)`: the index
     /// the pruned sweep and the threshold query walk (see
     /// [`Self::with_pruned_candidate_evals`] and
-    /// [`Self::with_threshold_query`]). Built by the first of them and kept
-    /// up to date by [`Self::commit`] from then on; naive reference mode
-    /// never builds it.
-    by_ready: RefCell<Option<ReadyIndex>>,
+    /// [`Self::with_threshold_query`]), kept up to date by
+    /// [`Self::commit`].
+    by_ready: ReadyIndex,
     /// Planned finish time of each scheduled task (`NAN` = unscheduled).
     finish: Vec<f64>,
     /// Planned instant each edge's data reaches the datacenter
@@ -173,7 +172,7 @@ impl<'a> PlanState<'a> {
             platform,
             weights: wf.tasks().iter().map(|t| t.weight.conservative()).collect(),
             vm_ready: Vec::new(),
-            by_ready: RefCell::new(None),
+            by_ready: vec![Vec::new(); platform.category_count()],
             finish: vec![f64::NAN; wf.task_count()],
             edge_at_dc: vec![f64::INFINITY; wf.edge_count()],
             schedule: Schedule::new(wf.task_count()),
@@ -400,9 +399,7 @@ impl<'a> PlanState<'a> {
             scratch.evals.clear();
             scratch.evals.extend(self.evaluate_all(t));
         } else {
-            let mut by_ready = self.by_ready.borrow_mut();
-            let index = by_ready.get_or_insert_with(|| self.ready_index());
-            self.push_pruned_evals(t, index, keep, scratch);
+            self.push_pruned_evals(t, keep, scratch);
         }
         self.count_sweep(scratch);
         f(&scratch.evals)
@@ -429,7 +426,6 @@ impl<'a> PlanState<'a> {
         t: TaskId,
         f: impl FnOnce(&mut ThresholdQuery<'_>) -> R,
     ) -> R {
-        let mut by_ready = self.by_ready.borrow_mut();
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
         let chains = if self.naive {
@@ -437,14 +433,13 @@ impl<'a> PlanState<'a> {
             scratch.evals.extend(self.evaluate_all(t));
             None
         } else {
-            let index = by_ready.get_or_insert_with(|| self.ready_index());
-            let dr = self.push_pruned_evals(t, index, 1, scratch);
+            let dr = self.push_pruned_evals(t, 1, scratch);
             for e in &scratch.evals {
                 if let Candidate::Used(vm) = e.candidate {
                     scratch.vm_seen[vm.index()] = scratch.stamp;
                 }
             }
-            Some((&*index, dr))
+            Some((&self.by_ready, dr))
         };
         let result = f(&mut ThresholdQuery { chains, scratch: &mut *scratch });
         self.count_sweep(scratch);
@@ -455,18 +450,12 @@ impl<'a> PlanState<'a> {
     /// [`Self::with_pruned_candidate_evals`]), each walk keeping at least
     /// `keep` entries, in candidate order. Returns the data-ready instant
     /// the chains split at.
-    fn push_pruned_evals(
-        &self,
-        t: TaskId,
-        index: &ReadyIndex,
-        keep: usize,
-        scratch: &mut Scratch,
-    ) -> f64 {
+    fn push_pruned_evals(&self, t: TaskId, keep: usize, scratch: &mut Scratch) -> f64 {
         scratch.evals.clear();
         scratch.cat_split.clear();
         let agg = self.in_edge_pass(t, scratch);
         let dr = agg.dready_all;
-        for (k, vms) in index.iter().enumerate() {
+        for (k, vms) in self.by_ready.iter().enumerate() {
             let (occupied, rate) = (scratch.cat_occupied[k], scratch.cat_rate[k]);
             let eval = |vm, r| eval_remote(vm, r, dr, occupied, rate);
             let split = vms.partition_point(|&(r, _)| r.0 <= dr);
@@ -487,19 +476,6 @@ impl<'a> PlanState<'a> {
         });
         self.push_new_evals(&agg, scratch);
         dr
-    }
-
-    /// The ready-instant index of the current plan, built from scratch.
-    fn ready_index(&self) -> ReadyIndex {
-        let mut index = vec![Vec::new(); self.platform.category_count()];
-        for vm in self.schedule.vm_ids() {
-            let cat = self.schedule.vm_category(vm).index();
-            index[cat].push((OrdF64(self.vm_ready[vm.index()]), vm));
-        }
-        for vms in &mut index {
-            vms.sort_unstable();
-        }
-        index
     }
 
     /// The in-edge pass of the pruned sweeps, O(deg + K). Computes the
@@ -618,17 +594,15 @@ impl<'a> PlanState<'a> {
         };
         self.schedule.assign(t, vm);
         self.vm_ready[vm.index()] = eval.eft;
-        if let Some(by_ready) = self.by_ready.get_mut() {
-            let index = &mut by_ready[self.schedule.vm_category(vm).index()];
-            if let Some(old) = old {
-                let at = index.partition_point(|e| *e < (old, vm));
-                debug_assert_eq!(index.get(at), Some(&(old, vm)), "indexed by its ready instant");
-                index.remove(at);
-            }
-            let new = (OrdF64(eval.eft), vm);
-            let at = index.partition_point(|e| *e < new);
-            index.insert(at, new);
+        let index = &mut self.by_ready[self.schedule.vm_category(vm).index()];
+        if let Some(old) = old {
+            let at = index.partition_point(|e| *e < (old, vm));
+            debug_assert_eq!(index.get(at), Some(&(old, vm)), "indexed by its ready instant");
+            index.remove(at);
         }
+        let new = (OrdF64(eval.eft), vm);
+        let at = index.partition_point(|e| *e < new);
+        index.insert(at, new);
         self.finish[t.index()] = eval.eft;
         let bw = self.platform.datacenter.bandwidth;
         // Conservative: assume every output is uploaded (some will stay

@@ -26,7 +26,6 @@
 use crate::algorithms::{min_cost_schedule, Algorithm};
 use crate::budget::{datacenter_reservation, Pot};
 use crate::heft::heft_budg_carry;
-use serde::{Deserialize, Serialize};
 use wfs_observe::{Event as Obs, EventSink};
 use wfs_platform::{CategoryId, Platform};
 use wfs_simulator::{
@@ -40,7 +39,7 @@ use wfs_workflow::{TaskId, Workflow, WorkflowBuilder};
 const EPOCH_STREAM: u64 = 0xE70C;
 
 /// How to react when a faulted run leaves the workflow incomplete.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// Abort after the first run; report the partial cost.
     FailStop,
@@ -148,7 +147,7 @@ impl RecoveryConfig {
 }
 
 /// One plan → inject epoch of a recovering execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochRecord {
     /// Epoch index (0 = the initial attempt).
     pub epoch: usize,
@@ -167,7 +166,7 @@ pub struct EpochRecord {
 }
 
 /// Outcome of a recovering execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryOutcome {
     /// Every task durably complete.
     pub completed: bool,
@@ -249,7 +248,6 @@ fn residual_workflow(wf: &Workflow, durable: &[bool]) -> (Workflow, Vec<TaskId>)
     let mut b = WorkflowBuilder::new(format!("{}-residual", wf.name));
     let live = |t: TaskId| !durable[t.index()];
     let tasks = wf.task_ids().filter(|&t| live(t)).count();
-    b.reserve(tasks, wf.edges().iter().filter(|e| live(e.from) && live(e.to)).count());
     let mut new_id: Vec<Option<TaskId>> = vec![None; wf.task_count()];
     let mut map: Vec<TaskId> = Vec::with_capacity(tasks);
     for t in wf.task_ids().filter(|&t| live(t)) {

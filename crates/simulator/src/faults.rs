@@ -26,7 +26,6 @@
 use crate::report::SimulationReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use wfs_workflow::TaskId;
 
 /// SplitMix64 finalizer — decorrelates per-stream seeds derived from one
@@ -53,7 +52,7 @@ pub(crate) fn sample_exponential(mean: f64, rng: &mut StdRng) -> f64 {
 }
 
 /// Crash-stop VM failures: time-to-failure from boot end, drawn per VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashModel {
     /// Weibull scale `λ` in seconds. With `shape == 1` this is the mean
     /// time between failures; `f64::INFINITY` disables crashes (the rate-0
@@ -87,7 +86,7 @@ impl CrashModel {
 }
 
 /// Transient boot failures with retry-and-backoff.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootFaultModel {
     /// Probability that one boot attempt fails (`0.0` = rate-0).
     pub fail_prob: f64,
@@ -119,7 +118,7 @@ impl BootFaultModel {
 
 /// Datacenter degradation windows: alternating OK/degraded intervals with
 /// exponential gap and duration, scaling the bandwidth while active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationModel {
     /// Bandwidth (and aggregate capacity) multiplier while degraded, in
     /// `(0, 1]` (`1.0` = rate-0: windows occur but change nothing).
@@ -148,7 +147,7 @@ const STREAM_DEGRADE: u64 = 3;
 
 /// Complete fault-injection configuration: one master seed plus up to three
 /// event families. Families left `None` inject nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Master seed; per-family, per-VM streams are derived from it via
     /// [`stream_seed`].
@@ -223,7 +222,7 @@ impl FaultConfig {
 }
 
 /// Counters accumulated by one faulted simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultStats {
     /// Crash-stop failures that hit a VM with work left.
     pub crashes: usize,

@@ -3,10 +3,9 @@
 //! judging *why* a schedule is cheap or slow.
 
 use crate::report::SimulationReport;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated execution metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionMetrics {
     /// Busy time (computing) divided by charged time, averaged over VMs
     /// weighted by their charged time. 1.0 = no idle, no transfer stalls.

@@ -23,7 +23,7 @@
 //! once. The cost is linear in the document plus the number of (output,
 //! consumer) file matches — see DESIGN.md §7 "DAX ingest".
 
-use crate::graph::{Workflow, WorkflowBuilder};
+use crate::graph::{Groups, Workflow, WorkflowBuilder};
 use crate::task::{StochasticWeight, TaskId};
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
@@ -471,36 +471,6 @@ struct Use<'a> {
     output: bool,
 }
 
-/// Values grouped by a dense key: `items[start[k]..start[k + 1]]` are the
-/// values of key `k`, in insertion order.
-struct Groups {
-    start: Vec<usize>,
-    items: Vec<u32>,
-}
-
-impl Groups {
-    fn new(keys: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> Self {
-        let mut start = vec![0; keys + 1];
-        for (k, _) in pairs.clone() {
-            start[k as usize + 1] += 1;
-        }
-        for k in 0..keys {
-            start[k + 1] += start[k];
-        }
-        let mut next = start.clone();
-        let mut items = vec![0; start[keys]];
-        for (k, v) in pairs {
-            items[next[k as usize]] = v;
-            next[k as usize] += 1;
-        }
-        Self { start, items }
-    }
-
-    fn of(&self, k: u32) -> &[u32] {
-        &self.items[self.start[k as usize]..self.start[k as usize + 1]]
-    }
-}
-
 /// Everything the pass over a document collects, borrowing from it. No id
 /// is hashed during the pass: [`Index::new`] interns them afterwards, into
 /// maps sized from the counts.
@@ -746,7 +716,6 @@ pub fn from_dax(doc: &str, reference_speed: f64) -> Result<Workflow, DaxError> {
     // outputs no job consumes.
     let overflow = |what: String| DaxError::Graph(format!("{what} overflows an f64 byte count"));
     let mut b = WorkflowBuilder::new(d.name.clone());
-    b.reserve(d.jobs.len(), edges.len());
     for (job, (inputs, outputs)) in d.jobs.iter().zip(&index.runs) {
         let ext_in: f64 = index.inputs[inputs.clone()]
             .iter()

@@ -4,7 +4,7 @@ use crate::task::{StochasticWeight, Task, TaskId};
 use serde::{Deserialize, Serialize};
 
 /// Index of an edge inside a [`Workflow`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -90,19 +90,20 @@ impl std::error::Error for WorkflowError {}
 /// A scientific workflow: a DAG `G = (V, E)` of tasks with stochastic
 /// weights and data-transfer edges (paper §III-A).
 ///
-/// Construction goes through [`WorkflowBuilder`], which validates acyclicity;
-/// a `Workflow` is therefore always a well-formed non-empty DAG. Its JSON
-/// form ([`Workflow::to_json`]) is the builder's input only.
+/// Construction goes through [`WorkflowBuilder`], which rejects repeated
+/// edges and cycles; a `Workflow` is therefore always a well-formed
+/// non-empty DAG. Its JSON form ([`Workflow::to_json`]) is the builder's
+/// input only.
 #[derive(Debug, Clone)]
 pub struct Workflow {
     /// Workflow name (e.g. `MONTAGE-90-i2`).
     pub name: String,
     tasks: Vec<Task>,
     edges: Vec<Edge>,
-    /// Per task: incoming edge ids (predecessors).
-    preds: Vec<Vec<EdgeId>>,
-    /// Per task: outgoing edge ids (successors).
-    succs: Vec<Vec<EdgeId>>,
+    /// Per task: incoming edge ids (predecessors), in edge-id order.
+    preds: Groups<EdgeId>,
+    /// Per task: outgoing edge ids (successors), in edge-id order.
+    succs: Groups<EdgeId>,
     /// A fixed topological order of the task ids.
     topo: Vec<TaskId>,
 }
@@ -152,33 +153,33 @@ impl Workflow {
     /// Incoming edges of `t` (one per predecessor).
     #[inline]
     pub fn in_edges(&self, t: TaskId) -> &[EdgeId] {
-        &self.preds[t.index()]
+        self.preds.of(t.0)
     }
 
     /// Outgoing edges of `t` (one per successor).
     #[inline]
     pub fn out_edges(&self, t: TaskId) -> &[EdgeId] {
-        &self.succs[t.index()]
+        self.succs.of(t.0)
     }
 
     /// Predecessor task ids of `t`.
     pub fn predecessors(&self, t: TaskId) -> impl Iterator<Item = TaskId> + '_ {
-        self.preds[t.index()].iter().map(|&e| self.edges[e.index()].from)
+        self.in_edges(t).iter().map(|&e| self.edges[e.index()].from)
     }
 
     /// Successor task ids of `t`.
     pub fn successors(&self, t: TaskId) -> impl Iterator<Item = TaskId> + '_ {
-        self.succs[t.index()].iter().map(|&e| self.edges[e.index()].to)
+        self.out_edges(t).iter().map(|&e| self.edges[e.index()].to)
     }
 
     /// Tasks with no predecessors.
     pub fn entry_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.task_ids().filter(|&t| self.preds[t.index()].is_empty())
+        self.task_ids().filter(|&t| self.in_edges(t).is_empty())
     }
 
     /// Tasks with no successors.
     pub fn exit_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.task_ids().filter(|&t| self.succs[t.index()].is_empty())
+        self.task_ids().filter(|&t| self.out_edges(t).is_empty())
     }
 
     /// A topological order of the tasks (fixed at construction; Kahn order
@@ -191,7 +192,7 @@ impl Workflow {
     /// Total volume of input data of `t` from all its predecessors,
     /// `size(d_pred,T)` (paper Eq. 6).
     pub fn pred_data_size(&self, t: TaskId) -> f64 {
-        self.preds[t.index()].iter().map(|&e| self.edges[e.index()].size).sum()
+        self.in_edges(t).iter().map(|&e| self.edges[e.index()].size).sum()
     }
 
     /// Total volume of data within the workflow, `d_max = Σ size(d_{T',T})`.
@@ -249,7 +250,6 @@ impl Workflow {
         // cycles, dangling edges, renumbered tasks or values the planners
         // and the engine cannot work with.
         let mut b = WorkflowBuilder::new(file.name);
-        b.reserve(file.tasks.len(), file.edges.len());
         for (position, t) in file.tasks.into_iter().enumerate() {
             if t.id.index() != position {
                 return Err(WorkflowError::TaskOutOfOrder { position, id: t.id }.into());
@@ -289,32 +289,53 @@ fn check_task_fields(t: &Task) -> Result<(), WorkflowError> {
     }
 }
 
-/// Incremental builder for [`Workflow`], validating as it goes.
+/// Values grouped by a dense key: `items[start[k]..start[k + 1]]` are the
+/// values of key `k`, in the order the pairs came (a stable counting sort).
+#[derive(Debug, Clone)]
+pub(crate) struct Groups<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> Groups<T> {
+    /// Group `pairs` of `(key, value)`, every key below `keys`.
+    pub(crate) fn new(keys: usize, pairs: impl Iterator<Item = (u32, T)> + Clone) -> Self {
+        let mut start = vec![0; keys + 1];
+        for (k, _) in pairs.clone() {
+            start[k as usize + 1] += 1;
+        }
+        for k in 0..keys {
+            start[k + 1] += start[k];
+        }
+        let mut next = start.clone();
+        let mut items = vec![T::default(); start[keys]];
+        for (k, v) in pairs {
+            items[next[k as usize]] = v;
+            next[k as usize] += 1;
+        }
+        Self { start, items }
+    }
+
+    /// The values of key `k`.
+    #[inline]
+    pub(crate) fn of(&self, k: u32) -> &[T] {
+        &self.items[self.start[k as usize]..self.start[k as usize + 1]]
+    }
+}
+
+/// Incremental builder for [`Workflow`]. Each edge is checked as it is
+/// added; repeated edges and cycles are found by [`WorkflowBuilder::build`].
 #[derive(Debug, Clone)]
 pub struct WorkflowBuilder {
     name: String,
     tasks: Vec<Task>,
     edges: Vec<Edge>,
-    seen_pairs: std::collections::HashSet<(u32, u32)>,
 }
 
 impl WorkflowBuilder {
     /// Start building a workflow with the given name.
     pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            tasks: Vec::new(),
-            edges: Vec::new(),
-            seen_pairs: std::collections::HashSet::new(),
-        }
-    }
-
-    /// Reserve room for `tasks` more tasks and `edges` more edges, so that
-    /// a caller that knows the graph's size builds it without regrowing.
-    pub fn reserve(&mut self, tasks: usize, edges: usize) {
-        self.tasks.reserve(tasks);
-        self.edges.reserve(edges);
-        self.seen_pairs.reserve(edges);
+        Self { name: name.into(), tasks: Vec::new(), edges: Vec::new() }
     }
 
     /// Add a task; its id is assigned densely in insertion order.
@@ -342,7 +363,8 @@ impl WorkflowBuilder {
         self.tasks[t.index()].external_output = bytes;
     }
 
-    /// Add a dependency edge carrying `size` bytes (finite, >= 0).
+    /// Add a dependency edge carrying `size` bytes (finite, >= 0). A
+    /// (from, to) pair added twice is rejected by [`WorkflowBuilder::build`].
     pub fn add_edge(&mut self, from: TaskId, to: TaskId, size: f64) -> Result<EdgeId, WorkflowError> {
         let n = self.tasks.len() as u32;
         if from.0 >= n {
@@ -357,9 +379,6 @@ impl WorkflowBuilder {
         if !(size.is_finite() && size >= 0.0) {
             return Err(WorkflowError::InvalidEdgeSize(from, to));
         }
-        if !self.seen_pairs.insert((from.0, to.0)) {
-            return Err(WorkflowError::DuplicateEdge(from, to));
-        }
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { from, to, size });
         Ok(id)
@@ -371,8 +390,9 @@ impl WorkflowBuilder {
     /// site instead of one `unwrap()` per generator edge.
     ///
     /// # Panics
-    /// If the edge is invalid after all (unknown endpoint, self-loop,
-    /// duplicate or bad size) — a bug in the calling generator.
+    /// If the edge is invalid after all (unknown endpoint, self-loop or bad
+    /// size) — a bug in the calling generator. A repeated edge panics in
+    /// [`WorkflowBuilder::build_valid`].
     #[allow(clippy::expect_used)] // single audited funnel for generator edges
     pub fn connect(&mut self, from: TaskId, to: TaskId, size: f64) -> EdgeId {
         self.add_edge(from, to, size)
@@ -386,44 +406,61 @@ impl WorkflowBuilder {
 
     /// [`WorkflowBuilder::build`] for generators whose construction is
     /// correct by design (tasks added before edges, edges follow the shape's
-    /// layering, at least one task): collapses the `Result` in one audited
-    /// place instead of a per-generator `expect()`.
+    /// layering, each pair once, at least one task): collapses the `Result`
+    /// in one audited place instead of a per-generator `expect()`.
     ///
     /// # Panics
-    /// If the graph is empty or cyclic — a bug in the calling generator.
+    /// If the graph is empty, repeats an edge or is cyclic — a bug in the
+    /// calling generator.
     #[allow(clippy::expect_used)] // single audited funnel for generator builds
     pub fn build_valid(self) -> Workflow {
         self.build().expect("generator-constructed workflows form a non-empty DAG")
     }
 
-    /// Finish: verifies the graph is a non-empty DAG and computes the
-    /// adjacency and a topological order.
+    /// Finish: verifies the graph is non-empty, repeats no (from, to) pair
+    /// and is acyclic, and computes the adjacency and a topological order.
+    /// Of several repeated pairs, the one whose second edge has the lowest
+    /// id is reported.
     pub fn build(self) -> Result<Workflow, WorkflowError> {
         if self.tasks.is_empty() {
             return Err(WorkflowError::Empty);
         }
         let n = self.tasks.len();
-        let mut preds: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-        for (i, e) in self.edges.iter().enumerate() {
-            let id = EdgeId(i as u32);
-            succs[e.from.index()].push(id);
-            preds[e.to.index()].push(id);
+        let task_ids = (0..n as u32).map(TaskId);
+        let edges = || self.edges.iter().zip((0u32..).map(EdgeId));
+        let preds = Groups::new(n, edges().map(|(e, i)| (e.to.0, i)));
+        let succs = Groups::new(n, edges().map(|(e, i)| (e.from.0, i)));
+        // A pair repeats when a task's in-edges name one source twice:
+        // stamp each source with the last target that listed it.
+        let mut listed_by = vec![u32::MAX; n];
+        let mut repeat: Option<EdgeId> = None;
+        for t in task_ids.clone() {
+            for &e in preds.of(t.0) {
+                let from = self.edges[e.index()].from.index();
+                if listed_by[from] == t.0 {
+                    repeat = Some(repeat.map_or(e, |r| r.min(e)));
+                    break;
+                }
+                listed_by[from] = t.0;
+            }
         }
-        // Kahn's algorithm with a FIFO queue: deterministic topological order.
-        let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
-        let mut queue: std::collections::VecDeque<TaskId> = (0..n as u32)
-            .map(TaskId)
-            .filter(|t| indeg[t.index()] == 0)
-            .collect();
+        if let Some(e) = repeat {
+            let Edge { from, to, .. } = self.edges[e.index()];
+            return Err(WorkflowError::DuplicateEdge(from, to));
+        }
+        // Kahn's algorithm, the order itself serving as the FIFO queue:
+        // deterministic topological order.
+        let mut indeg: Vec<usize> = task_ids.clone().map(|t| preds.of(t.0).len()).collect();
         let mut topo = Vec::with_capacity(n);
-        while let Some(t) = queue.pop_front() {
-            topo.push(t);
-            for &e in &succs[t.index()] {
+        topo.extend(task_ids.filter(|t| indeg[t.index()] == 0));
+        let mut head = 0;
+        while let Some(&t) = topo.get(head) {
+            head += 1;
+            for &e in succs.of(t.0) {
                 let v = self.edges[e.index()].to;
                 indeg[v.index()] -= 1;
                 if indeg[v.index()] == 0 {
-                    queue.push_back(v);
+                    topo.push(v);
                 }
             }
         }
@@ -522,7 +559,25 @@ mod tests {
         let a = b.add_task("a", w(1.0));
         let c = b.add_task("b", w(1.0));
         b.add_edge(a, c, 1.0).unwrap();
-        assert_eq!(b.add_edge(a, c, 2.0).unwrap_err(), WorkflowError::DuplicateEdge(a, c));
+        b.add_edge(a, c, 2.0).unwrap();
+        assert_eq!(b.build().unwrap_err(), WorkflowError::DuplicateEdge(a, c));
+    }
+
+    #[test]
+    fn lowest_repeating_edge_is_reported() {
+        // Edge ids: 0 a->d, 1 b->c, 2 a->d, 3 b->c. Both pairs repeat;
+        // edge 2 repeats first, although c's in-edges are grouped before
+        // d's.
+        let mut b = WorkflowBuilder::new("x");
+        let [ta, tb, tc, td] = ["a", "b", "c", "d"].map(|name| b.add_task(name, w(1.0)));
+        for (from, to) in [(ta, td), (tb, tc), (ta, td), (tb, tc)] {
+            b.add_edge(from, to, 1.0).unwrap();
+        }
+        assert_eq!(b.clone().build().unwrap_err(), WorkflowError::DuplicateEdge(ta, td));
+        // Repeats are found before cycles, as when they were rejected on
+        // insertion.
+        b.add_edge(td, ta, 1.0).unwrap();
+        assert_eq!(b.build().unwrap_err(), WorkflowError::DuplicateEdge(ta, td));
     }
 
     #[test]

@@ -273,7 +273,8 @@ fn cmd_simulate(args: &[String]) -> CliResult {
 /// the smallest budget whose HEFTBUDG schedule meets the deadline.
 fn cmd_deadline(args: &[String]) -> CliResult {
     let wf = load_workflow(args.first().ok_or("deadline: missing workflow file")?)?;
-    let d: f64 = parse(opt(args, "--deadline").ok_or("deadline: missing --deadline")?, "deadline")?;
+    let d = opt(args, "--deadline").ok_or("deadline: missing --deadline")?;
+    let d = parse_checked(d, "deadline", "finite and > 0", |v| v.is_finite() && v > 0.0)?;
     let platform = load_platform(args)?;
     match min_budget_for_deadline(&wf, &platform, d) {
         Some((budget, sched)) => {

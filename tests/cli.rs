@@ -575,6 +575,10 @@ fn out_of_range_flags_are_usage_errors() {
         (&["faults", wf, "--budget", "2", "--degrade", "0.5:0:10"], "degrade gap must be"),
         (&["faults", wf, "--budget", "2", "--max-epochs", "0"], "max epochs must be at least 1"),
         (&["sweep", wf, "--budgets", "1,inf"], "budget must be a finite non-negative amount"),
+        (&["deadline", wf, "--deadline", "nan"], "deadline must be finite and > 0"),
+        (&["deadline", wf, "--deadline", "-5"], "deadline must be finite and > 0"),
+        (&["deadline", wf, "--deadline", "0"], "deadline must be finite and > 0"),
+        (&["deadline", wf, "--deadline", "inf"], "deadline must be finite and > 0"),
         (&["gen", "montage", "0"], "montage needs at least 11 tasks"),
         (&["gen", "sipht", "5"], "sipht needs at least 6 tasks"),
         (&["gen", "ligo", "30", "--sigma", "-1"], "sigma ratio must be in [0, 100]"),
