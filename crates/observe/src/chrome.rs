@@ -160,11 +160,6 @@ pub struct ChromeTrace {
 }
 
 impl ChromeTrace {
-    /// An empty trace (epoch 0, zero offset).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Build a trace from a recorded event stream.
     pub fn from_events(events: &[Event]) -> Self {
         // Size every buffer once: each span-opening event closes at most

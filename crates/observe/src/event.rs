@@ -262,35 +262,3 @@ pub enum Event {
         makespan: f64,
     },
 }
-
-impl Event {
-    /// Short stable tag, used for counting and debugging.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Event::PlanStarted { .. } => "plan_started",
-            Event::BudgetReserved { .. } => "budget_reserved",
-            Event::TaskRanked { .. } => "task_ranked",
-            Event::TaskShare { .. } => "task_share",
-            Event::CandidateEvaluated { .. } => "candidate_evaluated",
-            Event::TaskPlaced { .. } => "task_placed",
-            Event::RefineMove { .. } => "refine_move",
-            Event::EpochStarted { .. } => "epoch_started",
-            Event::RecoveryEpoch { .. } => "recovery_epoch",
-            Event::Counter { .. } => "counter",
-            Event::VmBooked { .. } => "vm_booked",
-            Event::VmReady { .. } => "vm_ready",
-            Event::BootAbandoned { .. } => "boot_abandoned",
-            Event::TaskStarted { .. } => "task_started",
-            Event::TaskFinished { .. } => "task_finished",
-            Event::TaskAborted { .. } => "task_aborted",
-            Event::TransferStarted { .. } => "transfer_started",
-            Event::TransferFinished { .. } => "transfer_finished",
-            Event::TransferAborted { .. } => "transfer_aborted",
-            Event::VmCrashed { .. } => "vm_crashed",
-            Event::DegradationStarted { .. } => "degradation_started",
-            Event::DegradationEnded { .. } => "degradation_ended",
-            Event::VmBilled { .. } => "vm_billed",
-            Event::DcBilled { .. } => "dc_billed",
-        }
-    }
-}

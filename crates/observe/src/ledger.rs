@@ -14,15 +14,15 @@ use crate::sink::EventSink;
 
 /// The Eq. 5 budget-division record.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReservationRecord {
+struct ReservationRecord {
     /// The full initial budget.
-    pub initial: f64,
+    initial: f64,
     /// Reserved for datacenter transfers.
-    pub reserved_datacenter: f64,
+    reserved_datacenter: f64,
     /// Reserved for VM boot intervals.
-    pub reserved_init: f64,
+    reserved_init: f64,
     /// Remainder divided into per-task shares.
-    pub b_calc: f64,
+    b_calc: f64,
 }
 
 /// Audit ledger over the budget-relevant slice of the event stream; also an
@@ -30,8 +30,9 @@ pub struct ReservationRecord {
 /// [`BudgetLedger::from_events`].
 #[derive(Debug, Clone, Default)]
 pub struct BudgetLedger {
-    /// The budget-relevant events, in order (the audit trail).
-    pub entries: Vec<Event>,
+    /// Budget-relevant events seen; the stream itself stays with the
+    /// caller (a `RecordingSink` holds it whole).
+    entry_count: usize,
     reservation: Option<ReservationRecord>,
     share_total: f64,
     share_count: u32,
@@ -58,16 +59,6 @@ impl BudgetLedger {
             l.record(e);
         }
         l
-    }
-
-    /// The Eq. 5 division, if a budget-aware planner ran.
-    pub fn reservation(&self) -> Option<ReservationRecord> {
-        self.reservation
-    }
-
-    /// Planner-side marginal cost committed across all placements.
-    pub fn planned_cost(&self) -> f64 {
-        self.planned_cost
     }
 
     /// Tasks placed.
@@ -102,7 +93,7 @@ impl BudgetLedger {
     pub fn summary(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
-        let _ = writeln!(s, "budget ledger ({} entries)", self.entries.len());
+        let _ = writeln!(s, "budget ledger ({} entries)", self.entry_count);
         if let Some(r) = self.reservation {
             let _ = writeln!(
                 s,
@@ -133,13 +124,11 @@ impl EventSink for BudgetLedger {
                     reserved_init,
                     b_calc,
                 });
-                self.entries.push(*event);
             }
             Event::TaskShare { share, .. } => {
                 self.share_total += share;
                 self.share_count += 1;
                 self.last_share = share;
-                self.entries.push(*event);
             }
             Event::TaskPlaced { cost, pot_before, pot_after, .. } => {
                 self.planned_cost += cost;
@@ -156,15 +145,9 @@ impl EventSink for BudgetLedger {
                     self.pot_violations += 1;
                 }
                 self.final_pot = pot_after;
-                self.entries.push(*event);
             }
-            Event::EpochStarted { .. } | Event::RecoveryEpoch { .. } => {
-                self.entries.push(*event);
-            }
-            Event::VmBilled { cost, .. } => {
-                self.epoch_vm_sum += cost;
-                self.entries.push(*event);
-            }
+            Event::EpochStarted { .. } | Event::RecoveryEpoch { .. } => {}
+            Event::VmBilled { cost, .. } => self.epoch_vm_sum += cost,
             Event::DcBilled { cost, .. } => {
                 // Mirrors `total_cost = vm_cost + datacenter_cost` …
                 let epoch_total = self.epoch_vm_sum + cost;
@@ -172,10 +155,10 @@ impl EventSink for BudgetLedger {
                 self.epoch_totals.push(epoch_total);
                 // … and recovery's `spent += run.report.total_cost`.
                 self.billed_total += epoch_total;
-                self.entries.push(*event);
             }
-            _ => {}
+            _ => return,
         }
+        self.entry_count += 1;
     }
 }
 
@@ -256,5 +239,56 @@ mod tests {
         assert_eq!(l.placed_count(), 2);
         assert!(l.summary().contains("shares 3.000000"));
         assert!(l.summary().contains("pot violations 1"));
+    }
+
+    /// The count behind `summary()`'s header takes one entry per budget
+    /// event and none for the rest of the stream.
+    #[test]
+    fn summary_counts_one_entry_per_budget_event() {
+        let stream = [
+            Event::PlanStarted { algorithm: "HEFTBUDG", tasks: 1, budget: 2.0 },
+            Event::BudgetReserved {
+                initial: 2.0,
+                reserved_datacenter: 0.25,
+                reserved_init: 0.25,
+                b_calc: 1.5,
+            },
+            Event::TaskShare { task: 0, share: 1.5 },
+            Event::Counter { name: "plan_sweeps", delta: 1 },
+            Event::TaskPlaced {
+                task: 0,
+                vm: 0,
+                new_vm: true,
+                eft: 1.0,
+                cost: 1.0,
+                limit: 1.5,
+                pot_before: 0.0,
+                pot_after: 0.5,
+            },
+            Event::EpochStarted { epoch: 0, t_offset: 0.0 },
+            Event::VmReady { vm: 0, t: 1.0 },
+            Event::VmCrashed { vm: 0, t: 2.0 },
+            Event::VmBilled {
+                vm: 0,
+                category: 0,
+                booked_at: 0.0,
+                ready_at: 1.0,
+                released_at: 2.0,
+                cost: 1.0,
+                tasks_run: 1,
+            },
+            Event::DcBilled { cost: 0.25, makespan: 2.0 },
+            Event::RecoveryEpoch {
+                epoch: 0,
+                scheduled: 1,
+                newly_durable: 1,
+                cost: 1.25,
+                budget_before: 2.0,
+                makespan: 2.0,
+            },
+        ];
+        let l = BudgetLedger::from_events(&stream);
+        assert!(l.summary().starts_with("budget ledger (7 entries)\n"), "{}", l.summary());
+        assert!(BudgetLedger::new().summary().starts_with("budget ledger (0 entries)\n"));
     }
 }

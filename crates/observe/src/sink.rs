@@ -87,7 +87,7 @@ mod tests {
         r.record(&Event::VmReady { vm: 0, t: 1.0 });
         r.record(&Event::VmCrashed { vm: 0, t: 2.0 });
         assert_eq!(r.events.len(), 2);
-        assert_eq!(r.events[0].tag(), "vm_ready");
+        assert!(matches!(r.events[0], Event::VmReady { .. }));
 
         let mut copy = RecordingSink::new();
         r.replay(&mut copy);

@@ -62,19 +62,6 @@ impl Algorithm {
         Algorithm::SufferageBudg,
     ];
 
-    /// The nine algorithms evaluated in the paper (§V).
-    pub const PAPER: [Algorithm; 9] = [
-        Algorithm::MinMin,
-        Algorithm::Heft,
-        Algorithm::MinMinBudg,
-        Algorithm::HeftBudg,
-        Algorithm::HeftBudgPlus,
-        Algorithm::HeftBudgPlusInv,
-        Algorithm::Bdt,
-        Algorithm::Cg,
-        Algorithm::CgPlus,
-    ];
-
     /// The paper's name for the algorithm.
     pub fn name(self) -> &'static str {
         match self {

@@ -13,7 +13,6 @@
 //! BDT is eager: it aims at a very low makespan at the risk of overspending
 //! (the paper shows it often fails to enforce the budget; Fig. 3).
 
-use crate::budget::report_sweeps;
 use crate::plan::{HostEval, PlanState};
 use wfs_observe::EventSink;
 use wfs_platform::Platform;
@@ -66,7 +65,7 @@ pub(crate) fn bdt<S: EventSink>(
             plan.commit(t, chosen.candidate);
         }
     }
-    report_sweeps(&plan, sink);
+    plan.report_sweeps(sink);
     plan.into_schedule()
 }
 

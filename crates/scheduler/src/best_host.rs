@@ -340,8 +340,8 @@ mod tests {
     }
 
     /// Bit pattern of an evaluation, for exact comparisons.
-    fn bits(e: &HostEval) -> (Candidate, u64, u64, u64) {
-        (e.candidate, e.eft.to_bits(), e.begin.to_bits(), e.cost.to_bits())
+    fn bits(e: &HostEval) -> (Candidate, u64, u64) {
+        (e.candidate, e.eft.to_bits(), e.cost.to_bits())
     }
 
     /// At every step of a plan, the pruned sweep must make every selection

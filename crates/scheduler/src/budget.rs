@@ -54,7 +54,7 @@ pub fn t_calc_task(wf: &Workflow, platform: &Platform, t: TaskId) -> f64 {
 
 /// Estimated duration `t_calc,wf` of the whole workflow: total conservative
 /// work at mean speed plus total intra-workflow data over the bandwidth.
-pub fn t_calc_workflow(wf: &Workflow, platform: &Platform) -> f64 {
+fn t_calc_workflow(wf: &Workflow, platform: &Platform) -> f64 {
     wf.total_conservative_work() / platform.mean_speed()
         + wf.total_edge_data() / platform.datacenter.bandwidth
 }
@@ -218,20 +218,9 @@ impl Placement {
 
     /// Report the planner's sweep counters and hand back the final pot.
     pub(crate) fn finish<S: EventSink>(self, plan: &PlanState<'_>, sink: &mut S) -> Pot {
-        report_sweeps(plan, sink);
+        plan.report_sweeps(sink);
         debug_assert!(plan.is_complete(), "all tasks scheduled (DAG is acyclic)");
         self.pot
-    }
-}
-
-/// Flush `plan`'s sweep counters to `sink`: `plan_sweeps`,
-/// `plan_candidate_evals` and `plan_candidates_pruned`.
-pub(crate) fn report_sweeps<S: EventSink>(plan: &PlanState<'_>, sink: &mut S) {
-    if S::ENABLED {
-        let stats = plan.sweep_stats();
-        sink.record(&Obs::Counter { name: "plan_sweeps", delta: stats.sweeps });
-        sink.record(&Obs::Counter { name: "plan_candidate_evals", delta: stats.evals });
-        sink.record(&Obs::Counter { name: "plan_candidates_pruned", delta: stats.pruned });
     }
 }
 

@@ -16,7 +16,6 @@
 //! the paper points out, requiring `Δc > 0` makes CG+ blind to moves that
 //! reduce both time and cost — we reproduce that behaviour faithfully.
 
-use crate::budget::report_sweeps;
 use crate::heft::priority_list;
 use crate::plan::{Candidate, HostEval, PlanState};
 use crate::refine::{planned, AcceptRule, TrialEvaluator};
@@ -101,7 +100,7 @@ pub(crate) fn cg<S: EventSink>(
         let best = plan.with_pruned_candidate_evals(t, |evals| pick_in_category(&plan, evals, cat));
         plan.commit(t, best.candidate);
     }
-    report_sweeps(&plan, sink);
+    plan.report_sweeps(sink);
     plan.into_schedule()
 }
 

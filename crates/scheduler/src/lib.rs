@@ -65,14 +65,12 @@ mod refine;
 
 pub use algorithms::{min_cost_floor, min_cost_schedule, Algorithm};
 pub use best_host::get_best_host;
-pub use budget::{
-    datacenter_reservation, divide_budget, t_calc_task, t_calc_workflow, BudgetSplit, Pot,
-};
+pub use budget::{datacenter_reservation, divide_budget, t_calc_task, BudgetSplit, Pot};
 pub use deadline::min_budget_for_deadline;
 pub use ensemble::{schedule_ensemble, AdmittedWorkflow, EnsembleMember, EnsembleResult};
 pub use heft::{heft_budg, heft_budg_carry, heft_budg_observed, priority_list};
 pub use online::{run_online, OnlineConfig, OnlineOutcome};
-pub use plan::{Candidate, HostEval, PlanState, SweepStats};
+pub use plan::{Candidate, HostEval, PlanState};
 pub use recovery::{
     run_with_recovery_observed, EpochRecord, RecoveryConfig, RecoveryOutcome, RecoveryPolicy,
 };

@@ -25,6 +25,20 @@ use wfs_simulator::{realize_weights, WeightModel};
 use wfs_workflow::{TaskId, Workflow};
 
 /// Configuration of an online run.
+///
+/// [`OnlineConfig::with_watchdog`] and [`OnlineConfig::static_run`] are the
+/// only ways to build one, so a watchdog threshold is always finite and
+/// non-negative. A literal such as this negative one does not compile:
+///
+/// ```compile_fail,E0451
+/// use wfs_scheduler::OnlineConfig;
+/// use wfs_simulator::WeightModel;
+///
+/// let cfg = OnlineConfig {
+///     timeout_sigmas: Some(-1.0),
+///     ..OnlineConfig::static_run(WeightModel::Stochastic { seed: 1 })
+/// };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineConfig {
     /// How the realized task weights are drawn: the paper's Gaussian
@@ -33,12 +47,12 @@ pub struct OnlineConfig {
     /// long elapsed time signals *more* remaining work — true for heavy
     /// tails, false for Gaussians (whose conditional remainder shrinks),
     /// which is exactly the risk §VI warns about.
-    pub weights: WeightModel,
+    pub(crate) weights: WeightModel,
     /// Interrupt a task once its elapsed time exceeds
     /// `(w̄ + timeout_sigmas·σ) / speed`. The paper plans with one σ of
     /// margin; 2–3 σ make interruptions rare-but-useful. `None` disables
     /// the watchdog (the static baseline under the same timing model).
-    pub timeout_sigmas: Option<f64>,
+    pub(crate) timeout_sigmas: Option<f64>,
 }
 
 impl OnlineConfig {

@@ -15,6 +15,7 @@
 
 use std::cell::RefCell;
 
+use wfs_observe::{Event as Obs, EventSink};
 use wfs_platform::{CategoryId, Platform};
 use wfs_simulator::{Schedule, VmId};
 use wfs_workflow::{OrdF64, TaskId, Workflow};
@@ -51,9 +52,6 @@ pub struct HostEval {
     pub candidate: Candidate,
     /// Earliest Finish Time (seconds).
     pub eft: f64,
-    /// Instant the host starts working for the task (transfers included,
-    /// boot included for new VMs).
-    pub begin: f64,
     /// Estimated cost `ct_{T,host}`: occupied time × hourly rate, plus the
     /// init cost for a new VM.
     pub cost: f64,
@@ -101,20 +99,6 @@ struct Scratch {
     /// Candidates a pruned sweep skipped as provably unable to win:
     /// `V + K` minus the evaluations it produced.
     pruned: u64,
-}
-
-/// Work counters of the candidate sweeps of one [`PlanState`]; see
-/// [`PlanState::sweep_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SweepStats {
-    /// Sweeps performed (one per host selection that was not cache-served).
-    pub sweeps: u64,
-    /// Candidate evaluations produced across those sweeps.
-    pub evals: u64,
-    /// Candidates skipped by pruned sweeps. Zero in naive reference mode,
-    /// where every sweep evaluates all `V + K` candidates, so
-    /// `evals + pruned` equals the naive evaluation count.
-    pub pruned: u64,
 }
 
 /// Aggregates of one in-edge pass over the swept task (see
@@ -186,20 +170,8 @@ impl<'a> PlanState<'a> {
     /// caches are disabled, so results serve as the ground truth the fast
     /// path is tested against.
     #[inline]
-    pub fn is_naive(&self) -> bool {
+    pub(crate) fn is_naive(&self) -> bool {
         self.naive
-    }
-
-    /// The workflow being planned.
-    #[inline]
-    pub fn workflow(&self) -> &'a Workflow {
-        self.wf
-    }
-
-    /// The target platform.
-    #[inline]
-    pub fn platform(&self) -> &'a Platform {
-        self.platform
     }
 
     /// The partially built schedule.
@@ -255,7 +227,7 @@ impl<'a> PlanState<'a> {
     /// expression so the two stay bit-for-bit equal. For a new VM (or a VM
     /// hosting no predecessor) the local sum is 0.0 and the value equals
     /// the plain in-order sum of all inputs.
-    pub fn input_bytes(&self, t: TaskId, on: Option<VmId>) -> f64 {
+    fn input_bytes(&self, t: TaskId, on: Option<VmId>) -> f64 {
         let mut total = self.wf.task(t).external_input;
         let mut local = 0.0f64;
         for &e in self.wf.in_edges(t) {
@@ -287,7 +259,6 @@ impl<'a> PlanState<'a> {
         HostEval {
             candidate: Candidate::New(cat_id),
             eft: data_ready + cat.boot_time + occupied,
-            begin: data_ready,
             cost: occupied * cat.cost_per_second() + cat.init_cost,
         }
     }
@@ -613,12 +584,18 @@ impl<'a> PlanState<'a> {
         vm
     }
 
-    /// Work counters of the candidate sweeps accumulated since this state
-    /// was created. Cache-served selections (see `BestHostCache`) perform
-    /// no sweep and are not counted here.
-    pub fn sweep_stats(&self) -> SweepStats {
-        let s = self.scratch.borrow();
-        SweepStats { sweeps: s.sweeps, evals: s.cand_evals, pruned: s.pruned }
+    /// Flush the work counters of the candidate sweeps accumulated since
+    /// this state was created to `sink`: `plan_sweeps`,
+    /// `plan_candidate_evals` and `plan_candidates_pruned`. Cache-served
+    /// selections (see `BestHostCache`) perform no sweep and are not
+    /// counted.
+    pub(crate) fn report_sweeps<S: EventSink>(&self, sink: &mut S) {
+        if S::ENABLED {
+            let s = self.scratch.borrow();
+            sink.record(&Obs::Counter { name: "plan_sweeps", delta: s.sweeps });
+            sink.record(&Obs::Counter { name: "plan_candidate_evals", delta: s.cand_evals });
+            sink.record(&Obs::Counter { name: "plan_candidates_pruned", delta: s.pruned });
+        }
     }
 
     /// Planned makespan so far: the largest committed EFT.
@@ -648,7 +625,6 @@ fn eval_remote(vm: VmId, vm_ready: f64, dready: f64, occupied: f64, rate: f64) -
     HostEval {
         candidate: Candidate::Used(vm),
         eft: begin + occupied,
-        begin,
         cost: (gap + occupied) * rate,
     }
 }
@@ -813,13 +789,11 @@ mod tests {
         let vm = plan.commit(TaskId(0), Candidate::New(CategoryId(0)));
         let used = plan.evaluate(TaskId(1), Candidate::Used(vm));
         // Same VM: no transfer of the edge, begin = vm ready (115).
-        assert!((used.begin - 115.0).abs() < 1e-9);
         assert!((used.eft - 215.0).abs() < 1e-9, "eft {}", used.eft);
         assert!((used.cost - 1.00).abs() < 1e-9, "cost {}", used.cost);
 
         let fresh = plan.evaluate(TaskId(1), Candidate::New(CategoryId(0)));
         // Data at DC at 115 + 5 = 120; boot 10; dl 5; exec 100 => 235.
-        assert!((fresh.begin - 120.0).abs() < 1e-9, "begin {}", fresh.begin);
         assert!((fresh.eft - 235.0).abs() < 1e-9, "eft {}", fresh.eft);
         // Transfer back adds to the cost too: (5 + 100) * 0.01 + 0.5.
         assert!((fresh.cost - 1.55).abs() < 1e-9);

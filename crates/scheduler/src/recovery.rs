@@ -90,25 +90,40 @@ impl std::str::FromStr for RecoveryPolicy {
 }
 
 /// Configuration of a recovering execution.
+///
+/// [`RecoveryConfig::new`] and its `with_*` builders are the only ways to
+/// set the parameters, so the epoch cap is at least 1. A literal such as
+/// this zero cap does not compile:
+///
+/// ```compile_fail,E0451
+/// use wfs_scheduler::{Algorithm, RecoveryConfig, RecoveryPolicy};
+/// use wfs_simulator::FaultConfig;
+///
+/// let policy = RecoveryPolicy::FailStop;
+/// let cfg = RecoveryConfig {
+///     max_epochs: 0,
+///     ..RecoveryConfig::new(Algorithm::HeftBudg, policy, 2.0, FaultConfig::none())
+/// };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Algorithm planning the *initial* schedule (epoch 0).
-    pub algorithm: Algorithm,
+    pub(crate) algorithm: Algorithm,
     /// Reaction to incomplete runs.
-    pub policy: RecoveryPolicy,
+    pub(crate) policy: RecoveryPolicy,
     /// Initial budget `B_ini` (Eq. 3) covering the whole recovering
     /// execution, not just the first attempt.
-    pub budget: f64,
+    pub(crate) budget: f64,
     /// Fault families to inject; the seed is re-derived per epoch so
     /// re-runs face fresh (but reproducible) faults.
-    pub faults: FaultConfig,
+    pub(crate) faults: FaultConfig,
     /// Weight realization; stochastic models are reseeded per epoch.
-    pub weights: WeightModel,
+    pub(crate) weights: WeightModel,
     /// Hard cap on plan → inject → recover epochs.
-    pub max_epochs: usize,
+    pub(crate) max_epochs: usize,
     /// Lint every epoch with [`plan_lint_faulted`] and collect violations
     /// into the outcome (used by tests and `wfs faults --lint`).
-    pub lint: bool,
+    pub(crate) lint: bool,
 }
 
 impl RecoveryConfig {
@@ -183,7 +198,8 @@ pub struct RecoveryOutcome {
     pub degraded_to_cheapest: bool,
     /// Aggregated fault counters.
     pub stats: FaultStats,
-    /// Per-epoch lint findings (empty unless [`RecoveryConfig::lint`]).
+    /// Per-epoch lint findings (empty unless [`RecoveryConfig::with_lint`]
+    /// was set).
     pub lint_violations: Vec<String>,
     /// Per-epoch breakdown.
     pub epochs: Vec<EpochRecord>,
@@ -337,7 +353,6 @@ pub fn run_with_recovery_observed<S: EventSink>(
     sink: &mut S,
 ) -> Result<RecoveryOutcome, SimError> {
     assert!(cfg.budget >= 0.0 && cfg.budget.is_finite(), "budget must be non-negative and finite");
-    assert!(cfg.max_epochs >= 1, "at least one epoch is needed");
     let n = wf.task_count();
     let mut durable_all = vec![false; n];
     let mut prev_slot: Vec<PrevSlot> = vec![(0, 0, platform.cheapest()); n];

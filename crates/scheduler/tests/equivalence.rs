@@ -78,7 +78,6 @@ fn assert_sweeps_bitwise_identical(name: &str, wf: &Workflow, platform: &Platfor
                     .unwrap_or_else(|| panic!("{name}: {c:?} is no candidate of {t:?}"));
                 for (field, a, b) in [
                     ("eft", fast.eft, slow.eft),
-                    ("begin", fast.begin, slow.begin),
                     ("cost", fast.cost, slow.cost),
                 ] {
                     assert_eq!(

@@ -360,7 +360,6 @@ struct VmState<'a> {
     /// datacenter — the boot gate.
     boot_gate: usize,
     last_activity: f64,
-    tasks_run: usize,
     /// Crashed, or abandoned after exhausting boot retries. Dead VMs run
     /// nothing and transfer nothing for the rest of the run.
     dead: bool,
@@ -447,7 +446,6 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 up_tail: 0,
                 boot_gate: 0,
                 last_activity: 0.0,
-                tasks_run: 0,
                 dead: false,
             })
             .collect();
@@ -729,7 +727,6 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.completed += 1;
         self.vms[v].proc_busy = false;
         self.vms[v].next_idx += 1;
-        self.vms[v].tasks_run += 1;
         self.vms[v].last_activity = self.now;
         // Satisfy same-VM consumers; queue uploads for cross-VM edges.
         for &e in self.wf.out_edges(t) {
@@ -1113,7 +1110,9 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 ready_at: vm.ready_at,
                 released_at: vm.last_activity,
                 cost,
-                tasks_run: vm.tasks_run,
+                // Tasks finish in `order`, so the index of the next one
+                // counts those run.
+                tasks_run: vm.next_idx,
             });
         }
         if !start_first.is_finite() {

@@ -52,15 +52,25 @@ pub(crate) fn sample_exponential(mean: f64, rng: &mut StdRng) -> f64 {
 }
 
 /// Crash-stop VM failures: time-to-failure from boot end, drawn per VM.
+///
+/// [`CrashModel::exponential`] and [`CrashModel::weibull`] are the only
+/// ways to build one, so every model has passed their checks. A literal
+/// such as this non-positive scale does not compile:
+///
+/// ```compile_fail,E0451
+/// use wfs_simulator::CrashModel;
+///
+/// let crash = CrashModel { scale: -100.0, shape: 1.0 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashModel {
     /// Weibull scale `λ` in seconds. With `shape == 1` this is the mean
     /// time between failures; `f64::INFINITY` disables crashes (the rate-0
     /// configuration).
-    pub scale: f64,
+    pub(crate) scale: f64,
     /// Weibull shape `k`; `1.0` gives exponential inter-arrivals, `< 1`
     /// infant mortality, `> 1` wear-out.
-    pub shape: f64,
+    pub(crate) shape: f64,
 }
 
 impl CrashModel {
@@ -89,12 +99,12 @@ impl CrashModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootFaultModel {
     /// Probability that one boot attempt fails (`0.0` = rate-0).
-    pub fail_prob: f64,
+    pub(crate) fail_prob: f64,
     /// Failed attempts tolerated before the instance is abandoned.
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     /// Each retry's boot delay is the category boot time times
     /// `backoff^attempt` (`1.0` = plain repetition).
-    pub backoff: f64,
+    pub(crate) backoff: f64,
 }
 
 impl BootFaultModel {
@@ -122,11 +132,11 @@ impl BootFaultModel {
 pub struct DegradationModel {
     /// Bandwidth (and aggregate capacity) multiplier while degraded, in
     /// `(0, 1]` (`1.0` = rate-0: windows occur but change nothing).
-    pub factor: f64,
+    pub(crate) factor: f64,
     /// Mean gap between windows (seconds, exponential).
-    pub mean_gap: f64,
+    pub(crate) mean_gap: f64,
     /// Mean window duration (seconds, exponential).
-    pub mean_duration: f64,
+    pub(crate) mean_duration: f64,
 }
 
 impl DegradationModel {

@@ -49,7 +49,7 @@ pub use faults::{
 pub use lint::{plan_lint, plan_lint_faulted, PlanViolation};
 pub use report::{SimulationReport, TaskRecord, VmUsage};
 pub use schedule::{Schedule, ScheduleError, VmId};
-pub use weights::{realize_weights, sample_standard_normal, WeightModel};
+pub use weights::{realize_weights, WeightModel};
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests

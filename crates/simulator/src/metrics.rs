@@ -18,8 +18,8 @@ pub struct ExecutionMetrics {
     pub mean_parallelism: f64,
     /// Maximum number of concurrently running tasks.
     pub peak_parallelism: usize,
-    /// Dollars per hour of saved wall-clock relative to a serial execution
-    /// of the same realized work (∞ if nothing is saved).
+    /// Speedup over a serial execution of the same realized work: total
+    /// compute seconds divided by the makespan (0 for a zero-span run).
     pub speedup: f64,
 }
 

@@ -70,17 +70,6 @@ impl SimulationReport {
         self.total_cost <= budget
     }
 
-    /// Export the per-task records as CSV (`task,name-less`; join with the
-    /// workflow for names): `task,vm,start,end,realized_weight`.
-    pub fn tasks_csv(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::from("task,vm,start,end,realized_weight\n");
-        for t in &self.tasks {
-            let _ = writeln!(s, "{},{},{:.6},{:.6},{:.3}", t.task.0, t.vm.0, t.start, t.end, t.realized_weight);
-        }
-        s
-    }
-
     /// The record for `task`.
     pub fn task(&self, task: TaskId) -> &TaskRecord {
         &self.tasks[task.index()]
@@ -149,15 +138,6 @@ mod tests {
         assert!(r.within_budget(0.03));
         assert!(r.within_budget(1.0));
         assert!(!r.within_budget(0.0299));
-    }
-
-    #[test]
-    fn tasks_csv_has_header_and_rows() {
-        let csv = tiny_report().tasks_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "task,vm,start,end,realized_weight");
-        let row = lines.next().unwrap();
-        assert!(row.starts_with("0,0,10.000000,60.000000,500.000"), "{row}");
     }
 
     #[test]

@@ -5,22 +5,12 @@
 use crate::report::SimulationReport;
 use std::fmt::Write;
 
-/// Geometry of the rendered chart.
-#[derive(Debug, Clone, Copy)]
-pub struct SvgOptions {
-    /// Total chart width in pixels (time axis).
-    pub width: u32,
-    /// Height of one VM lane in pixels.
-    pub lane_height: u32,
-    /// Left margin reserved for VM labels.
-    pub label_width: u32,
-}
-
-impl Default for SvgOptions {
-    fn default() -> Self {
-        Self { width: 900, lane_height: 22, label_width: 80 }
-    }
-}
+/// Total chart width in pixels (time axis).
+const WIDTH: u32 = 900;
+/// Height of one VM lane in pixels.
+const LANE_HEIGHT: u32 = 22;
+/// Left margin reserved for VM labels.
+const LABEL_WIDTH: u32 = 80;
 
 /// Colour for a task bar: stable per task id, readable on white.
 fn task_color(task_id: u32) -> String {
@@ -30,28 +20,27 @@ fn task_color(task_id: u32) -> String {
 }
 
 /// Render the report as an SVG document string.
-pub fn to_svg(report: &SimulationReport, opts: SvgOptions) -> String {
+pub fn to_svg(report: &SimulationReport) -> String {
     let span = report.makespan.max(1e-9);
     let start0 = report.vms.iter().map(|v| v.booked_at).fold(f64::INFINITY, f64::min);
     let start0 = if start0.is_finite() { start0 } else { 0.0 };
     let x = |t: f64| -> f64 {
-        opts.label_width as f64
-            + (t - start0) / span * (opts.width - opts.label_width) as f64
+        LABEL_WIDTH as f64 + (t - start0) / span * (WIDTH - LABEL_WIDTH) as f64
     };
     let lanes = report.vms.len().max(1) as u32;
-    let height = lanes * opts.lane_height + 30;
+    let height = lanes * LANE_HEIGHT + 30;
 
     let mut s = String::with_capacity(4096);
     let _ = write!(
         s,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{height}" font-family="monospace" font-size="11">"#,
-        w = opts.width
+        w = WIDTH
     );
     let _ = writeln!(s, "\n<rect width=\"100%\" height=\"100%\" fill=\"white\"/>");
 
     for (lane, vm) in report.vms.iter().enumerate() {
-        let y = lane as u32 * opts.lane_height + 4;
-        let h = opts.lane_height - 6;
+        let y = lane as u32 * LANE_HEIGHT + 4;
+        let h = LANE_HEIGHT - 6;
         // Lane label.
         let _ = writeln!(
             s,
@@ -77,8 +66,8 @@ pub fn to_svg(report: &SimulationReport, opts: SvgOptions) -> String {
     // Task bars with tooltips.
     for t in &report.tasks {
         let Some(lane) = report.vms.iter().position(|v| v.vm == t.vm) else { continue };
-        let y = lane as u32 * opts.lane_height + 4;
-        let h = opts.lane_height - 6;
+        let y = lane as u32 * LANE_HEIGHT + 4;
+        let h = LANE_HEIGHT - 6;
         let _ = writeln!(
             s,
             r#"<rect x="{tx:.1}" y="{y}" width="{tw:.1}" height="{h}" fill="{fill}"><title>{title}</title></rect>"#,
@@ -95,7 +84,7 @@ pub fn to_svg(report: &SimulationReport, opts: SvgOptions) -> String {
     let _ = writeln!(
         s,
         r#"<text x="{lx}" y="{fy}">makespan {mk:.1}s   cost ${c:.4}   VMs {v}</text>"#,
-        lx = opts.label_width,
+        lx = LABEL_WIDTH,
         fy = height - 8,
         mk = report.makespan,
         c = report.total_cost,
@@ -138,7 +127,7 @@ mod tests {
     #[test]
     fn svg_is_well_formed_and_complete() {
         let r = sample_report();
-        let svg = to_svg(&r, SvgOptions::default());
+        let svg = to_svg(&r);
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         // One lane label per booked VM, one bar per task.
@@ -154,12 +143,5 @@ mod tests {
     fn colors_are_stable_and_distinct() {
         assert_eq!(task_color(3), task_color(3));
         assert_ne!(task_color(3), task_color(4));
-    }
-
-    #[test]
-    fn custom_geometry_respected() {
-        let r = sample_report();
-        let svg = to_svg(&r, SvgOptions { width: 400, lane_height: 10, label_width: 40 });
-        assert!(svg.contains(r#"width="400""#));
     }
 }

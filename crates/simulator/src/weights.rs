@@ -75,7 +75,7 @@ pub fn realize_weights(wf: &Workflow, model: WeightModel) -> Vec<f64> {
 
 /// One standard-normal sample via the Box–Muller transform (we avoid the
 /// `rand_distr` dependency; see DESIGN.md §6).
-pub fn sample_standard_normal(rng: &mut StdRng) -> f64 {
+fn sample_standard_normal(rng: &mut StdRng) -> f64 {
     // u1 in (0, 1] so ln(u1) is finite.
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();

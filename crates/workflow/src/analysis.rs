@@ -1,5 +1,5 @@
 //! Structural analyses over workflows: BFS levels (BDT), bottom levels /
-//! upward ranks (HEFT), critical path, and summary statistics.
+//! upward ranks (HEFT), and summary statistics.
 
 use crate::graph::Workflow;
 use crate::task::TaskId;
@@ -57,43 +57,6 @@ pub fn heft_order(wf: &Workflow, speed: f64, bw: f64) -> Vec<TaskId> {
     // ranks NaN, and the order must stay total and deterministic.
     ids.sort_by(|a, b| rank[b.index()].total_cmp(&rank[a.index()]).then(a.0.cmp(&b.0)));
     ids
-}
-
-/// The critical path: the entry→exit chain with maximal total duration
-/// (execution at `speed` + transfers at `bw`). Returns `(path, length_secs)`.
-pub fn critical_path(wf: &Workflow, speed: f64, bw: f64) -> (Vec<TaskId>, f64) {
-    let rank = bottom_levels(wf, speed, bw);
-    // Start from the entry task with the largest rank, then repeatedly follow
-    // the successor that realizes the max in the rank recurrence.
-    // NaN-safe selection: `total_cmp` keeps the max well-defined even when
-    // ranks contain NaN (empty workflows cannot be built, so an entry task
-    // always exists — but avoid a panic site anyway).
-    let Some(start) = wf
-        .entry_tasks()
-        .max_by(|a, b| rank[a.index()].total_cmp(&rank[b.index()]))
-    else {
-        return (Vec::new(), 0.0);
-    };
-    let mut path = vec![start];
-    let mut cur = start;
-    loop {
-        let mut best: Option<(TaskId, f64)> = None;
-        for &e in wf.out_edges(cur) {
-            let edge = wf.edge(e);
-            let via = edge.size / bw + rank[edge.to.index()];
-            if best.is_none_or(|(_, v)| via > v) {
-                best = Some((edge.to, via));
-            }
-        }
-        match best {
-            Some((next, _)) => {
-                path.push(next);
-                cur = next;
-            }
-            None => break,
-        }
-    }
-    (path, rank[start.index()])
 }
 
 /// Summary statistics of a workflow's shape.
@@ -215,14 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_of_diamond() {
-        let wf = diamond();
-        let (path, len) = critical_path(&wf, 1.0, 10.0);
-        assert_eq!(path, vec![TaskId(0), TaskId(2), TaskId(3)]);
-        assert!((len - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn ranks_use_mean_plus_sigma() {
         // σ = mean doubles every conservative weight w̄ + σ, and with free
         // transfers every rank doubles against the σ = 0 diamond.
@@ -247,8 +202,8 @@ mod tests {
         assert!((s.total_data - 40.0).abs() < 1e-9);
     }
 
-    /// Regression: a zero-weight workflow used to panic in `heft_order` /
-    /// `critical_path` once a NaN rank appeared. The NaN arises exactly as
+    /// Regression: a zero-weight workflow used to panic in `heft_order`
+    /// once a NaN rank appeared. The NaN arises exactly as
     /// in the paper's budget split (Eq. 5–6): a per-task share `w_i / W`
     /// with total work `W = 0` is `0.0 / 0.0`. The analyses must stay
     /// panic-free and deterministic.
@@ -269,14 +224,11 @@ mod tests {
         let wf = b.build().unwrap();
         let ranks = bottom_levels(&wf, 1.0, 1.0);
         assert!(ranks.iter().all(|r| r.is_nan()), "0/0 weights make every rank NaN");
-        // Before the total_cmp migration both of these panicked.
+        // Before the total_cmp migration this panicked.
         let o1 = heft_order(&wf, 1.0, 1.0);
         let o2 = heft_order(&wf, 1.0, 1.0);
         assert_eq!(o1, o2, "NaN ranks still give a deterministic order");
         assert_eq!(o1.len(), 3);
-        let (path, len) = critical_path(&wf, 1.0, 1.0);
-        assert!(!path.is_empty());
-        assert!(len.is_nan());
     }
 
     #[test]

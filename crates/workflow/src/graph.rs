@@ -346,7 +346,7 @@ impl WorkflowBuilder {
     }
 
     /// Add a pre-constructed task, overwriting its id with the next dense id.
-    pub fn add_task_full(&mut self, mut task: Task) -> TaskId {
+    fn add_task_full(&mut self, mut task: Task) -> TaskId {
         let id = TaskId(self.tasks.len() as u32);
         task.id = id;
         self.tasks.push(task);

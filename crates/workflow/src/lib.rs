@@ -8,7 +8,7 @@
 //! What lives here:
 //! - [`Workflow`] / [`WorkflowBuilder`]: the validated DAG and its builder;
 //! - [`analysis`]: BFS levels (BDT), bottom levels & HEFT priority order,
-//!   critical path, shape statistics;
+//!   shape statistics;
 //! - [`gen`]: Pegasus-style benchmark generators (CYBERSHAKE / LIGO /
 //!   MONTAGE, plus EPIGENOMICS, SIPHT and synthetic shapes);
 //! - [`dot`]: Graphviz export; [`dax`]: Pegasus DAX import/export;

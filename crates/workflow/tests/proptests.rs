@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wfs_workflow::analysis::{bottom_levels, critical_path, heft_order, levels, stats};
+use wfs_workflow::analysis::{bottom_levels, heft_order, levels, stats};
 use wfs_workflow::gen::{
     cybershake, epigenomics, layered_random, ligo, montage, sipht, GenConfig, LayeredParams,
 };
@@ -140,38 +140,6 @@ fn bottom_levels_sound() {
                 "case {case}"
             );
         }
-    }
-}
-
-/// The critical path is a real path from an entry to an exit whose
-/// length matches the maximal bottom level.
-#[test]
-fn critical_path_is_a_real_path() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xD00D_0004 + case);
-        let wf = random_benchmark(&mut rng);
-        let (path, len) = critical_path(&wf, 10.0, 125e6);
-        assert!(!path.is_empty(), "case {case}");
-        assert!(
-            wf.predecessors(path[0]).count() == 0,
-            "case {case}: starts at an entry"
-        );
-        assert!(
-            wf.successors(*path.last().unwrap()).count() == 0,
-            "case {case}: ends at an exit"
-        );
-        for w in path.windows(2) {
-            assert!(
-                wf.successors(w[0]).any(|s| s == w[1]),
-                "case {case}: consecutive path tasks not connected"
-            );
-        }
-        let rank = bottom_levels(&wf, 10.0, 125e6);
-        let max_entry_rank = wf
-            .entry_tasks()
-            .map(|t| rank[t.0 as usize])
-            .fold(f64::MIN, f64::max);
-        assert!((len - max_entry_rank).abs() < 1e-6, "case {case}");
     }
 }
 

@@ -95,7 +95,7 @@ echo "== quickbench smoke + zero-overhead gate (1 iteration vs pinned medians)"
 # 1.5x — a NoopSink that stopped compiling away would shift every cell,
 # which the gate catches even at 1 iteration.
 target/release/wfs-experiments quickbench 1 \
-  --out "$FAULTS_TMP/bench-smoke.json" --gate BENCH_sched_time.json 2>&1 | tail -n 5
+  --out "$FAULTS_TMP/bench-smoke.json" --gate BENCH_sched_time.json 2>&1 | tail -n 6
 test -s "$FAULTS_TMP/bench-smoke.json"
 
 echo "CI OK"

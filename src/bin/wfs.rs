@@ -1,23 +1,7 @@
 //! `wfs` — command-line front end to the budget-sched library.
 //!
-//! ```text
-//! wfs gen <cybershake|ligo|montage|epigenomics|sipht> <tasks> [--seed N] [--sigma R] [-o FILE]
-//! wfs stats <workflow.json>
-//! wfs dot <workflow.json> [-o FILE]
-//! wfs schedule <workflow.json> --alg <name> --budget <dollars>
-//!              [--platform FILE] [-o FILE]
-//! wfs simulate <workflow.json> <schedule.json> [--seed N | --conservative | --mean]
-//!              [--platform FILE] [--budget B] [--gantt] [--svg FILE]
-//! wfs sweep <workflow.json> --budgets <b1,b2,...> [--algs <a1,a2,...>] [--platform FILE]
-//! wfs faults <workflow.json> --budget <dollars> [--alg NAME] [--policy failstop|retry|reschedule]
-//!            [--mtbf SECS] [--shape K] [--boot-fail P] [--degrade F:GAP:DUR]
-//!            [--seed N] [--stochastic N] [--max-epochs N] [--platform FILE] [--lint]
-//!            [--trace FILE] [--ledger]
-//! wfs trace <workflow.json> --budget <dollars> [--alg NAME] [--seed N | --conservative | --mean]
-//!           [--platform FILE] [-o FILE] [--ledger] [--counters]
-//! wfs deadline <workflow.json> --deadline <secs> [--platform FILE]
-//! wfs platform [-o FILE]
-//! ```
+//! The subcommands and their flags are listed in [`USAGE`], which `wfs`
+//! prints after every error.
 //!
 //! Workflows, schedules and platforms are JSON files; `wfs platform` dumps
 //! the paper's Table II platform as a starting point for edits.
@@ -259,10 +243,7 @@ fn cmd_simulate(args: &[String]) -> CliResult {
         println!("\n{}", r.gantt(72));
     }
     if let Some(path) = opt(args, "--svg") {
-        let svg = budget_sched::simulator::svg::to_svg(
-            &r,
-            budget_sched::simulator::svg::SvgOptions::default(),
-        );
+        let svg = budget_sched::simulator::svg::to_svg(&r);
         std::fs::write(path, svg).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
