@@ -125,8 +125,18 @@ pub(crate) fn pick_in_category(
 
 /// Run CG, then the CG+ critical-path refinement.
 pub(crate) fn cg_plus(wf: &Workflow, platform: &Platform, b_ini: f64) -> Schedule {
-    let mut sched = cg(wf, platform, b_ini, &mut NoopSink);
     let mut trials = TrialEvaluator::new(wf, platform, &priority_list(wf, platform));
+    cg_plus_with(wf, platform, b_ini, &mut trials)
+}
+
+/// [`cg_plus`] with its trials evaluated by `trials`, which counts them.
+fn cg_plus_with(
+    wf: &Workflow,
+    platform: &Platform,
+    b_ini: f64,
+    trials: &mut TrialEvaluator<'_>,
+) -> Schedule {
+    let mut sched = cg(wf, platform, b_ini, &mut NoopSink);
     let mut report = planned(wf, platform, &sched);
     // Bounded loop: each accepted move strictly decreases the makespan;
     // 4·n rounds is a generous cap against float-cycling.
@@ -300,6 +310,39 @@ mod tests {
             assert!(plus.makespan <= base.makespan + 1e-6);
             assert!(plus.total_cost <= budget + 1e-9, "cost {}", plus.total_cost);
         }
+    }
+
+    /// CG+'s trial and screened counts at 60 tasks on 3 generators × the
+    /// three Table III budgets (the floor, twice HEFT's planned cost and
+    /// their midpoint). The counts depend on every accepted move and on
+    /// the lower-bound screen, so a change to either moves them.
+    #[test]
+    fn cg_plus_trial_counts_are_pinned() {
+        let p = paper();
+        let cfg = SimConfig::planning();
+        let mut counts = Vec::new();
+        for wf in [
+            montage(GenConfig::new(60, 61)),
+            cybershake(GenConfig::new(60, 62)),
+            ligo(GenConfig::new(60, 63)),
+        ] {
+            let low = crate::min_cost_floor(&wf, &p);
+            let heft = crate::Algorithm::Heft.run(&wf, &p, f64::INFINITY);
+            let high = simulate(&wf, &p, &heft, &cfg).unwrap().total_cost * 2.0;
+            for budget in [low, (low + high) / 2.0, high] {
+                let mut trials = TrialEvaluator::new(&wf, &p, &priority_list(&wf, &p));
+                let s = cg_plus_with(&wf, &p, budget, &mut trials);
+                assert_eq!(s, cg_plus(&wf, &p, budget));
+                counts.push((trials.count, trials.screened));
+            }
+        }
+        #[rustfmt::skip]
+        let pinned = [
+            (180, 180), (180, 146), (180, 146),   // montage
+            (3188, 2369), (93, 93), (93, 93),     // cybershake
+            (112, 90), (112, 65), (112, 65),      // ligo
+        ];
+        assert_eq!(counts, pinned, "CG+ trial/screened counts moved");
     }
 
     #[test]
