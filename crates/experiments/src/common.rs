@@ -7,7 +7,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use wfs_platform::Platform;
 use wfs_scheduler::{min_cost_floor, Algorithm};
-use wfs_simulator::{simulate, Schedule, SimConfig, WeightModel};
+use wfs_simulator::{Replay, RunState, Schedule, SimConfig, WeightModel};
 use wfs_workflow::gen::{BenchmarkType, GenConfig};
 use wfs_workflow::Workflow;
 
@@ -184,7 +184,8 @@ pub fn gaussian(seed: u64) -> WeightModel {
 
 /// Replay `schedule` once per seed in `0..reps` under the weights
 /// `weights(seed)`, appending every run's samples (validity against
-/// `budget`) to `out`.
+/// `budget`) to `out`. The schedule is compiled once, and every run resets
+/// one run state.
 pub fn replay(
     wf: &Workflow,
     platform: &Platform,
@@ -194,8 +195,12 @@ pub fn replay(
     weights: impl Fn(u64) -> WeightModel,
     out: &mut Replays,
 ) {
+    let mut compiled = Replay::new(wf, platform);
+    compiled.compile(schedule).expect("schedules from the algorithms are valid");
+    let mut state = RunState::default();
     for seed in 0..reps {
-        let r = simulate(wf, platform, schedule, &SimConfig::new(weights(seed)))
+        let r = compiled
+            .run(&mut state, &SimConfig::new(weights(seed)))
             .expect("schedules from the algorithms are valid");
         out.makespans.push(r.makespan);
         out.costs.push(r.total_cost);

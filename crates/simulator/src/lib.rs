@@ -40,8 +40,8 @@ mod weights;
 
 pub use config::{DcCapacity, SimConfig};
 pub use engine::{
-    check_rates, simulate, simulate_observed, simulate_with_faults, RateField, SimError, B_EPS,
-    T_EPS,
+    check_rates, simulate, simulate_observed, simulate_with_faults, RateField, Replay, RunState,
+    SimError, B_EPS, T_EPS,
 };
 pub use faults::{
     stream_seed, BootFaultModel, CrashModel, DegradationModel, FaultConfig, FaultRun, FaultStats,

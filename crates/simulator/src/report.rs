@@ -44,7 +44,7 @@ pub struct VmUsage {
 }
 
 /// Full report of one simulated execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimulationReport {
     /// `H_end,last − H_start,first`: wall-clock span from booking the first
     /// VM to the last byte reaching the datacenter (the paper's makespan).

@@ -39,36 +39,38 @@ const TRUNCATION_FLOOR: f64 = 0.01;
 
 /// Realize the weight of every task under the given model. Index = task id.
 pub fn realize_weights(wf: &Workflow, model: WeightModel) -> Vec<f64> {
+    let mut weights = Vec::new();
+    realize_weights_into(wf, model, &mut weights);
+    weights
+}
+
+/// [`realize_weights`] into `out`, replacing its contents and reusing its
+/// allocation.
+pub(crate) fn realize_weights_into(wf: &Workflow, model: WeightModel, out: &mut Vec<f64>) {
+    out.clear();
+    let tasks = wf.tasks().iter();
     match model {
-        WeightModel::Mean => wf.tasks().iter().map(|t| t.weight.mean).collect(),
-        WeightModel::Conservative => {
-            wf.tasks().iter().map(|t| t.weight.conservative()).collect()
-        }
+        WeightModel::Mean => out.extend(tasks.map(|t| t.weight.mean)),
+        WeightModel::Conservative => out.extend(tasks.map(|t| t.weight.conservative())),
         WeightModel::Stochastic { seed } => {
             let mut rng = StdRng::seed_from_u64(seed);
-            wf.tasks()
-                .iter()
-                .map(|t| {
-                    let z = sample_standard_normal(&mut rng);
-                    let w = t.weight.mean + t.weight.std_dev * z;
-                    w.max(t.weight.mean * TRUNCATION_FLOOR)
-                })
-                .collect()
+            out.extend(tasks.map(|t| {
+                let z = sample_standard_normal(&mut rng);
+                let w = t.weight.mean + t.weight.std_dev * z;
+                w.max(t.weight.mean * TRUNCATION_FLOOR)
+            }));
         }
         WeightModel::HeavyTail { seed } => {
             let mut rng = StdRng::seed_from_u64(seed);
-            wf.tasks()
-                .iter()
-                .map(|t| {
-                    // Log-normal with the task's mean and std dev:
-                    // s² = ln(1 + (σ/w̄)²), μ = ln(w̄) − s²/2.
-                    let cv2 = (t.weight.std_dev / t.weight.mean).powi(2);
-                    let s2 = (1.0 + cv2).ln();
-                    let mu = t.weight.mean.ln() - s2 / 2.0;
-                    let z = sample_standard_normal(&mut rng);
-                    (mu + s2.sqrt() * z).exp().max(t.weight.mean * TRUNCATION_FLOOR)
-                })
-                .collect()
+            out.extend(tasks.map(|t| {
+                // Log-normal with the task's mean and std dev:
+                // s² = ln(1 + (σ/w̄)²), μ = ln(w̄) − s²/2.
+                let cv2 = (t.weight.std_dev / t.weight.mean).powi(2);
+                let s2 = (1.0 + cv2).ln();
+                let mu = t.weight.mean.ln() - s2 / 2.0;
+                let z = sample_standard_normal(&mut rng);
+                (mu + s2.sqrt() * z).exp().max(t.weight.mean * TRUNCATION_FLOOR)
+            }));
         }
     }
 }

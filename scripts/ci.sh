@@ -17,8 +17,10 @@ echo "== cargo test -q (debug profile: plan_lint hook and debug_asserts)"
 # library crates' suites, the equivalence suite included, with them on.
 cargo test -q -p wfs-workflow -p wfs-simulator -p wfs-observe -p wfs-scheduler
 # The DAX reader's pinned outcomes, with overflow checks on its index
-# arithmetic, over every fuzz mutant and hand-written corner.
-cargo test -q --test dax_golden --test dax_fuzz
+# arithmetic, over every fuzz mutant and hand-written corner; and the
+# engine and refinement pins, with the engine's debug_asserts guarding
+# every reset of a reused run state.
+cargo test -q --test dax_golden --test dax_fuzz --test golden
 
 echo "== cargo clippy -- -D warnings (workspace, all targets)"
 cargo clippy --release --workspace --all-targets -- -D warnings
