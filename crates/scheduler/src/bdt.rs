@@ -55,11 +55,11 @@ pub(crate) fn bdt<S: EventSink>(
             // The pruned set and each category's latest-ready VM fix the
             // TCTF extremes; the runs of the highest affordable TCTF per
             // chain then hold the winner (DESIGN.md §7).
-            let chosen = plan.with_threshold_query(t, |q| {
-                q.add_latest_ready();
-                let tctf = Tctf::new(q.evals(), sub_budget);
-                q.add_affordable_ties(sub_budget, |e| tctf.of(e));
-                tctf.pick(q.evals())
+            let chosen = plan.sweep(t, 1, |sweep| {
+                sweep.add_latest_ready();
+                let tctf = Tctf::new(sweep.evals(), sub_budget);
+                sweep.add_affordable_ties(sub_budget, |e| tctf.of(e));
+                tctf.pick(sweep.evals())
             });
             remaining -= chosen.cost;
             plan.commit(t, chosen.candidate);

@@ -3,6 +3,11 @@
 //! incremental per-task cache of MIN-MIN/MAX-MIN: a round commits one task
 //! to one VM, so a ready task's cached winner is re-checked against that
 //! VM alone instead of re-running the selection every round.
+//!
+//! The rule is written once, as [`select`], over the survivors of one
+//! [`PlanState::sweep`]: `get_best_host`, the cache's misses and
+//! SUFFERAGE's pick all call it, and the cache keeps the
+//! `unconstrained_same` flag it returns with the winner.
 
 use crate::plan::{Candidate, HostEval, PlanState};
 use wfs_observe::{Event as Obs, EventSink, NoopSink};
@@ -27,38 +32,28 @@ fn fallback_key(e: &HostEval) -> (OrdF64, OrdF64) {
     (OrdF64(e.cost), OrdF64(e.eft))
 }
 
-/// Selection with the metadata the incremental cache needs: the winner
-/// [`select_best`] returns, and whether it is also the best candidate
-/// *ignoring* the budget (raising the limit then cannot change it). `key`
-/// is a strict total order, so when the unconstrained minimum fits the
-/// limit it is the affordable winner; otherwise the winner is the
-/// constrained selection and differs from it.
+/// Alg. 2's selection over a sweep's candidates, with the metadata the
+/// incremental cache needs: the winner, and whether it is also the best
+/// candidate *ignoring* the budget (`unconstrained_same`: raising the
+/// limit then cannot change it).
+///
+/// One pass tracks the minimum of `key` over the affordable candidates
+/// and over the others. `key` is a strict total order, so which of equal
+/// elements wins cannot matter, and the affordable minimum is also the
+/// unconstrained one exactly when it beats the other minimum. Only when
+/// nothing was affordable, a second pass takes the cheapest candidate by
+/// `(cost, eft)`, where ties CAN happen and the naive `Iterator::min_by`
+/// kept the *last* minimal element, hence `<=` in the replacement test.
 pub(crate) fn select(evals: &[HostEval], limit: f64) -> (HostEval, bool) {
-    #[allow(clippy::expect_used)] // evals is non-empty, so the fold is Some
-    let free =
-        evals.iter().min_by_key(|e| key(e)).expect("a platform always offers new-VM candidates");
-    if free.cost <= limit + COST_EPS {
-        (*free, true)
-    } else {
-        (select_best(evals, limit), false)
-    }
-}
-
-/// Alg. 2's selection over a candidate sweep: one pass tracking the
-/// affordable minimum of `key` (a strict total order, so which of equal
-/// elements wins cannot matter); only when nothing was affordable, a
-/// second pass for the cheapest candidate by `(cost, eft)`, where ties
-/// CAN happen and the naive `Iterator::min_by` kept the *last* minimal
-/// element, hence `<=` in the replacement test.
-pub(crate) fn select_best(evals: &[HostEval], limit: f64) -> HostEval {
-    let mut aff: Option<&HostEval> = None;
+    let (mut aff, mut over): (Option<&HostEval>, Option<&HostEval>) = (None, None);
     for e in evals {
-        if e.cost <= limit + COST_EPS && aff.is_none_or(|a| key(e) < key(a)) {
-            aff = Some(e);
+        let min = if e.cost <= limit + COST_EPS { &mut aff } else { &mut over };
+        if min.is_none_or(|m| key(e) < key(m)) {
+            *min = Some(e);
         }
     }
     if let Some(best) = aff {
-        return *best;
+        return (*best, over.is_none_or(|o| key(best) < key(o)));
     }
     let mut cheapest: Option<&HostEval> = None;
     for e in evals {
@@ -68,7 +63,7 @@ pub(crate) fn select_best(evals: &[HostEval], limit: f64) -> HostEval {
     }
     #[allow(clippy::expect_used)] // evals is non-empty, so the fold is Some
     let best = cheapest.expect("a platform always offers new-VM candidates");
-    *best
+    (*best, false)
 }
 
 /// Pick the best host for `t` under the planning state `plan`:
@@ -80,8 +75,8 @@ pub(crate) fn select_best(evals: &[HostEval], limit: f64) -> HostEval {
 ///   `getBestHost` then "will not return the host with the smallest EFT").
 ///
 /// `limit = ∞` recovers the baseline MIN-MIN/HEFT behaviour. Only the
-/// candidates that can win are evaluated
-/// ([`PlanState::with_pruned_candidate_evals`]); the result is the one a
+/// candidates that can win are evaluated ([`PlanState::sweep`]); the
+/// result is the one a
 /// sweep over every candidate gives. Each evaluated candidate is reported
 /// to `sink` as an [`Obs::CandidateEvaluated`] (with its EFT, cost and
 /// whether it fit the limit) before the selection is returned; pass
@@ -92,9 +87,9 @@ pub fn get_best_host<S: EventSink>(
     limit: f64,
     sink: &mut S,
 ) -> HostEval {
-    plan.with_pruned_candidate_evals(t, |evals| {
+    plan.sweep(t, 1, |sweep| {
         if S::ENABLED {
-            for e in evals {
+            for e in sweep.evals() {
                 let (used, host) = match e.candidate {
                     Candidate::Used(vm) => (true, vm.0),
                     Candidate::New(cat) => (false, cat.0),
@@ -109,7 +104,7 @@ pub fn get_best_host<S: EventSink>(
                 });
             }
         }
-        select_best(evals, limit)
+        select(sweep.evals(), limit).0
     })
 }
 
@@ -134,7 +129,8 @@ impl Entry {
 
 /// Incremental best-host cache for the round-based list schedulers
 /// MIN-MIN and MAX-MIN (SUFFERAGE scores the affordable set beyond the
-/// winner and runs an uncached top-two sweep, see `minmin.rs`'s
+/// winner and runs an uncached sweep keeping two entries per walk, see
+/// `minmin.rs`'s
 /// `Rule::pick`; naive reference mode bypasses the cache).
 ///
 /// Each round queries every ready task, then commits one task to one VM
@@ -235,8 +231,7 @@ impl BestHostCache {
             }
         }
         self.misses += 1;
-        let (best, unconstrained_same) =
-            plan.with_pruned_candidate_evals(t, |evals| select(evals, limit));
+        let (best, unconstrained_same) = plan.sweep(t, 1, |sweep| select(sweep.evals(), limit));
         self.entries[t.index()] = Some(Entry { best, unconstrained_same, limit });
         best
     }
@@ -346,8 +341,8 @@ mod tests {
 
     /// At every step of a plan, the pruned sweep must make every selection
     /// the oracle's full candidate set makes, to the bit: `select` (with
-    /// its cache metadata) and `select_best` under no, a tight and an
-    /// infinite limit, and CG's per-category pick. The bag of identical tasks
+    /// its cache metadata) under no, a tight and an infinite limit, and
+    /// CG's per-category pick. The bag of identical tasks
     /// enrolls many VMs with equal ready instants and equal costs, so the
     /// tie runs are long and the fall-back's "last minimal wins" and the
     /// affordable key's lowest id pick different ends of them.
@@ -364,19 +359,16 @@ mod tests {
             let (mut affordable, mut fallback, mut constrained) = (0, 0, 0);
             for (step, &t) in wf.topological_order().iter().enumerate() {
                 let full: Vec<HostEval> = plan.evaluate_all(t).collect();
-                let free = select_best(&full, f64::INFINITY);
+                let (free, _) = select(&full, f64::INFINITY);
                 // Just below the unconstrained winner's cost: that winner
                 // is excluded and `unconstrained_same` turns false.
                 let tight = free.cost - 2.0 * COST_EPS;
                 for limit in [0.0, tight, f64::INFINITY] {
                     let want = select(&full, limit);
-                    let got = plan.with_pruned_candidate_evals(t, |evals| select(evals, limit));
+                    let got = plan.sweep(t, 1, |sweep| select(sweep.evals(), limit));
                     let at = format!("{name} step {step} limit {limit}");
                     assert_eq!(bits(&got.0), bits(&want.0), "{at}");
                     assert_eq!(got.1, want.1, "{at}");
-                    let lean =
-                        plan.with_pruned_candidate_evals(t, |evals| select_best(evals, limit));
-                    assert_eq!(bits(&lean), bits(&want.0), "{at}");
                     match (want.0.cost <= limit + COST_EPS, want.1) {
                         (false, _) => fallback += 1,
                         (true, false) => constrained += 1,
@@ -385,8 +377,7 @@ mod tests {
                 }
                 for cat in p.category_ids() {
                     let want = pick_in_category(&plan, &full, cat);
-                    let got = plan
-                        .with_pruned_candidate_evals(t, |evals| pick_in_category(&plan, evals, cat));
+                    let got = plan.sweep(t, 1, |sweep| pick_in_category(&plan, sweep.evals(), cat));
                     assert_eq!(bits(&got), bits(&want), "{name} step {step} CG category {cat:?}");
                 }
                 // Alternate EFT-greedy steps, steps capped at the cheapest
@@ -401,8 +392,8 @@ mod tests {
                     .fold(f64::INFINITY, f64::min);
                 let drive = match step % 4 {
                     0 => free,
-                    3 => select_best(&full, 0.0),
-                    _ => select_best(&full, cheapest_new),
+                    3 => select(&full, 0.0).0,
+                    _ => select(&full, cheapest_new).0,
                 };
                 plan.commit(t, drive.candidate);
             }

@@ -97,7 +97,7 @@ pub(crate) fn cg<S: EventSink>(
                 da.total_cmp(&db).then(tie).then(a.0.cmp(&b.0))
             })
             .expect("platform is non-empty");
-        let best = plan.with_pruned_candidate_evals(t, |evals| pick_in_category(&plan, evals, cat));
+        let best = plan.sweep(t, 1, |sweep| pick_in_category(&plan, sweep.evals(), cat));
         plan.commit(t, best.candidate);
     }
     plan.report_sweeps(sink);

@@ -15,7 +15,7 @@
 //! - SUFFERAGE commits the task that would *suffer* most if denied its best
 //!   host: maximal difference between its second-best and best EFT.
 
-use crate::best_host::{select_best, BestHostCache, COST_EPS};
+use crate::best_host::{select, BestHostCache, COST_EPS};
 use crate::budget::{Placement, Pot};
 use crate::plan::{HostEval, PlanState};
 use std::cmp::Ordering;
@@ -57,7 +57,8 @@ impl Rule {
         last_commit: Option<VmId>,
     ) -> Pick {
         if self == Rule::Sufferage {
-            return plan.with_top_two_candidate_evals(t, |evals| {
+            return plan.sweep(t, 2, |sweep| {
+                let evals = sweep.evals();
                 // Sufferage = second-best EFT − best EFT among the
                 // affordable candidates (∞ limit for the baseline); 0 when
                 // none is affordable, ∞ when exactly one is.
@@ -78,7 +79,7 @@ impl Rule {
                     1 => f64::INFINITY,
                     _ => e2 - e1,
                 };
-                Pick { task: t, eval: select_best(evals, limit), score }
+                Pick { task: t, eval: select(evals, limit).0, score }
             });
         }
         let eval = cache.best(plan, t, limit, last_commit);

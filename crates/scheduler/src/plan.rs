@@ -57,9 +57,8 @@ pub struct HostEval {
     pub cost: f64,
 }
 
-/// Reusable buffers for the allocation-free pruned sweeps and threshold
-/// queries. Owned by [`PlanState`] behind a `RefCell` so sweeps work
-/// through `&PlanState`.
+/// Reusable buffers of the allocation-free candidate sweeps. Owned by
+/// [`PlanState`] behind a `RefCell` so sweeps work through `&PlanState`.
 ///
 /// The per-VM arrays are *stamped*: instead of clearing them between
 /// sweeps, each entry carries the stamp of the sweep that last wrote it,
@@ -77,8 +76,8 @@ struct Scratch {
     vm_dready: Vec<f64>,
     /// Sweep stamp guarding `vm_bytes`/`vm_dready` entries.
     vm_stamp: Vec<u64>,
-    /// Sweep stamp of the used VMs a threshold query already holds in
-    /// `evals` (each is added once).
+    /// Sweep stamp of the used VMs a growing [`Sweep`] already holds in
+    /// `evals` (each is added once); written by the first growth call.
     vm_seen: Vec<u64>,
     /// Current sweep stamp.
     stamp: u64,
@@ -92,11 +91,11 @@ struct Scratch {
     /// Per category, the number of its VMs ready by the data-ready instant
     /// of the last pruned sweep: where its ready index splits in two.
     cat_split: Vec<usize>,
-    /// Total sweeps performed since creation (pruned, threshold or naive).
+    /// Total sweeps performed since creation (pruned or naive).
     sweeps: u64,
     /// Total candidate evaluations produced across those sweeps.
     cand_evals: u64,
-    /// Candidates a pruned sweep skipped as provably unable to win:
+    /// Candidates a sweep skipped as provably unable to win:
     /// `V + K` minus the evaluations it produced.
     pruned: u64,
 }
@@ -129,10 +128,7 @@ pub struct PlanState<'a> {
     /// Planned availability instant of each enrolled VM.
     vm_ready: Vec<f64>,
     /// Per category, its VMs ordered by `(ready instant, id)`: the index
-    /// the pruned sweep and the threshold query walk (see
-    /// [`Self::with_pruned_candidate_evals`] and
-    /// [`Self::with_threshold_query`]), kept up to date by
-    /// [`Self::commit`].
+    /// every [`Self::sweep`] walks, kept up to date by [`Self::commit`].
     by_ready: ReadyIndex,
     /// Planned finish time of each scheduled task (`NAN` = unscheduled).
     finish: Vec<f64>,
@@ -140,8 +136,7 @@ pub struct PlanState<'a> {
     /// (`INFINITY` until the producer is scheduled).
     edge_at_dc: Vec<f64>,
     schedule: Schedule,
-    /// Scratch space for [`Self::with_pruned_candidate_evals`] and its
-    /// variants.
+    /// Scratch space of [`Self::sweep`].
     scratch: RefCell<Scratch>,
     /// When true (set via [`crate::reference::with_naive`]), sweeps hand
     /// over [`Self::evaluate_all`] instead of their pruned sets.
@@ -276,8 +271,8 @@ impl<'a> PlanState<'a> {
     /// Evaluate `t` on `candidate`: EFT per Eq. 7 and cost `ct_{T,host}`.
     ///
     /// This re-walks `t`'s in-edges on every call. Host selections go
-    /// through [`Self::with_pruned_candidate_evals`] instead, which
-    /// evaluates only the candidates that can win, with the same bits.
+    /// through [`Self::sweep`] instead, which evaluates only the
+    /// candidates that can win, with the same bits.
     pub fn evaluate(&self, t: TaskId, candidate: Candidate) -> HostEval {
         match candidate {
             Candidate::Used(vm) => self.eval_used_with(
@@ -308,9 +303,12 @@ impl<'a> PlanState<'a> {
         used.chain(new).map(move |c| self.evaluate(t, c))
     }
 
-    /// The candidates that can win `getBestHost` (Alg. 2) or CG's
-    /// per-category pick: O(K + deg) evaluations (plus exact ties) in
-    /// O(K log V + deg) time per sweep, instead of the V + K of
+    /// One candidate sweep of `t`, the only one host selections make: `f`
+    /// receives a [`Sweep`] whose [`Sweep::evals`] hold the candidates
+    /// that can win, each walk keeping at least `keep` entries (1 for
+    /// `getBestHost` (Alg. 2), CG's per-category pick and the MIN-MIN
+    /// cache; 2 for SUFFERAGE). That is O(K + deg) evaluations (plus exact
+    /// ties) in O(K log V + deg) time, instead of the V + K of
     /// [`Self::evaluate_all`].
     ///
     /// A used VM `v` of category `k` hosting no predecessor of `t` is
@@ -326,77 +324,28 @@ impl<'a> PlanState<'a> {
     ///   first.
     ///
     /// Walking each category's `(r, id)` index from those two ends keeps
-    /// the first VM plus every following one whose cost (resp. EFT) ties
-    /// it to the bit; everything further is beaten on cost or EFT with the
-    /// other key component equal. Predecessor hosts are skipped in the walk
-    /// and evaluated exactly, from the in-edge pass's aggregates. The
-    /// survivors are handed to `f` in candidate order (used VMs by id, then
-    /// one `New` per category), so any selection that takes a minimum over
-    /// `(EFT, cost)`, `(cost, EFT)` or the Alg. 2 key and breaks remaining
-    /// ties by candidate order — first or last — picks the same candidate
-    /// as over [`Self::evaluate_all`], with the same [`HostEval`] bits.
+    /// the first `keep` VMs plus every following one whose cost (resp.
+    /// EFT) ties the first to the bit; everything further is beaten on
+    /// cost or EFT with the other key component equal. Predecessor hosts
+    /// are skipped in the walk and evaluated exactly, from the in-edge
+    /// pass's aggregates. The survivors come in candidate order (used VMs
+    /// by id, then one `New` per category), so any selection that takes a
+    /// minimum over `(EFT, cost)`, `(cost, EFT)` or the Alg. 2 key and
+    /// breaks remaining ties by candidate order — first or last — picks
+    /// the same candidate as over [`Self::evaluate_all`], with the same
+    /// [`HostEval`] bits. With `keep = 2` every chain's kept entries hold
+    /// two of its smallest affordable EFTs, or all it has: SUFFERAGE's
+    /// two smallest (DESIGN.md §7). BDT grows the set further with the
+    /// [`Sweep`]'s methods.
     ///
-    /// In naive reference mode `f` receives [`Self::evaluate_all`]. Do not
-    /// call a sweep (or anything that mutates `self`) from inside `f`: the
-    /// scratch buffer is borrowed for the duration of the closure.
-    pub fn with_pruned_candidate_evals<R>(
-        &self,
-        t: TaskId,
-        f: impl FnOnce(&[HostEval]) -> R,
-    ) -> R {
-        self.pruned_sweep(t, 1, f)
-    }
-
-    /// [`Self::with_pruned_candidate_evals`] whose walks also keep each
-    /// chain's second entry, for SUFFERAGE's two smallest affordable EFTs.
-    /// The VMs ready by `dr` share one EFT and the affordable ones end
-    /// that walk's order, and the VMs ready after it share one cost and
-    /// start the other walk in EFT order; so every chain's two kept
-    /// entries hold two of its smallest affordable EFTs, or all it has
-    /// (DESIGN.md §7).
-    pub(crate) fn with_top_two_candidate_evals<R>(
-        &self,
-        t: TaskId,
-        f: impl FnOnce(&[HostEval]) -> R,
-    ) -> R {
-        self.pruned_sweep(t, 2, f)
-    }
-
-    /// The pruned sweep, each walk keeping at least `keep` entries.
-    fn pruned_sweep<R>(&self, t: TaskId, keep: usize, f: impl FnOnce(&[HostEval]) -> R) -> R {
-        let mut scratch = self.scratch.borrow_mut();
-        let scratch = &mut *scratch;
-        if self.naive {
-            scratch.evals.clear();
-            scratch.evals.extend(self.evaluate_all(t));
-        } else {
-            self.push_pruned_evals(t, keep, scratch);
-        }
-        self.count_sweep(scratch);
-        f(&scratch.evals)
-    }
-
-    /// Threshold query over the ready index for BDT's trade-off factor,
-    /// which needs more than the Alg. 2 winner, without a sweep over every
-    /// rented VM.
-    ///
-    /// `f` receives the set of [`Self::with_pruned_candidate_evals`] and
-    /// may grow it from the two chains of each category's VMs hosting no
-    /// predecessor of `t`, split at the data-ready instant `dr`: chain 1
-    /// (ready by `dr`: one EFT, cost not rising with the ready instant)
-    /// and chain 2 (ready after `dr`: one cost, EFT not falling). See
-    /// [`ThresholdQuery`]'s methods; DESIGN.md §7 gives the argument BDT
-    /// relies on. The set stays in candidate order, holds no
-    /// candidate twice and carries the bits of [`Self::evaluate_all`].
-    ///
-    /// Binary-search probes that are not added count neither as evaluated
-    /// nor as pruned. In naive reference mode the set is
-    /// [`Self::evaluate_all`] and the methods add nothing.
-    pub(crate) fn with_threshold_query<R>(
-        &self,
-        t: TaskId,
-        f: impl FnOnce(&mut ThresholdQuery<'_>) -> R,
-    ) -> R {
+    /// The sweep is counted once `f` returns (`plan_sweeps`, and the set's
+    /// size as evaluated, the rest of `V + K` as pruned; binary-search
+    /// probes that are not added count as neither). In naive reference
+    /// mode the set is [`Self::evaluate_all`] and the growth methods add
+    /// nothing. Do not call a sweep (or anything that mutates `self`) from
+    /// inside `f`: the scratch buffer is borrowed for the duration of the
+    /// closure.
+    pub fn sweep<R>(&self, t: TaskId, keep: usize, f: impl FnOnce(&mut Sweep<'_>) -> R) -> R {
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
         let chains = if self.naive {
@@ -404,23 +353,16 @@ impl<'a> PlanState<'a> {
             scratch.evals.extend(self.evaluate_all(t));
             None
         } else {
-            let dr = self.push_pruned_evals(t, 1, scratch);
-            for e in &scratch.evals {
-                if let Candidate::Used(vm) = e.candidate {
-                    scratch.vm_seen[vm.index()] = scratch.stamp;
-                }
-            }
-            Some((&self.by_ready, dr))
+            Some((&self.by_ready, self.push_pruned_evals(t, keep, scratch)))
         };
-        let result = f(&mut ThresholdQuery { chains, scratch: &mut *scratch });
+        let result = f(&mut Sweep { chains, scratch: &mut *scratch, stamped: false });
         self.count_sweep(scratch);
         result
     }
 
     /// Fill `scratch.evals` with the pruned candidate set of `t` (see
-    /// [`Self::with_pruned_candidate_evals`]), each walk keeping at least
-    /// `keep` entries, in candidate order. Returns the data-ready instant
-    /// the chains split at.
+    /// [`Self::sweep`]), each walk keeping at least `keep` entries, in
+    /// candidate order. Returns the data-ready instant the chains split at.
     fn push_pruned_evals(&self, t: TaskId, keep: usize, scratch: &mut Scratch) -> f64 {
         scratch.evals.clear();
         scratch.cat_split.clear();
@@ -449,8 +391,8 @@ impl<'a> PlanState<'a> {
         dr
     }
 
-    /// The in-edge pass of the pruned sweeps, O(deg + K). Computes the
-    /// base aggregates (valid for every new VM and every used VM hosting no
+    /// The in-edge pass of a sweep, O(deg + K). Computes the base
+    /// aggregates (valid for every new VM and every used VM hosting no
     /// predecessor of `t`), stamps the VMs hosting a predecessor into
     /// `scratch.pred_vms` with their *local* byte sum and data-ready
     /// maximum, and hoists the per-category occupied time and rate.
@@ -673,31 +615,53 @@ fn push_once(scratch: &mut Scratch, e: HostEval) {
     }
 }
 
-/// The candidate set of one [`PlanState::with_threshold_query`]: the
-/// pruned set, grown on request from each category's chains of VMs
-/// hosting no predecessor of the task.
+/// The candidate set of one [`PlanState::sweep`]: the pruned set, which
+/// BDT grows on request from the two chains of each category's VMs
+/// hosting no predecessor of the task, split at the data-ready instant
+/// `dr`: chain 1 (ready by `dr`: one EFT, cost not rising with the ready
+/// instant) and chain 2 (ready after `dr`: one cost, EFT not falling).
+/// DESIGN.md §7 gives the argument BDT relies on. The set stays in
+/// candidate order, holds no candidate twice and carries the bits of
+/// [`PlanState::evaluate_all`].
 #[derive(Debug)]
-pub(crate) struct ThresholdQuery<'q> {
+pub struct Sweep<'q> {
     /// The ready index and the data-ready instant the chains split at;
     /// `None` in naive reference mode, where the set already holds every
     /// candidate.
     chains: Option<(&'q ReadyIndex, f64)>,
     scratch: &'q mut Scratch,
+    /// Whether the set's used VMs carry this sweep's `vm_seen` stamp.
+    stamped: bool,
 }
 
-impl ThresholdQuery<'_> {
+impl<'q> Sweep<'q> {
     /// The candidates gathered so far, in candidate order.
     #[inline]
-    pub(crate) fn evals(&self) -> &[HostEval] {
+    pub fn evals(&self) -> &[HostEval] {
         &self.scratch.evals
+    }
+
+    /// The chains to grow the set from, with its used VMs stamped as seen
+    /// on the first call; `None` in naive reference mode.
+    fn chains(&mut self) -> Option<(&'q ReadyIndex, f64, &mut Scratch)> {
+        let (index, dr) = self.chains?;
+        let s = &mut *self.scratch;
+        if !self.stamped {
+            self.stamped = true;
+            for e in &s.evals {
+                if let Candidate::Used(vm) = e.candidate {
+                    s.vm_seen[vm.index()] = s.stamp;
+                }
+            }
+        }
+        Some((index, dr, s))
     }
 
     /// Add each category's latest-ready VM hosting no predecessor. The EFT
     /// does not fall along a category's `(ready instant, id)` order, so
     /// the set then holds the largest EFT over every candidate.
-    pub(crate) fn add_latest_ready(&mut self) {
-        let Some((index, dr)) = self.chains else { return };
-        let s = &mut *self.scratch;
+    pub fn add_latest_ready(&mut self) {
+        let Some((index, dr, s)) = self.chains() else { return };
         for (k, vms) in index.iter().enumerate() {
             let last = vms.iter().rev().find(|(_, vm)| s.vm_stamp[vm.index()] != s.stamp);
             if let Some(&(r, vm)) = last {
@@ -712,9 +676,8 @@ impl ThresholdQuery<'_> {
     /// the first one's to the bit. A key that does not rise along either
     /// chain (BDT's trade-off factor) thus brings in every affordable
     /// entry that can attain its maximum.
-    pub(crate) fn add_affordable_ties(&mut self, max_cost: f64, key: impl Fn(&HostEval) -> f64) {
-        let Some((index, dr)) = self.chains else { return };
-        let s = &mut *self.scratch;
+    pub fn add_affordable_ties(&mut self, max_cost: f64, key: impl Fn(&HostEval) -> f64) {
+        let Some((index, dr, s)) = self.chains() else { return };
         for (k, vms) in index.iter().enumerate() {
             let (occupied, rate) = (s.cat_occupied[k], s.cat_rate[k]);
             let eval = |vm, r| eval_remote(vm, r, dr, occupied, rate);

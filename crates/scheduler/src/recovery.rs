@@ -129,7 +129,14 @@ pub struct RecoveryConfig {
 impl RecoveryConfig {
     /// A recovering execution with conservative weights, 16 epochs max,
     /// linting off.
+    ///
+    /// # Panics
+    /// If `budget` is not a finite non-negative amount.
     pub fn new(algorithm: Algorithm, policy: RecoveryPolicy, budget: f64, faults: FaultConfig) -> Self {
+        assert!(
+            budget.is_finite() && budget >= 0.0,
+            "recovery budget must be finite and non-negative, got {budget}"
+        );
         Self {
             algorithm,
             policy,
@@ -352,7 +359,6 @@ pub fn run_with_recovery_observed<S: EventSink>(
     cfg: &RecoveryConfig,
     sink: &mut S,
 ) -> Result<RecoveryOutcome, SimError> {
-    assert!(cfg.budget >= 0.0 && cfg.budget.is_finite(), "budget must be non-negative and finite");
     let n = wf.task_count();
     let mut durable_all = vec![false; n];
     let mut prev_slot: Vec<PrevSlot> = vec![(0, 0, platform.cheapest()); n];
@@ -495,6 +501,19 @@ mod tests {
             .with_crash(CrashModel::exponential(900.0))
             .with_boot(BootFaultModel::new(0.15, 3).with_backoff(1.5))
             .with_degradation(DegradationModel::new(0.25, 700.0, 90.0))
+    }
+
+    #[test]
+    fn new_rejects_budgets_that_are_not_finite_and_non_negative() {
+        let make = |budget| {
+            let policy = RecoveryPolicy::FailStop;
+            RecoveryConfig::new(Algorithm::HeftBudg, policy, budget, FaultConfig::none())
+        };
+        for budget in [-1.0, f64::NAN, f64::INFINITY] {
+            let made = std::panic::catch_unwind(|| make(budget));
+            assert!(made.is_err(), "budget {budget} was accepted");
+        }
+        assert_eq!(make(0.0).budget, 0.0);
     }
 
     #[test]

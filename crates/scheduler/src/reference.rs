@@ -1,12 +1,12 @@
 //! Naive reference mode for the planner fast path.
 //!
-//! The dominance-pruned sweep behind `getBestHost` and CG
-//! ([`crate::PlanState::with_pruned_candidate_evals`]), its top-two and
-//! threshold variants behind SUFFERAGE and BDT, and the incremental
-//! MIN-MIN/MAX-MIN selection caches are designed to be *observationally
-//! identical* to the straightforward implementations they replaced. This
-//! module provides the switch that turns those optimizations off — every
-//! sweep then hands over the oracle
+//! The dominance-pruned candidate sweep behind every host choice
+//! ([`crate::PlanState::sweep`]: `getBestHost`, CG, SUFFERAGE's top-two
+//! set and BDT's grown set) and the incremental MIN-MIN/MAX-MIN selection
+//! caches are designed to be *observationally identical* to the
+//! straightforward implementations they replaced. This module provides
+//! the switch that turns those optimizations off — every sweep then
+//! hands over the oracle
 //! ([`crate::PlanState::evaluate_all`], one evaluation per candidate), and
 //! nothing is pruned or cached — so tests can run any algorithm twice,
 //! fast and naive, and assert the outputs match bit for bit.

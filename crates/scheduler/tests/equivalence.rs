@@ -1,16 +1,16 @@
 //! Fast-path ⇔ naive-reference equivalence.
 //!
-//! The dominance-pruned sweep of `getBestHost` and CG
-//! ([`PlanState::with_pruned_candidate_evals`]), the top-two and threshold
-//! queries of SUFFERAGE and BDT (`PlanState::with_threshold_query`) and
-//! the incremental MIN-MIN/MAX-MIN selection caches are pure
+//! The dominance-pruned candidate sweep ([`PlanState::sweep`]: the set
+//! of `getBestHost` and CG, SUFFERAGE's two-per-walk set and BDT's grown
+//! set) and the incremental MIN-MIN/MAX-MIN selection caches are pure
 //! optimizations: they must not change a single bit of any schedule. This
 //! suite checks that claim against the oracle
 //! ([`PlanState::evaluate_all`], one evaluation per candidate) four ways:
 //!
-//! 1. bitwise: every survivor of a pruned sweep is a real candidate, the
-//!    survivors come in candidate order, and their `eft`/`begin`/`cost`
-//!    are bit-identical to the oracle's;
+//! 1. bitwise: every candidate a sweep hands over (keeping one or two
+//!    entries per walk, or grown as BDT grows it) is a real candidate, the
+//!    set comes in candidate order, and its `eft`/`cost` are
+//!    bit-identical to the oracle's;
 //! 2. end-to-end: every algorithm, on every generator and budget, returns
 //!    a schedule *equal* to the one produced in naive reference mode, where
 //!    nothing is pruned or cached;
@@ -56,39 +56,70 @@ fn candidate_order(c: Candidate) -> (u8, u32) {
     }
 }
 
+/// Check one sweep's candidate set against the oracle's evaluations of
+/// the same task: in strict candidate order (so no candidate twice), each
+/// a real candidate, with the oracle's `eft` and `cost` bits.
+fn assert_set_matches_oracle(at: &str, oracle: &[HostEval], set: &[HostEval]) {
+    assert!(
+        set.windows(2).all(|w| candidate_order(w[0].candidate) < candidate_order(w[1].candidate)),
+        "{at}: out of candidate order"
+    );
+    for fast in set {
+        let c = fast.candidate;
+        let slow = oracle
+            .iter()
+            .find(|e| e.candidate == c)
+            .unwrap_or_else(|| panic!("{at}: {c:?} is no candidate"));
+        for (field, a, b) in [("eft", fast.eft, slow.eft), ("cost", fast.cost, slow.cost)] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{at}: {field} on {c:?} differs: {a} vs {b}");
+        }
+    }
+}
+
+/// A key `Sweep::add_affordable_ties` keeps the ties of.
+type TieKey = fn(&HostEval) -> f64;
+
 /// Drive a plan forward (committing each task to its best host under a
-/// varying limit) and compare every survivor of every pruned sweep against
-/// the oracle bit for bit along the way.
+/// varying limit) and compare every candidate set a sweep hands over
+/// against the oracle bit for bit along the way: the pruned set with each
+/// walk keeping one entry (Alg. 2, CG) and two (SUFFERAGE), and BDT's
+/// grown set, after `add_latest_ready` and after `add_affordable_ties`
+/// (as the first growth call or after `add_latest_ready`) at cost bounds
+/// from nothing to everything affordable, with a key tied along chain 1
+/// (the EFT) and one tied along chain 2 (the cost).
 fn assert_sweeps_bitwise_identical(name: &str, wf: &Workflow, platform: &Platform) {
     let mut plan = PlanState::new(wf, platform);
+    let keys: [(&str, TieKey); 2] = [("eft", |e| e.eft), ("cost", |e| e.cost)];
     for (step, &t) in wf.topological_order().iter().enumerate() {
         let oracle: Vec<HostEval> = plan.evaluate_all(t).collect();
-        plan.with_pruned_candidate_evals(t, |survivors| {
-            assert!(
-                survivors
-                    .windows(2)
-                    .all(|w| candidate_order(w[0].candidate) < candidate_order(w[1].candidate)),
-                "{name}: survivors of {t:?} out of candidate order"
-            );
-            for fast in survivors {
-                let c = fast.candidate;
-                let slow = oracle
-                    .iter()
-                    .find(|e| e.candidate == c)
-                    .unwrap_or_else(|| panic!("{name}: {c:?} is no candidate of {t:?}"));
-                for (field, a, b) in [
-                    ("eft", fast.eft, slow.eft),
-                    ("cost", fast.cost, slow.cost),
-                ] {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{name}: {field} of {t:?} on {:?} differs: {a} vs {b}",
-                        fast.candidate
-                    );
-                }
-            }
+        let check = |what: &str, set: &[HostEval]| {
+            assert_set_matches_oracle(&format!("{name}: {what} of {t:?}"), &oracle, set);
+        };
+        plan.sweep(t, 1, |sweep| check("keep-1 set", sweep.evals()));
+        plan.sweep(t, 2, |sweep| check("keep-2 set", sweep.evals()));
+        plan.sweep(t, 1, |sweep| {
+            sweep.add_latest_ready();
+            check("latest-ready set", sweep.evals());
         });
+        let mut costs: Vec<f64> = oracle.iter().map(|e| e.cost).collect();
+        costs.sort_by(f64::total_cmp);
+        let n = costs.len();
+        let bounds = [0.0, costs[0], costs[n / 4], costs[n / 2], costs[n - 1], f64::INFINITY];
+        for bound in bounds {
+            for (key_name, key) in keys {
+                plan.sweep(t, 1, |sweep| {
+                    sweep.add_affordable_ties(bound, key);
+                    check(&format!("{key_name} ties under {bound}"), sweep.evals());
+                    sweep.add_latest_ready();
+                    check(&format!("{key_name} ties under {bound}, latest"), sweep.evals());
+                });
+                plan.sweep(t, 1, |sweep| {
+                    sweep.add_latest_ready();
+                    sweep.add_affordable_ties(bound, key);
+                    check(&format!("latest, {key_name} ties under {bound}"), sweep.evals());
+                });
+            }
+        }
         // Vary the budget pressure across steps so both the affordable and
         // the fall-back selection branches get exercised.
         let limit = match step % 3 {
@@ -275,7 +306,8 @@ fn tie_layers(levels: usize, width: usize, fan_in: usize, weights: &[f64], size:
 /// idle one, so SUFFERAGE's second-smallest EFT can come from a chain's
 /// second entry. Mixed-weight layouts, one with 10 MB edges, spread the
 /// ready instants; on them, BDT's runs cut to their first entry and
-/// SUFFERAGE's first two cut to one both diverge from naive.
+/// SUFFERAGE's first two cut to one both diverge from naive. Every sweep
+/// set along the way is also checked bit for bit against the oracle.
 #[test]
 fn threshold_queries_stay_exact_under_ties() {
     let platform = |boot: f64| {
@@ -297,6 +329,7 @@ fn threshold_queries_stay_exact_under_ties() {
     for boot in [0.0, 100.0] {
         let p = platform(boot);
         for (name, wf) in &workflows {
+            assert_sweeps_bitwise_identical(&format!("{name}, boot {boot}"), wf, &p);
             let floor = min_cost_floor(wf, &p);
             for alg in [Algorithm::Bdt, Algorithm::Sufferage, Algorithm::SufferageBudg] {
                 for budget in [0.0, floor, floor * 1.02, floor * 1.5, 1e9] {

@@ -255,16 +255,6 @@ impl Schedule {
         self.order.iter().filter(|o| !o.is_empty()).count()
     }
 
-    /// True if producer and consumer of `edge` are on different VMs (so the
-    /// data must transit through the datacenter).
-    pub fn is_cross_vm(&self, wf: &Workflow, edge: wfs_workflow::EdgeId) -> bool {
-        let e = wf.edge(edge);
-        match (self.assignment(e.from), self.assignment(e.to)) {
-            (Some(a), Some(b)) => a != b,
-            _ => true,
-        }
-    }
-
     /// Validate that the schedule can execute `wf`: one assignment per
     /// task and one order list per VM, every task assigned, orders
     /// consistent, and the union of DAG precedence and per-VM order
@@ -428,22 +418,6 @@ mod tests {
         let err = s.check_categories(&p).unwrap_err();
         assert_eq!(err, ScheduleError::UnknownCategory { vm: VmId(1), category: cat(3) });
         assert_eq!(err.to_string(), "vm1 is of VM category 3, which the platform does not have");
-    }
-
-    #[test]
-    fn cross_vm_detection() {
-        let wf = chain(2, 10.0, 1e6);
-        let mut s = Schedule::new(wf.task_count());
-        let v0 = s.add_vm(cat(0));
-        s.assign(TaskId(0), v0);
-        s.assign(TaskId(1), v0);
-        assert!(!s.is_cross_vm(&wf, wfs_workflow::EdgeId(0)));
-        let mut s2 = Schedule::new(wf.task_count());
-        let a = s2.add_vm(cat(0));
-        let b = s2.add_vm(cat(0));
-        s2.assign(TaskId(0), a);
-        s2.assign(TaskId(1), b);
-        assert!(s2.is_cross_vm(&wf, wfs_workflow::EdgeId(0)));
     }
 
     #[test]

@@ -31,6 +31,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== wfs-analyze (banned-pattern scan vs analyze-allow.txt)"
 cargo run --release -p wfs-analyze -- --workspace
 
+echo "== non-test line counts per library crate (informational, no gate)"
+./scripts/loc.sh
+
 echo "== fault-injection smoke grid (2 workflows x 2 policies, fixed seeds)"
 WFS=target/release/wfs
 FAULTS_TMP=$(mktemp -d)
@@ -48,10 +51,12 @@ for wf in montage30 ligo30; do
 done
 
 echo "== trace round-trip smoke (wfs trace + faults --trace/--ledger)"
+# grep reads the whole report (no -q): `grep -q` exits at the match, and
+# wfs then fails writing its remaining lines to the closed pipe.
 "$WFS" trace "$FAULTS_TMP/montage30.json" --budget 2.0 --seed 3 --ledger --counters \
-  -o "$FAULTS_TMP/montage30.trace.json" | grep -q "reconciles  yes (exact)"
+  -o "$FAULTS_TMP/montage30.trace.json" | grep "reconciles  yes (exact)" >/dev/null
 "$WFS" faults "$FAULTS_TMP/ligo30.json" --budget 3.0 --mtbf 600 --boot-fail 0.1 \
-  --seed 7 --trace "$FAULTS_TMP/ligo30.trace.json" --ledger | grep -q "reconciles  yes (exact)"
+  --seed 7 --trace "$FAULTS_TMP/ligo30.trace.json" --ledger | grep "reconciles  yes (exact)" >/dev/null
 # Both exports must parse as JSON with a non-empty traceEvents array; a
 # file that does not parse fails the step.
 for f in montage30 ligo30; do

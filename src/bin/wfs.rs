@@ -352,6 +352,8 @@ fn cmd_faults(args: &[String]) -> CliResult {
             None => CrashModel::exponential(mtbf),
         };
         faults = faults.with_crash(crash);
+    } else if opt(args, "--shape").is_some() {
+        return Err("--shape needs --mtbf".to_string());
     }
     if let Some(p) = opt(args, "--boot-fail") {
         let prob = parse_checked(p, "boot-fail probability", "in [0, 1)", |v| (0.0..1.0).contains(&v))?;

@@ -570,6 +570,7 @@ fn out_of_range_flags_are_usage_errors() {
         (&["simulate", wf, sched, "--budget", "-5"], "budget must be a finite non-negative amount"),
         (&["faults", wf, "--budget", "2", "--mtbf", "0"], "mtbf must be > 0"),
         (&["faults", wf, "--budget", "2", "--mtbf", "600", "--shape", "0"], "shape must be"),
+        (&["faults", wf, "--budget", "2", "--shape", "2"], "--shape needs --mtbf"),
         (&["faults", wf, "--budget", "2", "--boot-fail", "1"], "boot-fail probability must be"),
         (&["faults", wf, "--budget", "2", "--degrade", "0:0:0"], "degrade factor must be"),
         (&["faults", wf, "--budget", "2", "--degrade", "0.5:0:10"], "degrade gap must be"),

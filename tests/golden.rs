@@ -14,6 +14,7 @@
 
 use budget_sched::prelude::*;
 use budget_sched::simulator::TaskRecord;
+use budget_sched::workflow::EdgeId;
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -279,6 +280,16 @@ fn hub_join(producers: u32) -> (Workflow, Schedule) {
     (wf, s)
 }
 
+/// True if producer and consumer of `edge` sit on different VMs of `s`
+/// (or one is unassigned), so the data transits through the datacenter.
+fn is_cross_vm(wf: &Workflow, s: &Schedule, edge: EdgeId) -> bool {
+    let e = wf.edge(edge);
+    match (s.assignment(e.from), s.assignment(e.to)) {
+        (Some(a), Some(b)) => a != b,
+        _ => true,
+    }
+}
+
 /// Most downloads any one VM of `s` performs: cross-VM inputs plus
 /// external inputs of its tasks.
 fn max_vm_downloads(wf: &Workflow, s: &Schedule) -> usize {
@@ -287,7 +298,7 @@ fn max_vm_downloads(wf: &Workflow, s: &Schedule) -> usize {
             s.order(vm)
                 .iter()
                 .map(|&t| {
-                    let cross = wf.in_edges(t).iter().filter(|&&e| s.is_cross_vm(wf, e)).count();
+                    let cross = wf.in_edges(t).iter().filter(|&&e| is_cross_vm(wf, s, e)).count();
                     cross + usize::from(wf.task(t).external_input > 0.0)
                 })
                 .sum::<usize>()
