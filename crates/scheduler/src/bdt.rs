@@ -62,7 +62,7 @@ pub(crate) fn bdt<S: EventSink>(
                 tctf.pick(sweep.evals())
             });
             remaining -= chosen.cost;
-            plan.commit(t, chosen.candidate);
+            plan.commit(t, chosen);
         }
     }
     plan.report_sweeps(sink);

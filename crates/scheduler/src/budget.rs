@@ -46,7 +46,7 @@ impl BudgetSplit {
 /// Estimated duration `t_calc,T` of one task: conservative weight at the
 /// mean platform speed, plus its predecessor data over the bandwidth
 /// (Eq. 5–6).
-pub fn t_calc_task(wf: &Workflow, platform: &Platform, t: TaskId) -> f64 {
+pub(crate) fn t_calc_task(wf: &Workflow, platform: &Platform, t: TaskId) -> f64 {
     let mean_speed = platform.mean_speed();
     let bw = platform.datacenter.bandwidth;
     wf.task(t).weight.conservative() / mean_speed + wf.pred_data_size(t) / bw
@@ -62,7 +62,7 @@ fn t_calc_workflow(wf: &Workflow, platform: &Platform) -> f64 {
 /// Conservative estimate of the datacenter reservation: a sequential
 /// execution on a single VM of the cheapest category, paying boundary
 /// transfers (`c_iof`) and the usage rate (`c_h,DC`) over that duration.
-pub fn datacenter_reservation(wf: &Workflow, platform: &Platform) -> f64 {
+pub(crate) fn datacenter_reservation(wf: &Workflow, platform: &Platform) -> f64 {
     let cheapest = platform.category(platform.cheapest());
     let external = wf.external_input_data() + wf.external_output_data();
     let duration = wf.total_conservative_work() / cheapest.speed
@@ -196,7 +196,7 @@ impl Placement {
         }
         let eval = choose(plan, limit, sink);
         let pot_before = self.pot.available();
-        let vm = plan.commit(t, eval.candidate);
+        let vm = plan.commit(t, eval);
         if let Some(s) = &self.split {
             self.pot.settle(s.share(t), eval.cost);
         }

@@ -98,7 +98,7 @@ pub(crate) fn cg<S: EventSink>(
             })
             .expect("platform is non-empty");
         let best = plan.sweep(t, 1, |sweep| pick_in_category(&plan, sweep.evals(), cat));
-        plan.commit(t, best.candidate);
+        plan.commit(t, best);
     }
     plan.report_sweeps(sink);
     plan.into_schedule()

@@ -17,7 +17,7 @@ use wfs_workflow::{TaskId, Workflow};
 /// The HEFT priority list for `wf` on `platform`: tasks by non-increasing
 /// bottom level, computed with conservative weights at the mean speed
 /// (`ListT` in the paper).
-pub fn priority_list(wf: &Workflow, platform: &Platform) -> Vec<TaskId> {
+pub(crate) fn priority_list(wf: &Workflow, platform: &Platform) -> Vec<TaskId> {
     heft_order(wf, platform.mean_speed(), platform.datacenter.bandwidth)
 }
 
@@ -182,5 +182,19 @@ mod tests {
         let wf = ligo(GenConfig::new(90, 4));
         let p = paper();
         assert_eq!(heft_budg(&wf, &p, 3.0), heft_budg(&wf, &p, 3.0));
+    }
+
+    #[test]
+    fn priority_list_stable_across_calls_and_budget_independent() {
+        let wf = montage(GenConfig::new(60, 1));
+        let p = paper();
+        let a = priority_list(&wf, &p);
+        let b = priority_list(&wf, &p);
+        assert_eq!(a, b);
+        // HEFTBUDG uses the same list regardless of the budget.
+        let (_, l1) = heft_budg(&wf, &p, 0.1);
+        let (_, l2) = heft_budg(&wf, &p, 100.0);
+        assert_eq!(l1, l2);
+        assert_eq!(l1, a);
     }
 }

@@ -11,7 +11,7 @@
 //! - MIN-MIN / HEFT — the classic budget-oblivious baselines;
 //! - MIN-MINBUDG / HEFTBUDG — budget-aware extensions: the budget is first
 //!   split per task ([`divide_budget`], Alg. 1), then each task takes the
-//!   fastest host it can afford ([`get_best_host`], Alg. 2), recycling
+//!   fastest host it can afford (Alg. 2, `getBestHost`), recycling
 //!   leftovers through the [`Pot`]. This placement step is one piece of
 //!   code shared by every list scheduler, so it also yields MAX-MINBUDG and
 //!   SUFFERAGEBUDG (extensions; MIN-MIN, MAX-MIN and SUFFERAGE share one
@@ -26,11 +26,13 @@
 //! (threads the pot through re-planning rounds), [`refine_schedule`] (the
 //! Alg. 5 pass alone) and [`min_min_budg_plus`] (Alg. 5 over MIN-MINBUDG,
 //! an extension). Every refinement, Alg. 5 and CG+ alike, evaluates its
-//! tentative moves through one trial evaluator (`DESIGN.md` §2).
+//! tentative moves through one trial evaluator (`DESIGN.md` §2). The
+//! planning state under all of them, Alg. 2 and its candidate sweep
+//! included, is crate-private (`DESIGN.md` §7).
 //!
-//! Alg. 2 alone ([`get_best_host`]) and fault recovery
-//! ([`run_with_recovery_observed`]) take an event sink (`NoopSink` when
-//! nothing listens); [`run_online`] keeps its own model (`DESIGN.md` §11).
+//! Fault recovery ([`run_with_recovery_observed`]) takes an event sink
+//! (`NoopSink` when nothing listens); [`run_online`] keeps its own model
+//! (`DESIGN.md` §11).
 //!
 //! ```
 //! use wfs_scheduler::Algorithm;
@@ -60,18 +62,67 @@ mod minmin;
 mod online;
 mod plan;
 pub mod recovery;
-pub mod reference;
 mod refine;
 
 pub use algorithms::{min_cost_floor, min_cost_schedule, Algorithm};
-pub use best_host::get_best_host;
-pub use budget::{datacenter_reservation, divide_budget, t_calc_task, BudgetSplit, Pot};
+pub use budget::{divide_budget, BudgetSplit, Pot};
 pub use deadline::min_budget_for_deadline;
 pub use ensemble::{schedule_ensemble, AdmittedWorkflow, EnsembleMember, EnsembleResult};
-pub use heft::{heft_budg, heft_budg_carry, heft_budg_observed, priority_list};
+pub use heft::{heft_budg, heft_budg_carry, heft_budg_observed};
 pub use online::{run_online, OnlineConfig, OnlineOutcome};
-pub use plan::{Candidate, HostEval, PlanState, Sweep};
 pub use recovery::{
     run_with_recovery_observed, EpochRecord, RecoveryConfig, RecoveryOutcome, RecoveryPolicy,
 };
 pub use refine::{min_min_budg_plus, refine_schedule, refine_schedule_observed, RefineOrder};
+
+#[cfg(test)]
+/// Counts this thread's heap allocations, for the allocation-free pins of
+/// the candidate sweep and the refinement trials (a global allocator is
+/// per test binary; counting per thread keeps the other tests out of the
+/// count).
+mod alloc_count {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Allocations made so far on this thread.
+    pub(crate) fn allocations() -> usize {
+        ALLOCATIONS.with(Cell::get)
+    }
+
+    fn count_one() {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
+
+    struct Counting;
+
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_one();
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count_one();
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_one();
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+}
+
+#[cfg(test)]
+mod reference;

@@ -20,12 +20,10 @@ use wfs_platform::{CategoryId, Platform};
 use wfs_simulator::{Schedule, VmId};
 use wfs_workflow::{OrdF64, TaskId, Workflow};
 
-use crate::reference;
-
 /// A candidate host for the task being scheduled: an already-enrolled VM or
 /// a fresh VM of some category (the paper's `Used_VM ∪ New_VM`, §IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Candidate {
+pub(crate) enum Candidate {
     /// An already used VM.
     Used(VmId),
     /// A new VM of the given category (its startup delay and init cost
@@ -47,14 +45,22 @@ impl Candidate {
 
 /// Planning-time evaluation of one (task, candidate) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HostEval {
+pub(crate) struct HostEval {
     /// The candidate evaluated.
-    pub candidate: Candidate,
+    pub(crate) candidate: Candidate,
     /// Earliest Finish Time (seconds).
-    pub eft: f64,
+    pub(crate) eft: f64,
     /// Estimated cost `ct_{T,host}`: occupied time × hourly rate, plus the
     /// init cost for a new VM.
-    pub cost: f64,
+    pub(crate) cost: f64,
+}
+
+impl HostEval {
+    /// The candidate and the bit patterns of EFT and cost, for exact
+    /// comparisons.
+    pub(crate) fn bits(&self) -> (Candidate, u64, u64) {
+        (self.candidate, self.eft.to_bits(), self.cost.to_bits())
+    }
 }
 
 /// Reusable buffers of the allocation-free candidate sweeps. Owned by
@@ -91,7 +97,7 @@ struct Scratch {
     /// Per category, the number of its VMs ready by the data-ready instant
     /// of the last pruned sweep: where its ready index splits in two.
     cat_split: Vec<usize>,
-    /// Total sweeps performed since creation (pruned or naive).
+    /// Total sweeps performed since creation.
     sweeps: u64,
     /// Total candidate evaluations produced across those sweeps.
     cand_evals: u64,
@@ -120,7 +126,7 @@ type ReadyIndex = Vec<Vec<(OrdF64, VmId)>>;
 
 /// Incremental planning state over a partially built schedule.
 #[derive(Debug, Clone)]
-pub struct PlanState<'a> {
+pub(crate) struct PlanState<'a> {
     wf: &'a Workflow,
     platform: &'a Platform,
     /// Conservative execution weights (`w̄ + σ`), per task.
@@ -138,14 +144,11 @@ pub struct PlanState<'a> {
     schedule: Schedule,
     /// Scratch space of [`Self::sweep`].
     scratch: RefCell<Scratch>,
-    /// When true (set via [`crate::reference::with_naive`]), sweeps hand
-    /// over [`Self::evaluate_all`] instead of their pruned sets.
-    naive: bool,
 }
 
 impl<'a> PlanState<'a> {
     /// Fresh planning state with no task scheduled.
-    pub fn new(wf: &'a Workflow, platform: &'a Platform) -> Self {
+    pub(crate) fn new(wf: &'a Workflow, platform: &'a Platform) -> Self {
         Self {
             wf,
             platform,
@@ -156,33 +159,23 @@ impl<'a> PlanState<'a> {
             edge_at_dc: vec![f64::INFINITY; wf.edge_count()],
             schedule: Schedule::new(wf.task_count()),
             scratch: RefCell::new(Scratch::default()),
-            naive: reference::naive_enabled(),
         }
-    }
-
-    /// True when this state was created under [`reference::with_naive`]:
-    /// sweeps hand over [`Self::evaluate_all`] and incremental selection
-    /// caches are disabled, so results serve as the ground truth the fast
-    /// path is tested against.
-    #[inline]
-    pub(crate) fn is_naive(&self) -> bool {
-        self.naive
     }
 
     /// The partially built schedule.
     #[inline]
-    pub fn schedule(&self) -> &Schedule {
+    pub(crate) fn schedule(&self) -> &Schedule {
         &self.schedule
     }
 
     /// Planned finish time of `t` (`NaN` if unscheduled).
     #[inline]
-    pub fn finish_time(&self, t: TaskId) -> f64 {
+    pub(crate) fn finish_time(&self, t: TaskId) -> f64 {
         self.finish[t.index()]
     }
 
     /// True once every task has been assigned.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.finish.iter().all(|f| !f.is_nan())
     }
 
@@ -273,7 +266,7 @@ impl<'a> PlanState<'a> {
     /// This re-walks `t`'s in-edges on every call. Host selections go
     /// through [`Self::sweep`] instead, which evaluates only the
     /// candidates that can win, with the same bits.
-    pub fn evaluate(&self, t: TaskId, candidate: Candidate) -> HostEval {
+    pub(crate) fn evaluate(&self, t: TaskId, candidate: Candidate) -> HostEval {
         match candidate {
             Candidate::Used(vm) => self.eval_used_with(
                 t,
@@ -289,27 +282,13 @@ impl<'a> PlanState<'a> {
         }
     }
 
-    /// Evaluate `t` on every candidate host, the paper's
-    /// `Used_VM ∪ New_VM` (§IV-A), in candidate order: used VMs by id, then
-    /// one `New` per category.
-    ///
-    /// This is the oracle: O((V + K)·deg) per call, one [`Self::evaluate`]
-    /// per candidate. The equivalence suite checks the pruned sweeps
-    /// against it, and in naive reference mode they hand over its
-    /// evaluations instead of theirs.
-    pub fn evaluate_all(&self, t: TaskId) -> impl Iterator<Item = HostEval> + '_ {
-        let used = self.schedule.vm_ids().map(Candidate::Used);
-        let new = self.platform.category_ids().map(Candidate::New);
-        used.chain(new).map(move |c| self.evaluate(t, c))
-    }
-
     /// One candidate sweep of `t`, the only one host selections make: `f`
     /// receives a [`Sweep`] whose [`Sweep::evals`] hold the candidates
     /// that can win, each walk keeping at least `keep` entries (1 for
     /// `getBestHost` (Alg. 2), CG's per-category pick and the MIN-MIN
     /// cache; 2 for SUFFERAGE). That is O(K + deg) evaluations (plus exact
-    /// ties) in O(K log V + deg) time, instead of the V + K of
-    /// [`Self::evaluate_all`].
+    /// ties) in O(K log V + deg) time, instead of one [`Self::evaluate`]
+    /// per candidate, V + K of them.
     ///
     /// A used VM `v` of category `k` hosting no predecessor of `t` is
     /// evaluated from its ready instant `r_v`, the data-ready instant `dr`
@@ -332,7 +311,7 @@ impl<'a> PlanState<'a> {
     /// by id, then one `New` per category), so any selection that takes a
     /// minimum over `(EFT, cost)`, `(cost, EFT)` or the Alg. 2 key and
     /// breaks remaining ties by candidate order — first or last — picks
-    /// the same candidate as over [`Self::evaluate_all`], with the same
+    /// the same candidate as over every candidate, with the same
     /// [`HostEval`] bits. With `keep = 2` every chain's kept entries hold
     /// two of its smallest affordable EFTs, or all it has: SUFFERAGE's
     /// two smallest (DESIGN.md §7). BDT grows the set further with the
@@ -340,22 +319,27 @@ impl<'a> PlanState<'a> {
     ///
     /// The sweep is counted once `f` returns (`plan_sweeps`, and the set's
     /// size as evaluated, the rest of `V + K` as pruned; binary-search
-    /// probes that are not added count as neither). In naive reference
-    /// mode the set is [`Self::evaluate_all`] and the growth methods add
-    /// nothing. Do not call a sweep (or anything that mutates `self`) from
-    /// inside `f`: the scratch buffer is borrowed for the duration of the
-    /// closure.
-    pub fn sweep<R>(&self, t: TaskId, keep: usize, f: impl FnOnce(&mut Sweep<'_>) -> R) -> R {
+    /// probes that are not added count as neither). Do not call a sweep
+    /// (or anything that mutates `self`) from inside `f`: the scratch
+    /// buffer is borrowed for the duration of the closure.
+    pub(crate) fn sweep<R>(
+        &self,
+        t: TaskId,
+        keep: usize,
+        f: impl FnOnce(&mut Sweep<'_>) -> R,
+    ) -> R {
         let mut scratch = self.scratch.borrow_mut();
         let scratch = &mut *scratch;
-        let chains = if self.naive {
+        let dr = self.push_pruned_evals(t, keep, scratch);
+        #[cfg(test)]
+        if crate::reference::naive_enabled() {
+            // The oracle's set holds every used VM, so growing it adds
+            // nothing.
             scratch.evals.clear();
             scratch.evals.extend(self.evaluate_all(t));
-            None
-        } else {
-            Some((&self.by_ready, self.push_pruned_evals(t, keep, scratch)))
-        };
-        let result = f(&mut Sweep { chains, scratch: &mut *scratch, stamped: false });
+        }
+        let mut sweep = Sweep { index: &self.by_ready, dr, scratch: &mut *scratch, stamped: false };
+        let result = f(&mut sweep);
         self.count_sweep(scratch);
         result
     }
@@ -492,12 +476,16 @@ impl<'a> PlanState<'a> {
         scratch.pruned += u64::try_from(all.saturating_sub(evals)).unwrap_or(u64::MAX);
     }
 
-    /// Commit the assignment of `t` to `candidate`, updating VM
-    /// availability, the ready-instant index and data-at-datacenter times.
-    /// Returns the concrete VM.
-    pub fn commit(&mut self, t: TaskId, candidate: Candidate) -> VmId {
-        let eval = self.evaluate(t, candidate);
-        let (vm, old) = match candidate {
+    /// Commit the assignment of `t` to `eval.candidate`, the evaluation a
+    /// sweep selected, updating VM availability, the ready-instant index
+    /// and data-at-datacenter times. Returns the concrete VM.
+    pub(crate) fn commit(&mut self, t: TaskId, eval: HostEval) -> VmId {
+        debug_assert_eq!(
+            eval.bits(),
+            self.evaluate(t, eval.candidate).bits(),
+            "a sweep's evaluation carries the bits of `evaluate`"
+        );
+        let (vm, old) = match eval.candidate {
             Candidate::Used(vm) => (vm, Some(OrdF64(self.vm_ready[vm.index()]))),
             Candidate::New(cat) => {
                 let vm = self.schedule.add_vm(cat);
@@ -540,13 +528,8 @@ impl<'a> PlanState<'a> {
         }
     }
 
-    /// Planned makespan so far: the largest committed EFT.
-    pub fn planned_makespan(&self) -> f64 {
-        self.finish.iter().copied().filter(|f| !f.is_nan()).fold(0.0, f64::max)
-    }
-
     /// Consume the state, returning the built schedule.
-    pub fn into_schedule(self) -> Schedule {
+    pub(crate) fn into_schedule(self) -> Schedule {
         self.schedule
     }
 }
@@ -622,13 +605,13 @@ fn push_once(scratch: &mut Scratch, e: HostEval) {
 /// instant) and chain 2 (ready after `dr`: one cost, EFT not falling).
 /// DESIGN.md §7 gives the argument BDT relies on. The set stays in
 /// candidate order, holds no candidate twice and carries the bits of
-/// [`PlanState::evaluate_all`].
+/// [`PlanState::evaluate`].
 #[derive(Debug)]
-pub struct Sweep<'q> {
-    /// The ready index and the data-ready instant the chains split at;
-    /// `None` in naive reference mode, where the set already holds every
-    /// candidate.
-    chains: Option<(&'q ReadyIndex, f64)>,
+pub(crate) struct Sweep<'q> {
+    /// The ready index the chains walk.
+    index: &'q ReadyIndex,
+    /// The data-ready instant the chains split at.
+    dr: f64,
     scratch: &'q mut Scratch,
     /// Whether the set's used VMs carry this sweep's `vm_seen` stamp.
     stamped: bool,
@@ -637,14 +620,13 @@ pub struct Sweep<'q> {
 impl<'q> Sweep<'q> {
     /// The candidates gathered so far, in candidate order.
     #[inline]
-    pub fn evals(&self) -> &[HostEval] {
+    pub(crate) fn evals(&self) -> &[HostEval] {
         &self.scratch.evals
     }
 
     /// The chains to grow the set from, with its used VMs stamped as seen
-    /// on the first call; `None` in naive reference mode.
-    fn chains(&mut self) -> Option<(&'q ReadyIndex, f64, &mut Scratch)> {
-        let (index, dr) = self.chains?;
+    /// on the first call.
+    fn chains(&mut self) -> (&'q ReadyIndex, f64, &mut Scratch) {
         let s = &mut *self.scratch;
         if !self.stamped {
             self.stamped = true;
@@ -654,14 +636,14 @@ impl<'q> Sweep<'q> {
                 }
             }
         }
-        Some((index, dr, s))
+        (self.index, self.dr, s)
     }
 
     /// Add each category's latest-ready VM hosting no predecessor. The EFT
     /// does not fall along a category's `(ready instant, id)` order, so
     /// the set then holds the largest EFT over every candidate.
-    pub fn add_latest_ready(&mut self) {
-        let Some((index, dr, s)) = self.chains() else { return };
+    pub(crate) fn add_latest_ready(&mut self) {
+        let (index, dr, s) = self.chains();
         for (k, vms) in index.iter().enumerate() {
             let last = vms.iter().rev().find(|(_, vm)| s.vm_stamp[vm.index()] != s.stamp);
             if let Some(&(r, vm)) = last {
@@ -676,8 +658,8 @@ impl<'q> Sweep<'q> {
     /// the first one's to the bit. A key that does not rise along either
     /// chain (BDT's trade-off factor) thus brings in every affordable
     /// entry that can attain its maximum.
-    pub fn add_affordable_ties(&mut self, max_cost: f64, key: impl Fn(&HostEval) -> f64) {
-        let Some((index, dr, s)) = self.chains() else { return };
+    pub(crate) fn add_affordable_ties(&mut self, max_cost: f64, key: impl Fn(&HostEval) -> f64) {
+        let (index, dr, s) = self.chains();
         for (k, vms) in index.iter().enumerate() {
             let (occupied, rate) = (s.cat_occupied[k], s.cat_rate[k]);
             let eval = |vm, r| eval_remote(vm, r, dr, occupied, rate);
@@ -707,6 +689,23 @@ impl<'q> Sweep<'q> {
 }
 
 #[cfg(test)]
+impl PlanState<'_> {
+    /// Evaluate `t` on every candidate host, the paper's
+    /// `Used_VM ∪ New_VM` (§IV-A), in candidate order: used VMs by id, then
+    /// one `New` per category.
+    ///
+    /// This is the oracle: O((V + K)·deg) per call, one [`Self::evaluate`]
+    /// per candidate. The equivalence suite checks the pruned sweeps
+    /// against it, and in naive reference mode they hand over its
+    /// evaluations instead of theirs.
+    pub(crate) fn evaluate_all(&self, t: TaskId) -> impl Iterator<Item = HostEval> + '_ {
+        let used = self.schedule.vm_ids().map(Candidate::Used);
+        let new = self.platform.category_ids().map(Candidate::New);
+        used.chain(new).map(move |c| self.evaluate(t, c))
+    }
+}
+
+#[cfg(test)]
 #[allow(clippy::float_cmp)] // exact-constant assertions are intentional in tests
 mod tests {
     use super::*;
@@ -728,7 +727,7 @@ mod tests {
         let p = p1();
         let mut plan = PlanState::new(&wf, &p);
         assert_eq!(plan.evaluate_all(TaskId(0)).count(), 1); // one new per category
-        plan.commit(TaskId(0), Candidate::New(CategoryId(0)));
+        plan.commit(TaskId(0), plan.evaluate(TaskId(0), Candidate::New(CategoryId(0))));
         assert_eq!(plan.evaluate_all(TaskId(1)).count(), 2); // one used + one new
     }
 
@@ -749,7 +748,7 @@ mod tests {
         let wf = chain(2, 100.0, 50.0);
         let p = p1();
         let mut plan = PlanState::new(&wf, &p);
-        let vm = plan.commit(TaskId(0), Candidate::New(CategoryId(0)));
+        let vm = plan.commit(TaskId(0), plan.evaluate(TaskId(0), Candidate::New(CategoryId(0))));
         let used = plan.evaluate(TaskId(1), Candidate::Used(vm));
         // Same VM: no transfer of the edge, begin = vm ready (115).
         assert!((used.eft - 215.0).abs() < 1e-9, "eft {}", used.eft);
@@ -767,23 +766,22 @@ mod tests {
         let wf = fork_join(2, 100.0, 0.0);
         let p = p1();
         let mut plan = PlanState::new(&wf, &p);
-        let v0 = plan.commit(TaskId(0), Candidate::New(CategoryId(0)));
+        let v0 = plan.commit(TaskId(0), plan.evaluate(TaskId(0), Candidate::New(CategoryId(0))));
         // Branch 1 on the same VM, branch 2 on a fresh VM: both finish
         // before a sequential plan would.
-        plan.commit(TaskId(1), Candidate::Used(v0));
-        plan.commit(TaskId(2), Candidate::New(CategoryId(0)));
+        plan.commit(TaskId(1), plan.evaluate(TaskId(1), Candidate::Used(v0)));
+        plan.commit(TaskId(2), plan.evaluate(TaskId(2), Candidate::New(CategoryId(0))));
         let f1 = plan.finish_time(TaskId(1));
         let f2 = plan.finish_time(TaskId(2));
         // v0: boot 10 + 100 + 100 = 210. fresh: data at 110, boot, exec.
         assert!((f1 - 210.0).abs() < 1e-9);
         assert!((f2 - 220.0).abs() < 1e-9, "f2 {f2}");
         assert!(!plan.is_complete());
-        plan.commit(TaskId(3), Candidate::Used(v0));
+        plan.commit(TaskId(3), plan.evaluate(TaskId(3), Candidate::Used(v0)));
         assert!(plan.is_complete());
         // Sink on v0 needs branch-2 data from DC: ready at max(210, 220+0)
         // = 220, no bytes (edge size 0) => eft 320.
         assert!((plan.finish_time(TaskId(3)) - 320.0).abs() < 1e-9);
-        assert!((plan.planned_makespan() - 320.0).abs() < 1e-9);
     }
 
     #[test]
@@ -802,14 +800,45 @@ mod tests {
         let p = p1();
         let mut plan = PlanState::new(&wf, &p);
         for &t in wf.topological_order() {
-            let best = plan
-                .evaluate_all(t)
-                .min_by(|a, b| a.eft.total_cmp(&b.eft))
-                .unwrap()
-                .candidate;
+            let best = plan.evaluate_all(t).min_by(|a, b| a.eft.total_cmp(&b.eft)).unwrap();
             plan.commit(t, best);
         }
         let sched = plan.into_schedule();
         sched.validate(&wf).unwrap();
+    }
+
+    #[test]
+    fn candidate_evaluation_matches_commit_effects() {
+        // The EFT promised by evaluate() equals the finish time recorded by
+        // commit() for the same candidate.
+        use wfs_workflow::gen::{montage, GenConfig};
+        let wf = montage(GenConfig::new(30, 2));
+        let p = Platform::paper_default();
+        let mut plan = PlanState::new(&wf, &p);
+        for &t in wf.topological_order() {
+            let eval = plan
+                .evaluate_all(t)
+                .min_by(|a, b| a.eft.total_cmp(&b.eft))
+                .unwrap();
+            let vm = plan.commit(t, eval);
+            assert_eq!(plan.schedule().assignment(t), Some(vm));
+            assert!((plan.finish_time(t) - eval.eft).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn new_vm_candidates_cover_every_category() {
+        use wfs_workflow::gen::{montage, GenConfig};
+        let wf = montage(GenConfig::new(30, 1));
+        let p = Platform::paper_default();
+        let plan = PlanState::new(&wf, &p);
+        let cats: Vec<_> = plan
+            .evaluate_all(wf.topological_order()[0])
+            .filter_map(|e| match e.candidate {
+                Candidate::New(cat) => Some(cat),
+                Candidate::Used(_) => None,
+            })
+            .collect();
+        assert_eq!(cats.len(), p.category_count());
     }
 }

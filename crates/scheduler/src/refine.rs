@@ -49,7 +49,7 @@ pub fn min_min_budg_plus(
     order: RefineOrder,
 ) -> Schedule {
     let mut sched = ready_set(wf, platform, Some(b_ini), Rule::MinMin, &mut NoopSink);
-    let list = crate::priority_list(wf, platform);
+    let list = crate::heft::priority_list(wf, platform);
     // MIN-MIN's per-VM orders follow its own commit sequence, which is a
     // valid linear extension but not necessarily rank-sorted; normalize to
     // rank order first so single-task moves stay executable.
@@ -730,7 +730,7 @@ mod tests {
         let wf = montage(GenConfig::new(30, 1));
         let p = paper();
         let bound = |list: &[TaskId]| TrialBound::new(&wf, &p, list, &rank_positions(&wf, list));
-        let list = crate::priority_list(&wf, &p);
+        let list = crate::heft::priority_list(&wf, &p);
         assert!(bound(&list).is_some());
         let reversed: Vec<TaskId> = list.iter().rev().copied().collect();
         assert!(bound(&reversed).is_none(), "not topological");
@@ -866,53 +866,6 @@ mod tests {
         }
     }
 
-    /// Counts this thread's heap allocations, for the warm-trial pin below
-    /// (a global allocator is per test binary; counting per thread keeps
-    /// the other tests out of the count).
-    mod alloc_count {
-        use std::alloc::{GlobalAlloc, Layout, System};
-        use std::cell::Cell;
-
-        thread_local! {
-            static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-        }
-
-        /// Allocations made so far on this thread.
-        pub(super) fn allocations() -> usize {
-            ALLOCATIONS.with(Cell::get)
-        }
-
-        fn count_one() {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        }
-
-        struct Counting;
-
-        unsafe impl GlobalAlloc for Counting {
-            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-                count_one();
-                unsafe { System.alloc(layout) }
-            }
-
-            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-                count_one();
-                unsafe { System.alloc_zeroed(layout) }
-            }
-
-            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-                count_one();
-                unsafe { System.realloc(ptr, layout, new_size) }
-            }
-
-            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-                unsafe { System.dealloc(ptr, layout) }
-            }
-        }
-
-        #[global_allocator]
-        static GLOBAL: Counting = Counting;
-    }
-
     /// Keeps nothing, and states the incumbent's makespan as its cutoff, so
     /// some moves are screened and the rest simulate.
     struct RejectAll {
@@ -949,9 +902,9 @@ mod tests {
         assert!(screened > 0 && simulated > 0, "both kinds of trial: {screened}, {simulated}");
         assert!(sched.vm_count() > 2, "trials onto several used VMs");
 
-        let before = alloc_count::allocations();
+        let before = crate::alloc_count::allocations();
         let kept = trials.best_move(&sched, &list, &mut rule);
-        let after = alloc_count::allocations();
+        let after = crate::alloc_count::allocations();
         assert!(kept.is_none());
         assert_eq!(after - before, 0, "warm trials must not allocate");
         assert_eq!(
@@ -987,7 +940,7 @@ mod tests {
                 }
                 if n == 30 {
                     let sched = cg(&wf, &p, budgets[1], &mut NoopSink);
-                    let list = crate::priority_list(&wf, &p);
+                    let list = crate::heft::priority_list(&wf, &p);
                     let mut eval = TrialEvaluator::new(&wf, &p, &list);
                     assert!(eval.best_move(&sched, &list, &mut fold).is_none());
                     trials += eval.count;

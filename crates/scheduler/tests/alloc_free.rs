@@ -2,11 +2,11 @@
 //!
 //! This binary installs a counting global allocator (hence its own test
 //! file: `#[global_allocator]` is per-binary) and checks that once their
-//! buffers have warmed up, repeated `get_best_host` sweeps and repeated
-//! runs of a compiled `Replay` in one `RunState` perform zero allocations —
-//! the "allocation-free planner" and "allocation-free replay" guarantees.
-//! Allocations are counted per thread, so tests running in parallel do not
-//! see each other's.
+//! buffers have warmed up, repeated runs of a compiled `Replay` in one
+//! `RunState` perform zero allocations — the "allocation-free replay"
+//! guarantee. The planner's candidate sweep is pinned the same way by
+//! `best_host.rs`'s unit tests. Allocations are counted per thread, so
+//! tests running in parallel do not see each other's.
 
 // Helper fns in integration-test files miss the tests-only exemption.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -14,12 +14,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use wfs_observe::NoopSink;
 use wfs_platform::Platform;
-use wfs_scheduler::get_best_host;
-use wfs_scheduler::{min_cost_schedule, Algorithm, PlanState};
+use wfs_scheduler::{min_cost_schedule, Algorithm};
 use wfs_simulator::{simulate, Replay, RunState, SimConfig};
-use wfs_workflow::gen::{cybershake, montage, GenConfig};
+use wfs_workflow::gen::{cybershake, GenConfig};
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
@@ -59,40 +57,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-#[test]
-fn steady_state_sweep_allocates_nothing() {
-    let wf = montage(GenConfig::new(90, 3));
-    let p = Platform::paper_default();
-    let mut plan = PlanState::new(&wf, &p);
-
-    // Schedule the first half of the workflow so several VMs are enrolled
-    // and the remaining tasks have scheduled predecessors.
-    let order: Vec<_> = wf.topological_order().to_vec();
-    let half = order.len() / 2;
-    for &t in &order[..half] {
-        let best = get_best_host(&plan, t, f64::INFINITY, &mut NoopSink);
-        plan.commit(t, best.candidate);
-    }
-
-    let probe = order[half];
-    // Warm-up: the scratch buffers may still grow on this first sweep.
-    let warm = get_best_host(&plan, probe, f64::INFINITY, &mut NoopSink);
-
-    let before = allocations();
-    let mut check = warm;
-    for _ in 0..256 {
-        check = get_best_host(&plan, probe, f64::INFINITY, &mut NoopSink);
-    }
-    let after = allocations();
-
-    assert_eq!(check, warm, "sweeps on an unchanged plan are deterministic");
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state candidate sweeps must not allocate"
-    );
-}
 
 /// A compiled schedule re-run in a warm `RunState` allocates nothing:
 /// neither a recompile of a schedule no larger than the first, nor a run

@@ -26,7 +26,6 @@
 use crate::report::SimulationReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wfs_workflow::TaskId;
 
 /// SplitMix64 finalizer — decorrelates per-stream seeds derived from one
 /// master seed (the standard seed-stretching construction).
@@ -288,17 +287,6 @@ pub struct FaultRun {
     pub boot_delays: Vec<Option<f64>>,
     /// True when every task is durably complete.
     pub complete: bool,
-}
-
-impl FaultRun {
-    /// Ids of the tasks that are not durably complete (the residual DAG).
-    pub fn unfinished(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.durable
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| !d)
-            .map(|(i, _)| TaskId(u32::try_from(i).unwrap_or(u32::MAX)))
-    }
 }
 
 #[cfg(test)]

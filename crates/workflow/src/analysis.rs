@@ -48,14 +48,18 @@ pub fn bottom_levels(wf: &Workflow, speed: f64, bw: f64) -> Vec<f64> {
 }
 
 /// Task ids ordered by non-increasing bottom level — the `ListT` priority
-/// list of HEFT/HEFTBUDG. Ties break on task id for determinism.
+/// list of HEFT/HEFTBUDG. Ties keep the workflow's topological order, so
+/// every task still comes after its parents.
 pub fn heft_order(wf: &Workflow, speed: f64, bw: f64) -> Vec<TaskId> {
     let rank = bottom_levels(wf, speed, bw);
-    let mut ids: Vec<TaskId> = wf.task_ids().collect();
+    let mut ids = wf.topological_order().to_vec();
     // `total_cmp`, not `partial_cmp(..).unwrap()`: a degenerate workflow
     // (e.g. zero total weight feeding a 0/0 in a budget share) can make
-    // ranks NaN, and the order must stay total and deterministic.
-    ids.sort_by(|a, b| rank[b.index()].total_cmp(&rank[a.index()]).then(a.0.cmp(&b.0)));
+    // ranks NaN, and the order must stay total and deterministic. A
+    // parent's rank is never below its child's, but a small weight can
+    // round away and leave the two tied: the stable sort then keeps the
+    // topological order between them.
+    ids.sort_by(|a, b| rank[b.index()].total_cmp(&rank[a.index()]));
     ids
 }
 
@@ -175,6 +179,20 @@ mod tests {
         for e in wf.edges() {
             assert!(pos[e.from.index()] < pos[e.to.index()]);
         }
+    }
+
+    /// A parent whose weight rounds away in its rank ties its child; the
+    /// child has the lower id, and the parent must still come first.
+    #[test]
+    fn heft_order_keeps_a_rank_tied_parent_first() {
+        let mut b = WorkflowBuilder::new("rank-tie");
+        let child = b.add_task("child", w(1e17));
+        let parent = b.add_task("parent", w(1.0));
+        b.add_edge(parent, child, 0.0).unwrap();
+        let wf = b.build().unwrap();
+        let rank = bottom_levels(&wf, 1.0, 1.0);
+        assert_eq!(rank[child.index()], rank[parent.index()], "the ranks tie");
+        assert_eq!(heft_order(&wf, 1.0, 1.0), vec![parent, child]);
     }
 
     #[test]

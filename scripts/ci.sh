@@ -51,12 +51,12 @@ for wf in montage30 ligo30; do
 done
 
 echo "== trace round-trip smoke (wfs trace + faults --trace/--ledger)"
-# grep reads the whole report (no -q): `grep -q` exits at the match, and
-# wfs then fails writing its remaining lines to the closed pipe.
+# `grep -q` exits at the match and closes the pipe while wfs may still be
+# writing; wfs must then end quietly with status 0 (pipefail is on).
 "$WFS" trace "$FAULTS_TMP/montage30.json" --budget 2.0 --seed 3 --ledger --counters \
-  -o "$FAULTS_TMP/montage30.trace.json" | grep "reconciles  yes (exact)" >/dev/null
+  -o "$FAULTS_TMP/montage30.trace.json" | grep -q "reconciles  yes (exact)"
 "$WFS" faults "$FAULTS_TMP/ligo30.json" --budget 3.0 --mtbf 600 --boot-fail 0.1 \
-  --seed 7 --trace "$FAULTS_TMP/ligo30.trace.json" --ledger | grep "reconciles  yes (exact)" >/dev/null
+  --seed 7 --trace "$FAULTS_TMP/ligo30.trace.json" --ledger | grep -q "reconciles  yes (exact)"
 # Both exports must parse as JSON with a non-empty traceEvents array; a
 # file that does not parse fails the step.
 for f in montage30 ligo30; do

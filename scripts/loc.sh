@@ -10,7 +10,7 @@ total=0
 for lib in crates/*/src/lib.rs; do
   src=$(dirname "$lib")
   n=$(find "$src" -name '*.rs' -print0 | sort -z \
-    | xargs -0 awk 'FNR == 1 { live = 1 } /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 } live { n++ } END { print n + 0 }' \
+    | xargs -0 awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live { n++ } END { print n + 0 }' \
     | awk '{ s += $1 } END { print s + 0 }')
   printf '%-28s %6d\n' "$src" "$n"
   total=$((total + n))

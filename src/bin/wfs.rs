@@ -1,7 +1,9 @@
 //! `wfs` — command-line front end to the budget-sched library.
 //!
 //! The subcommands and their flags are listed in [`USAGE`], which `wfs`
-//! prints after every error.
+//! prints after every error; an option a subcommand does not take is one.
+//! A reader that closes stdout early (`wfs gen montage 400 | head`) ends
+//! the command quietly with status 0.
 //!
 //! Workflows, schedules and platforms are JSON files; `wfs platform` dumps
 //! the paper's Table II platform as a starting point for edits.
@@ -10,13 +12,15 @@ use budget_sched::prelude::*;
 use budget_sched::workflow::gen::{
     CYBERSHAKE_MIN_TASKS, EPIGENOMICS_MIN_TASKS, LIGO_MIN_TASKS, MONTAGE_MIN_TASKS, SIPHT_MIN_TASKS,
 };
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    let mut stdout = std::io::stdout().lock();
+    match run(&args, &mut stdout).and_then(|()| Ok(stdout.flush()?)) {
+        Ok(()) | Err(Failure::ClosedStdout) => ExitCode::SUCCESS,
+        Err(Failure::Usage(e)) => {
             eprintln!("wfs: {e}");
             eprintln!();
             eprintln!("{USAGE}");
@@ -28,7 +32,8 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  wfs gen <cybershake|ligo|montage|epigenomics|sipht> <tasks> [--seed N] [--sigma R] [-o FILE]
+  wfs gen <cybershake|ligo|montage|epigenomics|sipht> <tasks> [--seed N] [--sigma R] [--dax]
+          [-o FILE]
   wfs stats <workflow.json>
   wfs dot <workflow.json> [-o FILE]
   wfs schedule <workflow.json> --alg <name> --budget <dollars> [--platform FILE] [-o FILE]
@@ -44,7 +49,41 @@ const USAGE: &str = "usage:
   wfs deadline <workflow.json> --deadline <secs> [--platform FILE]
   wfs platform [-o FILE]";
 
-type CliResult = Result<(), String>;
+/// Why a command stopped before its end.
+enum Failure {
+    /// A usage or input error: printed with the usage text, status 2.
+    Usage(String),
+    /// Whoever read stdout closed it: nobody is left to tell, status 0.
+    ClosedStdout,
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Usage(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Self {
+        Failure::Usage(e.to_string())
+    }
+}
+
+/// A failed write to stdout.
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            Failure::ClosedStdout
+        } else {
+            Failure::Usage(format!("cannot write to stdout: {e}"))
+        }
+    }
+}
+
+type CliResult = Result<(), Failure>;
+
+/// A subcommand, writing its report to the given stdout.
+type Command = fn(&[String], &mut dyn Write) -> CliResult;
 
 /// Fetch the value following a `--flag`.
 fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -53,6 +92,28 @@ fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// Reject an argument a subcommand does not take: after its `positional`
+/// arguments, each one must be an option of `valued` followed by its value
+/// (any value: its own parser checks it) or one of `switches`.
+fn check_options(
+    args: &[String],
+    positional: usize,
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut rest = args.iter().skip(positional).map(String::as_str);
+    while let Some(a) = rest.next() {
+        if valued.contains(&a) {
+            if rest.next().is_none() {
+                return Err(format!("option `{a}` needs a value"));
+            }
+        } else if !switches.contains(&a) {
+            return Err(format!("unknown option `{a}`"));
+        }
+    }
+    Ok(())
 }
 
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
@@ -93,18 +154,16 @@ fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-fn emit(out: Option<&str>, content: &str) -> CliResult {
+/// Write `content` to the file `out`, or to stdout when there is none.
+fn emit(stdout: &mut dyn Write, out: Option<&str>, content: &str) -> CliResult {
     match out {
         Some(path) => {
             std::fs::write(path, content).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
-            Ok(())
         }
-        None => {
-            println!("{content}");
-            Ok(())
-        }
+        None => writeln!(stdout, "{content}")?,
     }
+    Ok(())
 }
 
 /// Reference speed for DAX runtime <-> work conversion (Gflop/s): the
@@ -137,29 +196,56 @@ fn load_platform(args: &[String]) -> Result<Platform, String> {
     Ok(platform)
 }
 
-fn run(args: &[String]) -> CliResult {
+fn run(args: &[String], stdout: &mut dyn Write) -> CliResult {
     let cmd = args.first().ok_or("missing command")?;
     let rest = &args[1..];
-    match cmd.as_str() {
-        "gen" => cmd_gen(rest),
-        "stats" => cmd_stats(rest),
-        "dot" => cmd_dot(rest),
-        "schedule" => cmd_schedule(rest),
-        "simulate" => cmd_simulate(rest),
-        "sweep" => cmd_sweep(rest),
-        "faults" => cmd_faults(rest),
-        "trace" => cmd_trace(rest),
-        "deadline" => cmd_deadline(rest),
-        "platform" => emit(opt(rest, "-o"), &pretty(&Platform::paper_default())?),
-        other => Err(format!("unknown command `{other}`")),
-    }
+    // Each subcommand: its positional arguments, the options that take a
+    // value and the switches, as USAGE lists them.
+    let (command, positional, valued, switches): (Command, usize, &[&str], &[&str]) =
+        match cmd.as_str() {
+            "gen" => (cmd_gen, 2, &["--seed", "--sigma", "-o"], &["--dax"]),
+            "stats" => (cmd_stats, 1, &[], &[]),
+            "dot" => (cmd_dot, 1, &["-o"], &[]),
+            "schedule" => (cmd_schedule, 1, &["--alg", "--budget", "--platform", "-o"], &[]),
+            "simulate" => (
+                cmd_simulate,
+                2,
+                &["--seed", "--platform", "--budget", "--svg"],
+                &["--conservative", "--mean", "--gantt"],
+            ),
+            "sweep" => (cmd_sweep, 1, &["--budgets", "--algs", "--platform"], &[]),
+            "faults" => (
+                cmd_faults,
+                1,
+                &[
+                    "--budget", "--alg", "--policy", "--mtbf", "--shape", "--boot-fail",
+                    "--degrade", "--seed", "--stochastic", "--max-epochs", "--platform", "--trace",
+                ],
+                &["--lint", "--ledger"],
+            ),
+            "trace" => (
+                cmd_trace,
+                1,
+                &["--budget", "--alg", "--seed", "--platform", "-o"],
+                &["--conservative", "--mean", "--ledger", "--counters"],
+            ),
+            "deadline" => (cmd_deadline, 1, &["--deadline", "--platform"], &[]),
+            "platform" => (cmd_platform, 0, &["-o"], &[]),
+            other => return Err(format!("unknown command `{other}`").into()),
+        };
+    check_options(rest, positional, valued, switches)?;
+    command(rest, stdout)
+}
+
+fn cmd_platform(args: &[String], stdout: &mut dyn Write) -> CliResult {
+    emit(stdout, opt(args, "-o"), &pretty(&Platform::paper_default())?)
 }
 
 fn pretty<T: serde::Serialize>(v: &T) -> Result<String, String> {
     serde_json::to_string_pretty(v).map_err(|e| e.to_string())
 }
 
-fn cmd_gen(args: &[String]) -> CliResult {
+fn cmd_gen(args: &[String], stdout: &mut dyn Write) -> CliResult {
     let ty = args.first().ok_or("gen: missing workflow type")?;
     let tasks: usize = parse(args.get(1).ok_or("gen: missing task count")?, "task count")?;
     let seed: u64 = opt(args, "--seed").map_or(Ok(1), |s| parse(s, "seed"))?;
@@ -176,38 +262,38 @@ fn cmd_gen(args: &[String]) -> CliResult {
         },
     };
     if tasks < min_tasks {
-        return Err(format!("gen: {ty} needs at least {min_tasks} tasks, got {tasks}"));
+        return Err(format!("gen: {ty} needs at least {min_tasks} tasks, got {tasks}").into());
     }
     let wf = generate(GenConfig::new(tasks, seed).with_sigma_ratio(sigma));
     // Emit DAX when the output file asks for it, JSON otherwise.
     let out = opt(args, "-o");
     if has_flag(args, "--dax") || out.is_some_and(|p| p.ends_with(".dax") || p.ends_with(".xml")) {
-        emit(out, &budget_sched::workflow::dax::to_dax(&wf, DAX_REF_SPEED))
+        emit(stdout, out, &budget_sched::workflow::dax::to_dax(&wf, DAX_REF_SPEED))
     } else {
-        emit(out, &wf.to_json())
+        emit(stdout, out, &wf.to_json())
     }
 }
 
-fn cmd_stats(args: &[String]) -> CliResult {
+fn cmd_stats(args: &[String], stdout: &mut dyn Write) -> CliResult {
     let wf = load_workflow(args.first().ok_or("stats: missing workflow file")?)?;
     let s = analysis::stats(&wf);
-    println!("workflow      {}", wf.name);
-    println!("tasks         {}", s.tasks);
-    println!("edges         {}", s.edges);
-    println!("depth/width   {}/{}", s.depth, s.width);
-    println!("entries/exits {}/{}", s.entries, s.exits);
-    println!("total work    {:.1} Gflop", s.total_work);
-    println!("total data    {:.1} MB", s.total_data / 1e6);
-    println!("external I/O  {:.1} MB in / {:.1} MB out", wf.external_input_data() / 1e6, wf.external_output_data() / 1e6);
+    writeln!(stdout, "workflow      {}", wf.name)?;
+    writeln!(stdout, "tasks         {}", s.tasks)?;
+    writeln!(stdout, "edges         {}", s.edges)?;
+    writeln!(stdout, "depth/width   {}/{}", s.depth, s.width)?;
+    writeln!(stdout, "entries/exits {}/{}", s.entries, s.exits)?;
+    writeln!(stdout, "total work    {:.1} Gflop", s.total_work)?;
+    writeln!(stdout, "total data    {:.1} MB", s.total_data / 1e6)?;
+    writeln!(stdout, "external I/O  {:.1} MB in / {:.1} MB out", wf.external_input_data() / 1e6, wf.external_output_data() / 1e6)?;
     Ok(())
 }
 
-fn cmd_dot(args: &[String]) -> CliResult {
+fn cmd_dot(args: &[String], stdout: &mut dyn Write) -> CliResult {
     let wf = load_workflow(args.first().ok_or("dot: missing workflow file")?)?;
-    emit(opt(args, "-o"), &budget_sched::workflow::dot::to_dot(&wf))
+    emit(stdout, opt(args, "-o"), &budget_sched::workflow::dot::to_dot(&wf))
 }
 
-fn cmd_schedule(args: &[String]) -> CliResult {
+fn cmd_schedule(args: &[String], stdout: &mut dyn Write) -> CliResult {
     let wf = load_workflow(args.first().ok_or("schedule: missing workflow file")?)?;
     let alg: Algorithm = parse(opt(args, "--alg").ok_or("schedule: missing --alg")?, "algorithm")?;
     let budget = parse_budget(opt(args, "--budget").ok_or("schedule: missing --budget")?)?;
@@ -219,10 +305,10 @@ fn cmd_schedule(args: &[String]) -> CliResult {
         sched.used_vm_count(),
         t0.elapsed().as_secs_f64() * 1e3
     );
-    emit(opt(args, "-o"), &pretty(&sched)?)
+    emit(stdout, opt(args, "-o"), &pretty(&sched)?)
 }
 
-fn cmd_simulate(args: &[String]) -> CliResult {
+fn cmd_simulate(args: &[String], stdout: &mut dyn Write) -> CliResult {
     let wf = load_workflow(args.first().ok_or("simulate: missing workflow file")?)?;
     let sched: Schedule =
         serde_json::from_str(&read_file(args.get(1).ok_or("simulate: missing schedule file")?)?)
@@ -231,16 +317,16 @@ fn cmd_simulate(args: &[String]) -> CliResult {
     let cfg = parse_weights(args)?;
     let budget = opt(args, "--budget").map(parse_budget).transpose()?;
     let r = simulate(&wf, &platform, &sched, &cfg).map_err(|e| e.to_string())?;
-    println!("makespan   {:.1} s", r.makespan);
-    println!("vm cost    ${:.4}", r.vm_cost);
-    println!("dc cost    ${:.4}", r.datacenter_cost);
-    println!("total cost ${:.4}", r.total_cost);
-    println!("VMs used   {}", r.vms_used);
+    writeln!(stdout, "makespan   {:.1} s", r.makespan)?;
+    writeln!(stdout, "vm cost    ${:.4}", r.vm_cost)?;
+    writeln!(stdout, "dc cost    ${:.4}", r.datacenter_cost)?;
+    writeln!(stdout, "total cost ${:.4}", r.total_cost)?;
+    writeln!(stdout, "VMs used   {}", r.vms_used)?;
     if let Some(b) = budget {
-        println!("in budget  {}", if r.within_budget(b) { "yes" } else { "NO" });
+        writeln!(stdout, "in budget  {}", if r.within_budget(b) { "yes" } else { "NO" })?;
     }
     if has_flag(args, "--gantt") {
-        println!("\n{}", r.gantt(72));
+        writeln!(stdout, "\n{}", r.gantt(72))?;
     }
     if let Some(path) = opt(args, "--svg") {
         let svg = budget_sched::simulator::svg::to_svg(&r);
@@ -252,7 +338,7 @@ fn cmd_simulate(args: &[String]) -> CliResult {
 
 /// `wfs deadline <workflow.json> --deadline <secs> [--platform FILE]`:
 /// the smallest budget whose HEFTBUDG schedule meets the deadline.
-fn cmd_deadline(args: &[String]) -> CliResult {
+fn cmd_deadline(args: &[String], stdout: &mut dyn Write) -> CliResult {
     let wf = load_workflow(args.first().ok_or("deadline: missing workflow file")?)?;
     let d = opt(args, "--deadline").ok_or("deadline: missing --deadline")?;
     let d = parse_checked(d, "deadline", "finite and > 0", |v| v.is_finite() && v > 0.0)?;
@@ -261,12 +347,12 @@ fn cmd_deadline(args: &[String]) -> CliResult {
         Some((budget, sched)) => {
             let r = simulate(&wf, &platform, &sched, &SimConfig::planning())
                 .map_err(|e| e.to_string())?;
-            println!("min budget  ${budget:.4}");
-            println!("makespan    {:.1} s (deadline {d:.1} s)", r.makespan);
-            println!("VMs         {}", sched.used_vm_count());
+            writeln!(stdout, "min budget  ${budget:.4}")?;
+            writeln!(stdout, "makespan    {:.1} s (deadline {d:.1} s)", r.makespan)?;
+            writeln!(stdout, "VMs         {}", sched.used_vm_count())?;
             Ok(())
         }
-        None => Err(format!("deadline {d}s is unreachable at any budget")),
+        None => Err(format!("deadline {d}s is unreachable at any budget").into()),
     }
 }
 
@@ -275,7 +361,7 @@ fn cmd_deadline(args: &[String]) -> CliResult {
 /// Chrome-trace-event JSON (loadable in Perfetto / `chrome://tracing`) and
 /// print a text summary; `--ledger` audits the budget ledger against the
 /// simulator's bill and `--counters` prints the hot-path counter table.
-fn cmd_trace(args: &[String]) -> CliResult {
+fn cmd_trace(args: &[String], stdout: &mut dyn Write) -> CliResult {
     let wf_path = args.first().ok_or("trace: missing workflow file")?;
     let wf = load_workflow(wf_path)?;
     let budget = parse_budget(opt(args, "--budget").ok_or("trace: missing --budget")?)?;
@@ -298,24 +384,25 @@ fn cmd_trace(args: &[String]) -> CliResult {
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     eprintln!("wrote {out_path}");
 
-    println!("algorithm  {alg}");
-    println!("events     {}", rec.events.len());
-    println!("spans      {} ({} instants)", trace.span_count(), trace.instant_count());
-    println!("makespan   {:.1} s", report.makespan);
-    println!("total cost ${:.4} (budget ${budget:.4})", report.total_cost);
+    writeln!(stdout, "algorithm  {alg}")?;
+    writeln!(stdout, "events     {}", rec.events.len())?;
+    writeln!(stdout, "spans      {} ({} instants)", trace.span_count(), trace.instant_count())?;
+    writeln!(stdout, "makespan   {:.1} s", report.makespan)?;
+    writeln!(stdout, "total cost ${:.4} (budget ${budget:.4})", report.total_cost)?;
     if has_flag(args, "--ledger") {
         let ledger = BudgetLedger::from_events(&rec.events);
-        println!();
-        print!("{}", ledger.summary());
-        println!(
+        writeln!(stdout)?;
+        write!(stdout, "{}", ledger.summary())?;
+        writeln!(
+            stdout,
             "reconciles  {}",
             if ledger.reconcile(report.total_cost) { "yes (exact)" } else { "NO" }
-        );
+        )?;
     }
     if has_flag(args, "--counters") {
         let counters = Counters::from_events(&rec.events);
-        println!();
-        print!("{}", counters.table());
+        writeln!(stdout)?;
+        write!(stdout, "{}", counters.table())?;
     }
     Ok(())
 }
@@ -334,7 +421,7 @@ fn default_trace_path(input: &str) -> String {
 /// `wfs faults <workflow.json> --budget B [--policy P] [...]`: run the
 /// workflow to durable completion under seeded fault injection, recovering
 /// per the chosen policy, and print the per-epoch breakdown.
-fn cmd_faults(args: &[String]) -> CliResult {
+fn cmd_faults(args: &[String], stdout: &mut dyn Write) -> CliResult {
     let wf = load_workflow(args.first().ok_or("faults: missing workflow file")?)?;
     let budget = parse_budget(opt(args, "--budget").ok_or("faults: missing --budget")?)?;
     let alg: Algorithm = opt(args, "--alg").map_or(Ok(Algorithm::HeftBudg), |s| parse(s, "algorithm"))?;
@@ -353,7 +440,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
         };
         faults = faults.with_crash(crash);
     } else if opt(args, "--shape").is_some() {
-        return Err("--shape needs --mtbf".to_string());
+        return Err("--shape needs --mtbf".into());
     }
     if let Some(p) = opt(args, "--boot-fail") {
         let prob = parse_checked(p, "boot-fail probability", "in [0, 1)", |v| (0.0..1.0).contains(&v))?;
@@ -362,7 +449,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
     if let Some(spec) = opt(args, "--degrade") {
         let parts: Vec<&str> = spec.split(':').collect();
         if parts.len() != 3 {
-            return Err(format!("--degrade wants FACTOR:GAP:DURATION, got `{spec}`"));
+            return Err(format!("--degrade wants FACTOR:GAP:DURATION, got `{spec}`").into());
         }
         faults = faults.with_degradation(DegradationModel::new(
             parse_checked(parts[0], "degrade factor", "in (0, 1]", |v| v > 0.0 && v <= 1.0)?,
@@ -378,7 +465,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
     if let Some(n) = opt(args, "--max-epochs") {
         let n: usize = parse(n, "max epochs")?;
         if n == 0 {
-            return Err("max epochs must be at least 1".to_string());
+            return Err("max epochs must be at least 1".into());
         }
         cfg = cfg.with_max_epochs(n);
     }
@@ -389,28 +476,29 @@ fn cmd_faults(args: &[String]) -> CliResult {
     let mut rec = RecordingSink::new();
     let out =
         run_with_recovery_observed(&wf, &platform, &cfg, &mut rec).map_err(|e| e.to_string())?;
-    println!("{:<6} {:>6} {:>8} {:>10} {:>10} {:>8} {:>6} {:>6}",
-        "epoch", "tasks", "durable", "cost $", "budget $", "span s", "crash", "retry");
+    writeln!(stdout, "{:<6} {:>6} {:>8} {:>10} {:>10} {:>8} {:>6} {:>6}",
+        "epoch", "tasks", "durable", "cost $", "budget $", "span s", "crash", "retry")?;
     for e in &out.epochs {
-        println!(
+        writeln!(
+            stdout,
             "{:<6} {:>6} {:>8} {:>10.4} {:>10.4} {:>8.0} {:>6} {:>6}",
             e.epoch, e.scheduled, e.newly_durable, e.cost, e.budget_before, e.makespan,
             e.stats.crashes, e.stats.boot_retries
-        );
+        )?;
     }
-    println!();
-    println!("outcome     {}", if out.completed { "COMPLETED" } else { "INCOMPLETE" });
-    println!("policy      {policy} ({alg})");
-    println!("total cost  ${:.4} / ${:.4}{}", out.total_cost, out.budget,
-        if out.within_budget() { "" } else { "  OVER BUDGET" });
-    println!("wall clock  {:.0} s over {} epoch(s), {} re-plan(s)",
-        out.wall_clock, out.epochs.len(), out.replans);
-    println!("faults      {} crash(es), {} task(s) lost, {} boot retry(ies), {} degradation window(s)",
-        out.stats.crashes, out.stats.tasks_lost, out.stats.boot_retries, out.stats.degradation_windows);
-    println!("waste       {:.0} s compute lost, {:.0} s billed-but-wasted",
-        out.stats.wasted_compute_seconds, out.stats.wasted_billed_seconds);
+    writeln!(stdout)?;
+    writeln!(stdout, "outcome     {}", if out.completed { "COMPLETED" } else { "INCOMPLETE" })?;
+    writeln!(stdout, "policy      {policy} ({alg})")?;
+    writeln!(stdout, "total cost  ${:.4} / ${:.4}{}", out.total_cost, out.budget,
+        if out.within_budget() { "" } else { "  OVER BUDGET" })?;
+    writeln!(stdout, "wall clock  {:.0} s over {} epoch(s), {} re-plan(s)",
+        out.wall_clock, out.epochs.len(), out.replans)?;
+    writeln!(stdout, "faults      {} crash(es), {} task(s) lost, {} boot retry(ies), {} degradation window(s)",
+        out.stats.crashes, out.stats.tasks_lost, out.stats.boot_retries, out.stats.degradation_windows)?;
+    writeln!(stdout, "waste       {:.0} s compute lost, {:.0} s billed-but-wasted",
+        out.stats.wasted_compute_seconds, out.stats.wasted_billed_seconds)?;
     if out.degraded_to_cheapest {
-        println!("degraded    fell back to cheapest-category VM (budget exhausted)");
+        writeln!(stdout, "degraded    fell back to cheapest-category VM (budget exhausted)")?;
     }
     if let Some(tp) = opt(args, "--trace") {
         let trace = ChromeTrace::from_events(&rec.events);
@@ -419,24 +507,25 @@ fn cmd_faults(args: &[String]) -> CliResult {
     }
     if has_flag(args, "--ledger") {
         let ledger = BudgetLedger::from_events(&rec.events);
-        println!();
-        print!("{}", ledger.summary());
-        println!(
+        writeln!(stdout)?;
+        write!(stdout, "{}", ledger.summary())?;
+        writeln!(
+            stdout,
             "reconciles  {}",
             if ledger.reconcile(out.total_cost) { "yes (exact)" } else { "NO" }
-        );
+        )?;
     }
     if !out.lint_violations.is_empty() {
         eprintln!("\nlint violations:");
         for v in &out.lint_violations {
             eprintln!("  {v}");
         }
-        return Err(format!("{} lint violation(s)", out.lint_violations.len()));
+        return Err(format!("{} lint violation(s)", out.lint_violations.len()).into());
     }
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> CliResult {
+fn cmd_sweep(args: &[String], stdout: &mut dyn Write) -> CliResult {
     let wf = load_workflow(args.first().ok_or("sweep: missing workflow file")?)?;
     let platform = load_platform(args)?;
     let budgets: Vec<f64> = opt(args, "--budgets")
@@ -451,20 +540,21 @@ fn cmd_sweep(args: &[String]) -> CliResult {
             .collect::<Result<_, _>>()?,
         None => vec![Algorithm::MinMinBudg, Algorithm::HeftBudg],
     };
-    println!("{:<14} {:>10} {:>10} {:>10} {:>5}", "algorithm", "budget $", "makespan", "cost $", "VMs");
+    writeln!(stdout, "{:<14} {:>10} {:>10} {:>10} {:>5}", "algorithm", "budget $", "makespan", "cost $", "VMs")?;
     for &b in &budgets {
         for &alg in &algs {
             let sched = alg.run(&wf, &platform, b);
             let r = simulate(&wf, &platform, &sched, &SimConfig::planning())
                 .map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                stdout,
                 "{:<14} {:>10.3} {:>9.0}s {:>10.4} {:>5}",
                 alg.name(),
                 b,
                 r.makespan,
                 r.total_cost,
                 r.vms_used
-            );
+            )?;
         }
     }
     Ok(())

@@ -192,8 +192,10 @@ fn bad_usage_exits_nonzero_with_usage() {
     let out = wfs(&["schedule", "/nonexistent.json", "--alg", "heft", "--budget", "1"]);
     assert!(!out.status.success());
 
-    let out = wfs(&["gen", "montage", "30", "--alg"]); // stray flag ok, still generates
-    assert!(out.status.success());
+    // An option the subcommand does not take is a usage error.
+    let out = wfs(&["gen", "montage", "30", "--alg"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option `--alg`"));
 }
 
 #[test]
@@ -591,6 +593,64 @@ fn out_of_range_flags_are_usage_errors() {
         assert!(err.contains(expect), "{args:?}: {err}");
         assert!(err.contains("usage:"), "{args:?}: {err}");
     }
+}
+
+/// Each subcommand rejects an argument it does not take (a misspelt
+/// `--platfrom` must not plan on the paper platform) and an option
+/// without its value: exit 2 with the usage text, before any output.
+#[test]
+fn unknown_options_are_usage_errors() {
+    let tmp = TmpDir::new("unknown_options_are_usage_errors");
+    let wf = tmp.path("opts30.json");
+    assert!(wfs(&["gen", "montage", "30", "-o", wf.to_str().unwrap()]).status.success());
+    let wf = wf.to_str().unwrap();
+    let sched = tmp.path("opts30-sched.json");
+    let sched = sched.to_str().unwrap();
+    assert!(wfs(&["schedule", wf, "--alg", "heftbudg", "--budget", "2", "-o", sched]).status.success());
+    let cases: &[(&[&str], &str)] = &[
+        (&["schedule", wf, "--alg", "heftbudg", "--budget", "2", "--platfrom", "x.json"], "unknown option `--platfrom`"),
+        (&["schedule", wf, "--alg", "heftbudg", "--budget"], "option `--budget` needs a value"),
+        (&["gen", "montage", "30", "--tasks", "40"], "unknown option `--tasks`"),
+        (&["stats", wf, "extra"], "unknown option `extra`"),
+        (&["dot", wf, "--seed", "1"], "unknown option `--seed`"),
+        (&["simulate", wf, sched, "--conservative", "--gant"], "unknown option `--gant`"),
+        (&["sweep", wf, "--budgets", "1,2", "--alg", "heft"], "unknown option `--alg`"),
+        (&["faults", wf, "--budget", "2", "--mtbf", "600", "--lint", "--ledgr"], "unknown option `--ledgr`"),
+        (&["trace", wf, "--budget", "2", "--gantt"], "unknown option `--gantt`"),
+        (&["deadline", wf, "--deadline", "500", "--budget", "2"], "unknown option `--budget`"),
+        (&["platform", "--seed", "1"], "unknown option `--seed`"),
+    ];
+    for (args, expect) in cases {
+        let out = wfs(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(expect), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran before rejecting");
+    }
+}
+
+/// A reader that stops early (`wfs gen montage 400 | head -c 10`) closes
+/// the pipe while `wfs` still writes: the command ends quietly with status
+/// 0 instead of panicking.
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::io::Read;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wfs"))
+        .args(["gen", "montage", "400"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("wfs binary runs");
+    let mut head = [0u8; 10];
+    child.stdout.take().unwrap().read_exact(&mut head).unwrap();
+    // The read end is closed here, long before the workflow's JSON (far
+    // more than a pipe buffer) is written.
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.is_empty(), "{err}");
+    assert!(head.starts_with(b"{"), "{}", String::from_utf8_lossy(&head));
 }
 
 /// Degradation windows far below the clock resolution used to spin the
